@@ -90,72 +90,6 @@ RunResult AdcDesign::simulate(const SimulationOptions& opts,
 }
 
 std::vector<RunResult> AdcDesign::simulate_batch(
-    const SimulationOptions& opts, const std::vector<std::uint64_t>& seeds,
-    msim::BatchedWorkspace& ws) const {
-  std::vector<RunResult> out(seeds.size());
-  if (seeds.empty()) return out;
-  if (!ok()) {
-    emit_diag(ctx_, util::Diagnostic{util::Severity::kError, "sim_run", "",
-                                     "design was not built (invalid spec)"});
-    return out;
-  }
-  // Lanes share every option but the seed, so the spec/PVT resolution and
-  // the coherent-bin snap happen once. Lane k's effective seed follows the
-  // scalar rule (0 = keep the spec's own seed).
-  AdcSpec sp = spec_;
-  if (opts.pvt.has_value()) sp.pvt = *opts.pvt;
-  std::vector<std::uint64_t> eff(seeds.size());
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    eff[k] = seeds[k] != 0 ? seeds[k] : sp.seed;
-  }
-  const msim::SimConfig cfg = sp.to_sim_config();
-
-  msim::VcoDsmModulator::Options mopts;
-  mopts.comparator = opts.comparator;
-  mopts.dac = opts.dac;
-  mopts.record_bits = opts.record_bits;
-  auto batch = msim::BatchedModulator::create(cfg, eff, mopts);
-  if (batch == nullptr) {
-    // Unsupported configuration (non-resistor DAC, or a width the kernels
-    // are not instantiated for): serial fallback, same results.
-    msim::SimWorkspace sws;
-    for (std::size_t k = 0; k < seeds.size(); ++k) {
-      SimulationOptions o = opts;
-      o.seed = seeds[k];
-      out[k] = simulate(o, sws);
-    }
-    return out;
-  }
-
-  const double fin =
-      dsp::coherent_freq(opts.fin_target_hz, cfg.fs_hz, opts.n_samples);
-  const int W = static_cast<int>(seeds.size());
-  std::vector<double> scale(seeds.size());
-  for (int k = 0; k < W; ++k) {
-    const std::size_t sk = static_cast<std::size_t>(k);
-    out[sk].fin_hz = fin;
-    out[sk].full_scale_v = batch->full_scale_diff(k);
-    out[sk].amplitude_v =
-        out[sk].full_scale_v * util::from_db_amplitude(opts.amplitude_dbfs);
-    // The kernel evaluates scale * base(t) per lane; with a unit-amplitude
-    // base this is fl(amplitude * sin(...)), the scalar path's expression.
-    scale[sk] = out[sk].amplitude_v;
-  }
-  const std::vector<msim::ModulatorResult>& lanes =
-      batch->run(dsp::make_sine(1.0, fin), scale, opts.n_samples, ws);
-  for (int k = 0; k < W; ++k) {
-    const std::size_t sk = static_cast<std::size_t>(k);
-    out[sk].mod = lanes[sk];
-    // The per-lane spec carries the lane's seed so the analysis inputs
-    // match the scalar path's field-for-field.
-    AdcSpec lane_sp = sp;
-    lane_sp.seed = eff[sk];
-    analyze_run(lane_sp, cfg, opts, *design_, out[sk]);
-  }
-  return out;
-}
-
-std::vector<RunResult> AdcDesign::simulate_batch(
     const std::vector<SimulationOptions>& opts_list,
     msim::BatchedWorkspace& ws) const {
   std::vector<RunResult> out(opts_list.size());
@@ -196,7 +130,9 @@ std::vector<RunResult> AdcDesign::simulate_batch(
     batch = msim::BatchedModulator::create(cfgs, mopts);
   }
   if (batch == nullptr) {
-    msim::SimWorkspace sws;
+    // One workspace per thread, as for a lone scalar stage: a group of one
+    // is how Flow runs every scalar SimRun over a built design.
+    static thread_local msim::SimWorkspace sws;
     for (std::size_t k = 0; k < opts_list.size(); ++k) {
       out[k] = simulate(opts_list[k], sws);
     }

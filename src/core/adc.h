@@ -102,27 +102,19 @@ class AdcDesign {
   RunResult simulate(const SimulationOptions& opts,
                      msim::SimWorkspace& ws) const;
 
-  /// Simulates one Monte-Carlo lane group: seeds[k] plays the role of
-  /// opts.seed for result k (0 = keep the spec's seed). When the batched
-  /// SoA engine supports the configuration (resistor DAC, lane width 2/4/8)
-  /// all lanes run in SIMD lockstep through one msim::BatchedModulator;
-  /// otherwise each seed runs through the scalar path. Either way every
-  /// RunResult is bit-identical to simulate() with that seed — the batched
-  /// kernel's per-lane IEEE operation sequence matches the scalar
-  /// modulator's (see util/simd.h), and the analysis stack is shared.
-  std::vector<RunResult> simulate_batch(const SimulationOptions& opts,
-                                        const std::vector<std::uint64_t>& seeds,
-                                        msim::BatchedWorkspace& ws) const;
-
-  /// Heterogeneous lane group: result k is bit-identical to
-  /// simulate(opts_list[k]). Lanes may differ in seed, PVT corner,
-  /// amplitude and wire load (PVT moves supply/VCO/noise *values* but not
-  /// the clock structure, so corner sweeps batch cleanly); they must agree
-  /// on n_samples, fin_target_hz, comparator, dac and record_bits — the
-  /// lanes share one input-sample schedule and one netlist. Option lists
-  /// the batched engine cannot take (disagreeing options, unsupported
-  /// width, current-steering DAC, or a PVT split that flips a noise-source
-  /// on/off flag across lanes) run through the scalar path instead.
+  /// Simulates one lane group: result k is bit-identical to
+  /// simulate(opts_list[k]). When the batched SoA engine takes the group,
+  /// all lanes run in SIMD lockstep through one msim::BatchedModulator —
+  /// its per-lane IEEE operation sequence matches the scalar modulator's
+  /// (see util/simd.h), and the analysis stack is shared. Lanes may differ
+  /// in seed, PVT corner, amplitude and wire load (PVT moves supply/VCO/
+  /// noise *values* but not the clock structure, so corner sweeps batch
+  /// cleanly); they must agree on n_samples, fin_target_hz, comparator,
+  /// dac and record_bits — the lanes share one input-sample schedule and
+  /// one netlist. Option lists the batched engine cannot take (disagreeing
+  /// options, a width other than 2/4/8, current-steering DAC, or a PVT
+  /// split that flips a noise-source on/off flag across lanes) run through
+  /// the scalar path instead.
   std::vector<RunResult> simulate_batch(
       const std::vector<SimulationOptions>& opts_list,
       msim::BatchedWorkspace& ws) const;

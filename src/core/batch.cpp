@@ -17,16 +17,4 @@ int BatchRunner::resolve_threads(int threads) {
   return static_cast<int>(util::ThreadPool::hardware_workers());
 }
 
-std::vector<RunResult> BatchRunner::simulate_batch(
-    const AdcDesign& design, const SimulationOptions& sim, std::size_t n) {
-  return map(n, [&](std::size_t, std::uint64_t seed) {
-    // One workspace per worker thread: draws on the same worker reuse the
-    // modulator's result/scratch buffers instead of reallocating per run.
-    static thread_local msim::SimWorkspace ws;
-    SimulationOptions s = sim;
-    s.seed = seed;
-    return design.simulate(s, ws);
-  });
-}
-
 }  // namespace vcoadc::core

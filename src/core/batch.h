@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/adc.h"
@@ -36,7 +37,7 @@ struct BatchOptions {
   std::uint64_t seed0 = 1000;
 };
 
-/// Instrumentation for one batch (one map() / simulate_batch() call).
+/// Instrumentation for one batch (one map() call).
 struct BatchStats {
   int threads = 0;                 ///< resolved worker count
   double wall_s = 0;               ///< batch wall-clock time
@@ -65,7 +66,7 @@ class BatchRunner {
   const BatchOptions& options() const { return opts_; }
   /// Resolved worker count (hardware concurrency when opts.threads == 0).
   int threads() const { return threads_; }
-  /// Stats of the most recent map()/simulate_batch() call.
+  /// Stats of the most recent map() call.
   const BatchStats& last_stats() const { return stats_; }
 
   /// Evaluates fn(i, seed0 + i) for i in [0, n) across the pool and returns
@@ -76,14 +77,22 @@ class BatchRunner {
   auto map(std::size_t n, Fn&& fn)
       -> std::vector<std::invoke_result_t<Fn&, std::size_t, std::uint64_t>> {
     using R = std::invoke_result_t<Fn&, std::size_t, std::uint64_t>;
+    // std::vector<bool> packs neighbouring tasks' results into one word,
+    // so concurrent tasks writing their own slots would race.
+    static_assert(!std::is_same_v<R, bool>,
+                  "map() tasks must not return bool");
     std::vector<R> results(n);
     stats_ = BatchStats{};
     stats_.threads = threads_;
     stats_.task_wall_s.assign(n, 0.0);
     // A fresh pool per batch keeps the stats per-batch and the thread
     // spawn cost (~µs) is noise next to a single simulate() call (~ms-s).
-    // threads_ == 1 uses the inline fallback: no pool, no synchronization.
-    util::ThreadPool pool(threads_ <= 1 ? 0 : static_cast<std::size_t>(threads_));
+    // threads_ == 1 or a single task uses the inline fallback: no pool, no
+    // synchronization, and the task's trace spans keep the caller's span
+    // as their parent.
+    util::ThreadPool pool(threads_ <= 1 || n <= 1
+                              ? 0
+                              : static_cast<std::size_t>(threads_));
     const auto t0 = std::chrono::steady_clock::now();
     util::parallel_for_each(pool, n, [&](std::size_t i) {
       const auto s = std::chrono::steady_clock::now();
@@ -104,14 +113,6 @@ class BatchRunner {
             : 0.0;
     return results;
   }
-
-  /// Simulates `design` n times with `sim` as the base options and the
-  /// mismatch seed of run i overridden to seed0 + i. The design's netlist
-  /// and cell library are built once by the caller and shared read-only —
-  /// this is the hot path the engine exists for.
-  std::vector<RunResult> simulate_batch(const AdcDesign& design,
-                                        const SimulationOptions& sim,
-                                        std::size_t n);
 
   static int resolve_threads(int threads);
 

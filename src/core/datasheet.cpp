@@ -62,53 +62,28 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
 
   if (opts.amp_sweep_points > 0) {
     util::TraceSpan span(ctx.trace, "amp_sweep");
-    // The sweep points differ from the nominal run only in drive level —
-    // exactly the heterogeneous-lane shape — so they batch through the
-    // same SoA engine as the MC draws, in width-sized groups. Each point
-    // keeps its scalar sim_run() cache key (point 0 *is* the nominal run
-    // and comes back warm). Width resolution follows monte_carlo_impl;
-    // armed fault plans force scalar stages so per-point fault triggers
-    // fire exactly as an unbatched loop's would.
-    int width = opts.batch_width == 0
-                    ? msim::BatchedModulator::preferred_width()
-                    : opts.batch_width;
-    if (!msim::BatchedModulator::width_supported(width) ||
-        ctx.faults != nullptr) {
-      width = 1;
-    }
-    const std::size_t points = static_cast<std::size_t>(opts.amp_sweep_points);
-    ds.amp_sweep.resize(points);
-    for (std::size_t at = 0; at < points;) {
-      const std::size_t left = points - at;
-      std::size_t len = 1;
-      for (int w : {8, 4, 2}) {
-        const std::size_t sw = static_cast<std::size_t>(w);
-        if (w <= width && sw <= left) {
-          len = sw;
-          break;
-        }
-      }
-      std::vector<SimulationOptions> sims(len, sim);
-      for (std::size_t k = 0; k < len; ++k) {
-        sims[k].amplitude_dbfs = -3.0 - 6.0 * static_cast<double>(at + k);
-      }
-      const auto runs = len > 1
-                            ? flow.sim_run_batch(adc, sims)
-                            : std::vector<std::shared_ptr<const RunResult>>{
-                                  flow.sim_run(adc, sims.front())};
-      for (std::size_t k = 0; k < len; ++k) {
-        AmplitudePoint& pt = ds.amp_sweep[at + k];
-        pt.amplitude_dbfs = sims[k].amplitude_dbfs;
-        if (runs[k] != nullptr) {
-          pt.sndr_db = runs[k]->sndr.sndr_db;
-          pt.enob = runs[k]->sndr.enob;
-        } else {
-          pt.sndr_db = std::numeric_limits<double>::quiet_NaN();
-          pt.enob = std::numeric_limits<double>::quiet_NaN();
-        }
-      }
-      at += len;
-    }
+    // The sweep points differ from the nominal run only in drive level, so
+    // they take the lane-batch path the MC draws and corners take. Each
+    // point keeps its scalar sim_run() cache key (point 0 *is* the nominal
+    // run and comes back warm).
+    auto amplitude = [](std::size_t k) {
+      return -3.0 - 6.0 * static_cast<double>(k);
+    };
+    ds.amp_sweep.resize(static_cast<std::size_t>(opts.amp_sweep_points));
+    flow.sim_run_lanes(
+        adc, ds.amp_sweep.size(), opts.batch_width,
+        [&sim, &amplitude](std::size_t k) {
+          SimulationOptions point = sim;
+          point.amplitude_dbfs = amplitude(k);
+          return point;
+        },
+        [&ds, &amplitude](std::size_t k, const RunResult* run) {
+          constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+          AmplitudePoint& pt = ds.amp_sweep[k];
+          pt.amplitude_dbfs = amplitude(k);
+          pt.sndr_db = run != nullptr ? run->sndr.sndr_db : kNaN;
+          pt.enob = run != nullptr ? run->sndr.enob : kNaN;
+        });
   }
 
   if (opts.mc_runs > 0) {

@@ -22,9 +22,8 @@ MonteCarloResult monte_carlo_impl(const ExecContext& ctx,
 
 /// Body of corner_sweep over an already-built design. `batch_width`
 /// follows the MonteCarloOptions convention: 0 = host-preferred SIMD lane
-/// width, 1 = scalar per-corner stages, 2/4/8 = forced width; corners are
-/// partitioned into supported-width groups that run through the
-/// heterogeneous batched engine (results bit-identical at every setting).
+/// width, 1 = scalar per-corner stages, 2/4/8 = forced width; corners run
+/// through Flow::sim_run_lanes (results bit-identical at every setting).
 std::vector<CornerResult> corner_sweep_impl(const ExecContext& ctx,
                                             const AdcDesign& design,
                                             std::size_t n_samples,

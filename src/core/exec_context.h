@@ -49,8 +49,8 @@ struct ExecContext {
   /// build — so a second process over the same inputs builds nothing.
   ArtifactStore* store = nullptr;
   /// Test-only fault-injection plan (see util::FaultPlan); null in
-  /// production. Stages armed in the plan corrupt their input before
-  /// validation and always bypass the artifact cache.
+  /// production. A stage armed in the plan refuses at entry, before its
+  /// cache or store lookup.
   const util::FaultPlan* faults = nullptr;
 };
 

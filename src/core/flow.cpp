@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 #include <utility>
+#include <variant>
 
 #include "core/artifact_serde.h"
 #include "core/artifact_store.h"
@@ -190,11 +191,13 @@ void report_diags(const ExecContext& ctx,
   }
 }
 
-/// True when the context's fault plan fires for this stage (test-only).
-/// The firing stage corrupts its input before validation and must bypass
-/// the artifact cache for the corrupted build.
-bool fault_fires(const ExecContext& ctx, Stage stage) {
-  return ctx.faults != nullptr && ctx.faults->consume(stage_name(stage));
+/// The fault-injection hook (test-only): true, with an error diagnostic
+/// reported, when the context's fault plan fires for `stage`. Consulted
+/// once per stage execution, at entry, before any cache or store lookup.
+bool fault_injected(const ExecContext& ctx, const char* stage) {
+  if (ctx.faults == nullptr || !ctx.faults->consume(stage)) return false;
+  emit_diag(ctx, error_diag(stage, "", "injected fault"));
+  return true;
 }
 
 /// Runs one memoized stage: wraps the lookup/build in a trace span and
@@ -203,13 +206,16 @@ bool fault_fires(const ExecContext& ctx, Stage stage) {
 /// first tries the disk tier (decode failures demote to a rebuild with a
 /// warning), and a real build persists its canonical bytes — both happen
 /// inside the cache's single-flight, so one process writes each record
-/// once and waiters share the in-memory artifact.
+/// once and waiters share the in-memory artifact. A stage its fault plan
+/// fires for returns null here, so a faulted run neither reads nor
+/// populates the cache or store.
 template <typename T, typename BuildFn>
 std::shared_ptr<const T> run_stage(const ExecContext& ctx, Stage stage,
                                    const CacheKey& key,
                                    std::size_t (*bytes_of)(const T&),
                                    const ArtifactCodec<T>* codec,
                                    BuildFn&& build) {
+  if (fault_injected(ctx, stage_name(stage))) return nullptr;
   util::TraceSpan span(ctx.trace, stage_name(stage));
   bool from_store = false;
   auto build_or_load = [&]() -> std::shared_ptr<const T> {
@@ -250,11 +256,11 @@ std::shared_ptr<const T> run_stage(const ExecContext& ctx, Stage stage,
   return value;
 }
 
-/// Shared by the clean and fault paths of the HdlEmit stage: parses the
-/// emitted text back over the bundle's library, validates the structure
-/// and proves structural equivalence against the generated design — the
-/// gate the emitted text must clear before it becomes the artifact of
-/// record. Null with diagnostics (stage "hdl_emit") when any step fails.
+/// The HdlEmit stage's gate: parses the emitted text back over the
+/// bundle's library, validates the structure and proves structural
+/// equivalence against the generated design — the gate the emitted text
+/// must clear before it becomes the artifact of record. Null with
+/// diagnostics (stage "hdl_emit") when any step fails.
 std::shared_ptr<const HdlEmitResult> check_emitted_hdl(
     const ExecContext& ctx, const DesignBundle& bundle, std::string text) {
   netlist::Design parsed(bundle.lib.get());
@@ -294,6 +300,13 @@ std::shared_ptr<const HdlEmitResult> check_emitted_hdl(
   art->parsed = std::make_shared<const netlist::Design>(std::move(parsed));
   art->instances_compared = eq.instances_compared;
   return art;
+}
+
+/// An empty migration (Design is not default-constructible, so it is
+/// built over nothing).
+MigratedDesign no_migration() {
+  MigrationResult empty{netlist::Design(nullptr), {}, 0, 0, {}};
+  return MigratedDesign{nullptr, std::move(empty)};
 }
 
 }  // namespace
@@ -553,15 +566,13 @@ synth::SynthesisOptions Flow::exec_opts(
 
 std::shared_ptr<const netlist::CellLibrary> Flow::tech_library(
     const AdcSpec& spec) {
-  AdcSpec sp = spec;
-  if (fault_fires(ctx_, Stage::kTechLibrary)) sp.node_nm = -12345.0;
-  const auto diags = validate_spec(sp);
+  const auto diags = validate_spec(spec);
   report_diags(ctx_, diags);
   if (has_errors(diags)) return nullptr;
   return run_stage<netlist::CellLibrary>(
-      ctx_, Stage::kTechLibrary, tech_library_key(sp), &approx_bytes_library,
-      &cell_library_codec(), [&sp]() {
-        const tech::TechNode node = sp.tech_node();
+      ctx_, Stage::kTechLibrary, tech_library_key(spec), &approx_bytes_library,
+      &cell_library_codec(), [&spec]() {
+        const tech::TechNode node = spec.tech_node();
         auto lib = std::make_shared<netlist::CellLibrary>(
             netlist::make_standard_library(node));
         netlist::add_resistor_cells(*lib, node);
@@ -573,30 +584,6 @@ DesignBundle Flow::netlist(const AdcSpec& spec) {
   const auto spec_diags = validate_spec(spec);
   report_diags(ctx_, spec_diags);
   if (has_errors(spec_diags)) return {};
-  if (fault_fires(ctx_, Stage::kNetlist)) {
-    // Injected corruption: generate the design fresh (never through the
-    // cache), then break it the way a buggy generator or hand-edited
-    // netlist would — an instance of an unknown master on an undeclared
-    // net. The structural validator must catch it.
-    auto lib = tech_library(spec);
-    if (lib == nullptr) return {};
-    netlist::GeneratorConfig gen;
-    gen.num_slices = spec.num_slices;
-    gen.dac_fragments = spec.dac_fragments;
-    netlist::Design bad = netlist::build_adc_design(*lib, gen);
-    if (netlist::Module* top = bad.find_module(bad.top())) {
-      netlist::Instance evil;
-      evil.name = "fault_injected";
-      evil.master = "CELL_DOES_NOT_EXIST";
-      evil.conn["A"] = "net_does_not_exist";
-      top->add_instance(std::move(evil));
-    } else {
-      bad.set_top("<fault_injected>");
-    }
-    const auto diags = validate_netlist(bad);
-    report_diags(ctx_, diags);
-    return {};
-  }
   auto bundle = run_stage<DesignBundle>(
       ctx_, Stage::kNetlist, netlist_key(spec), &approx_bytes_bundle,
       &design_bundle_codec(),
@@ -623,26 +610,6 @@ std::shared_ptr<const synth::FloorplanStageResult> Flow::floorplan(
   report_diags(ctx_, opt_diags);
   if (has_errors(opt_diags)) return nullptr;
   const synth::SynthesisOptions o = exec_opts(opts);
-  if (fault_fires(ctx_, Stage::kFloorplan)) {
-    // Injected corruption: the stage's input design loses its top module,
-    // so the structural pre-validation must reject it. Cache bypassed.
-    const DesignBundle bundle = netlist(spec);
-    if (bundle.design == nullptr) return nullptr;
-    netlist::Design bad = *bundle.design;
-    bad.set_top("<fault_injected>");
-    std::vector<synth::FlowDiagnostic> fdiags;
-    (void)synth::run_floorplan_stage(bad, o, fdiags);
-    std::vector<Diagnostic> diags;
-    for (const auto& fd : fdiags) {
-      diags.push_back(error_diag("floorplan", fd.item,
-                                 fd.stage + ": " + fd.reason));
-    }
-    if (diags.empty()) {
-      diags.push_back(error_diag("floorplan", "", "injected fault"));
-    }
-    report_diags(ctx_, diags);
-    return nullptr;
-  }
   auto art = run_stage<synth::FloorplanStageResult>(
       ctx_, Stage::kFloorplan, floorplan_key(spec, opts),
       &approx_bytes_floorplan, &floorplan_codec(),
@@ -696,18 +663,6 @@ std::shared_ptr<const synth::FloorplanStageResult> Flow::floorplan(
 std::shared_ptr<const synth::Placement> Flow::placement(
     const AdcSpec& spec, const synth::SynthesisOptions& opts) {
   const synth::SynthesisOptions o = exec_opts(opts);
-  if (fault_fires(ctx_, Stage::kPlacement)) {
-    // Injected corruption: the upstream floorplan artifact arrives with no
-    // leaf instances; the pre-validation must reject it. Cache bypassed.
-    synth::FloorplanStageResult bad;
-    if (auto good = floorplan(spec, opts)) {
-      bad.fp = good->fp;
-      bad.floorplan_spec = good->floorplan_spec;  // flat left empty
-    }
-    report_diags(ctx_, {error_diag("placement", "",
-                                   "floorplan artifact has no instances")});
-    return nullptr;
-  }
   return run_stage<synth::Placement>(
       ctx_, Stage::kPlacement, placement_key(spec, opts),
       &approx_bytes_placement, &placement_codec(),
@@ -752,21 +707,6 @@ std::shared_ptr<const synth::Placement> Flow::placement(
 std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
     const AdcSpec& spec, const synth::SynthesisOptions& opts) {
   const synth::SynthesisOptions o = exec_opts(opts);
-  if (fault_fires(ctx_, Stage::kRoute)) {
-    // Injected corruption: the placement loses a cell, so the route
-    // stage's pre-validation (size match) must reject it. Cache bypassed.
-    auto art = floorplan(spec, opts);
-    auto pl = placement(spec, opts);
-    if (art == nullptr || pl == nullptr) return nullptr;
-    synth::Placement bad = *pl;
-    if (!bad.cells.empty()) bad.cells.pop_back();
-    report_diags(ctx_,
-                 {error_diag("route", "",
-                             util::format(
-                                 "placement covers %zu of %zu instances",
-                                 bad.cells.size(), art->flat.size()))});
-    return nullptr;
-  }
   return run_stage<synth::SynthesisResult>(
       ctx_, Stage::kRoute, synthesis_key(spec, opts), &approx_bytes_synthesis,
       &synthesis_codec(),
@@ -792,178 +732,116 @@ std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
 
 std::shared_ptr<const RunResult> Flow::sim_run(const AdcSpec& spec,
                                                const SimulationOptions& opts) {
-  SimulationOptions o = opts;
-  if (fault_fires(ctx_, Stage::kSimRun)) {
-    // Injected corruption: a capture length no FFT can take. The option
-    // validator must reject it; the cache is bypassed (the validator fails
-    // before the lookup).
-    o.n_samples = 3;
-  }
   auto diags = validate_spec(spec);
-  for (Diagnostic& d : validate_sim_options(o)) diags.push_back(std::move(d));
+  for (Diagnostic& d : validate_sim_options(opts)) {
+    diags.push_back(std::move(d));
+  }
   report_diags(ctx_, diags);
   if (has_errors(diags)) return nullptr;
   return run_stage<RunResult>(
-      ctx_, Stage::kSimRun, sim_run_key(spec, o), &approx_bytes_run,
+      ctx_, Stage::kSimRun, sim_run_key(spec, opts), &approx_bytes_run,
       &run_result_codec(),
-      [this, &spec, &o]() -> std::shared_ptr<const RunResult> {
+      [this, &spec, &opts]() -> std::shared_ptr<const RunResult> {
         const AdcDesign design(spec, ctx_);
         if (!design.ok()) return nullptr;  // ctor already reported
         static thread_local msim::SimWorkspace ws;
-        return std::make_shared<const RunResult>(design.simulate(o, ws));
+        return std::make_shared<const RunResult>(design.simulate(opts, ws));
       });
 }
 
 std::shared_ptr<const RunResult> Flow::sim_run(const AdcDesign& design,
                                                const SimulationOptions& opts) {
-  SimulationOptions o = opts;
-  if (fault_fires(ctx_, Stage::kSimRun)) o.n_samples = 3;
-  if (!design.ok()) {
-    report_diags(ctx_, {error_diag("sim_run", "",
-                                   "design was not built (invalid spec)")});
-    return nullptr;
-  }
-  const auto diags = validate_sim_options(o);
-  report_diags(ctx_, diags);
-  if (has_errors(diags)) return nullptr;
-  return run_stage<RunResult>(
-      ctx_, Stage::kSimRun, sim_run_key(design.spec(), o),
-      &approx_bytes_run, &run_result_codec(), [&design, &o]() {
-        static thread_local msim::SimWorkspace ws;
-        return std::make_shared<const RunResult>(design.simulate(o, ws));
-      });
+  return sim_run_group(design, {opts}).front();
 }
 
-std::vector<std::shared_ptr<const RunResult>> Flow::sim_run_batch(
-    const AdcDesign& design, const SimulationOptions& opts,
-    const std::vector<std::uint64_t>& seeds) {
-  std::vector<std::shared_ptr<const RunResult>> out;
-  out.reserve(seeds.size());
-  // Fault plans corrupt per-stage inputs; route every entry through the
-  // scalar stage so each draw consumes its own fault trigger exactly as an
-  // unbatched loop would.
-  if (ctx_.faults != nullptr) {
-    for (std::uint64_t seed : seeds) {
-      SimulationOptions o = opts;
-      o.seed = seed;
-      out.push_back(sim_run(design, o));
-    }
-    return out;
-  }
+std::vector<std::shared_ptr<const RunResult>> Flow::sim_run_group(
+    const AdcDesign& design, const std::vector<SimulationOptions>& sims) {
+  std::vector<std::shared_ptr<const RunResult>> out(sims.size());
   if (!design.ok()) {
     report_diags(ctx_, {error_diag("sim_run", "",
                                    "design was not built (invalid spec)")});
-    out.assign(seeds.size(), nullptr);
     return out;
   }
-  {
-    const auto diags = validate_sim_options(opts);
-    report_diags(ctx_, diags);
-    if (has_errors(diags)) {
-      out.assign(seeds.size(), nullptr);
-      return out;
-    }
-  }
-  // Lazy group build: the first cold entry simulates all lanes in one
-  // batched run; warm entries never reach the builder. Results move out of
-  // the group one lane at a time (each index is built at most once).
-  struct Group {
-    std::vector<RunResult> results;
-    bool built = false;
-  };
-  auto group = std::make_shared<Group>();
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    SimulationOptions o = opts;
-    o.seed = seeds[k];
-    out.push_back(run_stage<RunResult>(
-        ctx_, Stage::kSimRun, sim_run_key(design.spec(), o),
-        &approx_bytes_run, &run_result_codec(),
-        [&design, &opts, &seeds, &group, k]() {
-          if (!group->built) {
-            static thread_local msim::BatchedWorkspace ws;
-            group->results = design.simulate_batch(opts, seeds, ws);
-            group->built = true;
-          }
-          return std::make_shared<const RunResult>(
-              std::move(group->results[k]));
-        }));
-  }
-  return out;
-}
-
-std::vector<std::shared_ptr<const RunResult>> Flow::sim_run_batch(
-    const AdcDesign& design,
-    const std::vector<SimulationOptions>& opts_list) {
-  std::vector<std::shared_ptr<const RunResult>> out;
-  out.reserve(opts_list.size());
-  // Same fault-plan policy as the seed-batch overload: scalar stages so
-  // each entry consumes its own fault trigger.
-  if (ctx_.faults != nullptr) {
-    for (const SimulationOptions& o : opts_list) {
-      out.push_back(sim_run(design, o));
-    }
-    return out;
-  }
-  if (!design.ok()) {
-    report_diags(ctx_, {error_diag("sim_run", "",
-                                   "design was not built (invalid spec)")});
-    out.assign(opts_list.size(), nullptr);
-    return out;
-  }
-  for (const SimulationOptions& o : opts_list) {
+  for (const SimulationOptions& o : sims) {
     const auto diags = validate_sim_options(o);
     report_diags(ctx_, diags);
-    if (has_errors(diags)) {
-      out.assign(opts_list.size(), nullptr);
-      return out;
-    }
+    if (has_errors(diags)) return out;
   }
-  // Lazy group build, as in the seed-batch overload: per-entry keys are
-  // the scalar sim_run() keys, so a warm sweep never touches a modulator
-  // and a cold one simulates all lanes in one batched run.
-  struct Group {
-    std::vector<RunResult> results;
-    bool built = false;
-  };
-  auto group = std::make_shared<Group>();
-  for (std::size_t k = 0; k < opts_list.size(); ++k) {
-    out.push_back(run_stage<RunResult>(
-        ctx_, Stage::kSimRun, sim_run_key(design.spec(), opts_list[k]),
-        &approx_bytes_run, &run_result_codec(),
-        [&design, &opts_list, &group, k]() {
-          if (!group->built) {
+  // Lazy group build: each entry is its own stage under its scalar key, so
+  // warm entries never reach the builder, and the first cold one simulates
+  // every lane at once. Lanes move out one at a time (each entry builds at
+  // most once); a lane whose stage refused is simulated but never kept.
+  std::vector<RunResult> lanes;
+  for (std::size_t k = 0; k < sims.size(); ++k) {
+    out[k] = run_stage<RunResult>(
+        ctx_, Stage::kSimRun, sim_run_key(design.spec(), sims[k]),
+        &approx_bytes_run, &run_result_codec(), [&design, &sims, &lanes, k]() {
+          if (lanes.empty()) {
             static thread_local msim::BatchedWorkspace ws;
-            group->results = design.simulate_batch(opts_list, ws);
-            group->built = true;
+            lanes = design.simulate_batch(sims, ws);
           }
-          return std::make_shared<const RunResult>(
-              std::move(group->results[k]));
-        }));
+          return std::make_shared<const RunResult>(std::move(lanes[k]));
+        });
   }
   return out;
+}
+
+BatchStats Flow::sim_run_lanes(const AdcDesign& design, std::size_t n,
+                               int batch_width, const LaneOptionsFn& opts_of,
+                               const LaneResultFn& on_result) {
+  int width = batch_width == 0 ? msim::BatchedModulator::preferred_width()
+                               : batch_width;
+  if (!msim::BatchedModulator::width_supported(width)) width = 1;
+  struct Group {
+    std::size_t start;
+    std::size_t len;
+  };
+  std::vector<Group> groups;
+  for (std::size_t at = 0; at < n;) {
+    std::size_t len = 1;
+    for (int w : {8, 4, 2}) {
+      const std::size_t sw = static_cast<std::size_t>(w);
+      if (w <= width && sw <= n - at) {
+        len = sw;
+        break;
+      }
+    }
+    groups.push_back({at, len});
+    at += len;
+  }
+
+  BatchRunner runner(ctx_);
+  runner.map(groups.size(), [&](std::size_t g, std::uint64_t) {
+    const Group& grp = groups[g];
+    std::vector<SimulationOptions> sims;
+    sims.reserve(grp.len);
+    for (std::size_t k = 0; k < grp.len; ++k) {
+      sims.push_back(opts_of(grp.start + k));
+    }
+    const auto runs = sim_run_group(design, sims);
+    for (std::size_t k = 0; k < grp.len; ++k) {
+      on_result(grp.start + k, runs[k].get());
+    }
+    return std::monostate{};  // the runs went to on_result
+  });
+
+  BatchStats stats = runner.last_stats();
+  std::vector<double> per_entry;
+  per_entry.reserve(n);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t k = 0; k < groups[g].len; ++k) {
+      per_entry.push_back(stats.task_wall_s[g] /
+                          static_cast<double>(groups[g].len));
+    }
+  }
+  stats.task_wall_s = std::move(per_entry);
+  return stats;
 }
 
 std::shared_ptr<const HdlEmitResult> Flow::hdl_emit(const AdcSpec& spec) {
   const auto spec_diags = validate_spec(spec);
   report_diags(ctx_, spec_diags);
   if (has_errors(spec_diags)) return nullptr;
-  if (fault_fires(ctx_, Stage::kHdlEmit)) {
-    // Injected corruption: the emitted text loses a gate — the first
-    // comparator NOR3 degrades to an inverter, the way a bad merge of a
-    // hand-edited netlist would. The re-parse + LEC gate must catch it;
-    // the corrupted text is built outside the cache and never saved.
-    util::TraceSpan span(ctx_.trace, stage_name(Stage::kHdlEmit));
-    const DesignBundle bundle = netlist(spec);
-    if (bundle.design == nullptr) return nullptr;
-    std::string text = netlist::write_verilog(*bundle.design);
-    const std::size_t pos = text.find("NOR3X4");
-    if (pos != std::string::npos) text.replace(pos, 6, "INVX1");
-    if (check_emitted_hdl(ctx_, bundle, std::move(text)) != nullptr) {
-      report_diags(ctx_, {error_diag("hdl_emit", "",
-                                     "injected fault was not caught")});
-    }
-    return nullptr;
-  }
   return run_stage<HdlEmitResult>(
       ctx_, Stage::kHdlEmit, hdl_emit_key(spec), &approx_bytes_hdl,
       &hdl_emit_codec(),
@@ -979,11 +857,6 @@ std::shared_ptr<const GateSimResult> Flow::gate_sim(
     const AdcSpec& spec, const GateSimOptions& opts) {
   GateSimOptions o = opts;
   o.sim.record_bits = true;  // the slice replay consumes the bitstreams
-  if (fault_fires(ctx_, Stage::kGateSim)) {
-    // Injected corruption: the requested top module does not exist in the
-    // emitted design; resolution must reject it before the cache lookup.
-    o.top = "<fault_injected>";
-  }
   auto diags = validate_spec(spec);
   for (Diagnostic& d : validate_sim_options(o.sim)) {
     diags.push_back(std::move(d));
@@ -1035,19 +908,16 @@ NodeReport Flow::report(const AdcSpec& spec, const SimulationOptions& sim,
                         const synth::SynthesisOptions& synth_opts) {
   util::TraceSpan span(ctx_.trace, stage_name(Stage::kReport));
   NodeReport rep;
-  AdcSpec sp = spec;
-  if (fault_fires(ctx_, Stage::kReport)) {
-    // Injected corruption: the assembled report's spec goes out of range;
-    // the spec validator at the first pulled stage must reject it.
-    sp.num_slices = -7;
-  }
-  auto syn = synthesis(sp, synth_opts);
+  // Not memoized, so the fault hook is consulted here rather than in
+  // run_stage.
+  if (fault_injected(ctx_, stage_name(Stage::kReport))) return rep;
+  auto syn = synthesis(spec, synth_opts);
   if (syn == nullptr) return rep;  // diagnostics already reported;
                                    // rep.complete stays false
   rep.synthesis = syn->clone();
   SimulationOptions with_wire = sim;
   with_wire.wire_cap_f = syn->routing.wire_cap_f;
-  auto run = sim_run(sp, with_wire);
+  auto run = sim_run(spec, with_wire);
   if (run == nullptr) return NodeReport{};
   rep.run = *run;
   rep.area_mm2 = syn->stats.die_area_m2 * 1e6;
@@ -1062,18 +932,13 @@ MigratedDesign detail::migrate_impl(const ExecContext& ctx,
   Flow flow(ctx);
   AdcSpec target = src_spec;
   target.node_nm = target_node_nm;
-  if (ctx.faults != nullptr && ctx.faults->consume("migrate")) {
-    // Injected corruption: a target node no library exists for.
-    target.node_nm = -1.0;
-  }
+  // Not memoized, so the fault hook is consulted here rather than in
+  // run_stage.
+  if (fault_injected(ctx, "migrate")) return no_migration();
   auto target_lib = flow.tech_library(target);
   const DesignBundle src = flow.netlist(src_spec);
-  if (target_lib == nullptr || src.design == nullptr) {
-    // Upstream stages already reported why; hand back an empty migration
-    // (Design is not default-constructible, so build it over nothing).
-    MigrationResult empty{netlist::Design(nullptr), {}, 0, 0, {}};
-    return MigratedDesign{nullptr, std::move(empty)};
-  }
+  // Upstream stages already reported why.
+  if (target_lib == nullptr || src.design == nullptr) return no_migration();
   MigrationResult result = migrate_design(*src.design, *target_lib);
   span.note(std::to_string(result.exact_matches) + " exact, " +
             std::to_string(result.nearest_matches) + " nearest");
@@ -1087,8 +952,7 @@ MigratedDesign Flow::migrate(const AdcSpec& src_spec, double target_node_nm) {
   req.migrate_target_node_nm = target_node_nm;
   EvalResponse resp = evaluate(req, ctx_);
   if (resp.migrated != nullptr) return *resp.migrated;
-  MigrationResult empty{netlist::Design(nullptr), {}, 0, 0, {}};
-  return MigratedDesign{nullptr, std::move(empty)};
+  return no_migration();
 }
 
 }  // namespace vcoadc::core

@@ -35,11 +35,13 @@
 // not change result bytes.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/adc.h"
 #include "core/adc_spec.h"
 #include "core/artifact_cache.h"
+#include "core/batch.h"
 #include "core/exec_context.h"
 #include "core/migration.h"
 #include "core/sim_backend.h"
@@ -129,10 +131,10 @@ struct MigratedDesign {
 /// boundary. A stage given malformed input reports structured diagnostics
 /// through the context (ExecContext::diag, stderr when unset) and returns
 /// a null artifact; downstream stages propagate the null. Failed builds
-/// are never cached. When the context carries a util::FaultPlan, stages
-/// armed in it corrupt their input before validation (bypassing the
-/// cache), which is how the fault-injection harness proves the validators
-/// actually guard every boundary.
+/// are never cached. When the context carries a util::FaultPlan, a stage
+/// armed in it refuses at entry with an "injected fault" diagnostic,
+/// before its cache or store lookup — one hook in the memoizing stage
+/// runner, so batched and scalar paths fault identically.
 class Flow {
  public:
   Flow() = default;
@@ -164,34 +166,32 @@ class Flow {
   std::shared_ptr<const RunResult> sim_run(const AdcSpec& spec,
                                            const SimulationOptions& opts = {});
 
-  /// SimRun stage over an already-built design (the batch hot path: the
-  /// caller's design shares the cached netlist artifact).
+  /// SimRun stage over an already-built design (the caller's design shares
+  /// the cached netlist artifact): a lane group of one.
   std::shared_ptr<const RunResult> sim_run(const AdcDesign& design,
                                            const SimulationOptions& opts = {});
 
-  /// One SimRun stage per seed (seeds[k] becomes opts.seed for entry k),
-  /// cold entries built together through the batched SoA engine. Each entry
-  /// keeps its own cache key — the same key sim_run() would use — so warm
-  /// entries are served from the cache/store without constructing a
-  /// modulator, and a batched build stores byte-identical artifacts (the
-  /// lanes are bit-identical to the scalar path). The group is built
-  /// lazily on the first cold entry; an all-warm group never simulates.
-  /// Under an armed fault plan every entry takes the scalar sim_run() path
-  /// so per-stage fault semantics are unchanged.
-  std::vector<std::shared_ptr<const RunResult>> sim_run_batch(
-      const AdcDesign& design, const SimulationOptions& opts,
-      const std::vector<std::uint64_t>& seeds);
+  /// Options of entry i of a sim_run_lanes() call. Both callbacks run on
+  /// the fan-out's workers, concurrently across groups.
+  using LaneOptionsFn = std::function<SimulationOptions(std::size_t)>;
+  /// Receives entry i's run once, or null when its stage refused
+  /// (diagnostics already reported).
+  using LaneResultFn = std::function<void(std::size_t, const RunResult*)>;
 
-  /// Heterogeneous variant: entry k is the SimRun stage for opts_list[k]
-  /// (lanes may differ in seed, PVT corner, amplitude, wire load — the
-  /// corner-sweep and amplitude-sweep hot path). Cache keys are exactly
-  /// the per-entry sim_run() keys; cold entries are built together through
-  /// AdcDesign::simulate_batch(opts_list), which falls back to the scalar
-  /// path for shapes the batched engine cannot take. Under an armed fault
-  /// plan every entry routes through scalar sim_run().
-  std::vector<std::shared_ptr<const RunResult>> sim_run_batch(
-      const AdcDesign& design,
-      const std::vector<SimulationOptions>& opts_list);
+  /// The one lane-batch path (Monte-Carlo draws, PVT corners, datasheet
+  /// amplitude sweeps): entry i is the SimRun stage for opts_of(i). Entries
+  /// are cut into lane groups, each the widest supported width that fits
+  /// both `batch_width` and the entries left (0 = host-preferred width,
+  /// 1 = one scalar stage per entry; 7 entries at width 4 are 4 + 2 + 1),
+  /// and the groups fan out across the context's threads. Every entry
+  /// keeps its scalar sim_run() key, so warm entries never construct a
+  /// modulator, and a group's first cold entry simulates all its lanes in
+  /// SIMD lockstep (AdcDesign::simulate_batch, bit-identical per lane to
+  /// the scalar path). Returns the fan-out's stats with per-entry wall
+  /// times (a group's time split evenly over its lanes).
+  BatchStats sim_run_lanes(const AdcDesign& design, std::size_t n,
+                           int batch_width, const LaneOptionsFn& opts_of,
+                           const LaneResultFn& on_result);
 
   /// HdlEmit stage: renders the Netlist artifact to structural Verilog,
   /// re-parses the emission and proves structural equivalence against the
@@ -231,6 +231,11 @@ class Flow {
   /// Applies ExecContext knobs (route threads, trace) to synthesis options
   /// without touching key-relevant fields.
   synth::SynthesisOptions exec_opts(const synth::SynthesisOptions& opts) const;
+
+  /// One lane group: entry k is the SimRun stage for sims[k], cold entries
+  /// built together on the first miss.
+  std::vector<std::shared_ptr<const RunResult>> sim_run_group(
+      const AdcDesign& design, const std::vector<SimulationOptions>& sims);
 
   ExecContext ctx_;
 };

@@ -44,11 +44,11 @@ struct MonteCarloOptions {
   std::uint64_t seed0 = 1000;  ///< run i uses seed0 + i
   /// SIMD lane width for the batched transient engine: 0 picks the host's
   /// preferred width (util::simd::active_width), 1 forces the scalar
-  /// per-draw path, 2/4/8 force that lane width. Draws are partitioned
-  /// into width-sized groups (draw k = lane k % width of group k / width);
-  /// the remainder runs scalar. Results are bit-identical across all
-  /// settings — the lanes replay the scalar draw sequence exactly — so
-  /// this knob trades nothing but wall time.
+  /// per-draw path, 2/4/8 force that lane width. Draws are cut into lane
+  /// groups as Flow::sim_run_lanes does (7 draws at width 4: 4 + 2 + 1).
+  /// Results are bit-identical across all settings — the lanes replay the
+  /// scalar draw sequence exactly — so this knob trades nothing but wall
+  /// time.
   int batch_width = 0;
 };
 

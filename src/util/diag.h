@@ -15,7 +15,7 @@
 //   Checked<T>  value-or-diagnostics return wrapper for APIs that want
 //               the diagnostics in the return value rather than a sink
 //   FaultPlan   deterministic fault-injection hook keyed by stage name;
-//               test-only, lets the harness corrupt any stage boundary
+//               test-only, lets the harness refuse any stage at entry
 #pragma once
 
 #include <cstdint>
@@ -117,12 +117,11 @@ class Checked {
 };
 
 /// Deterministic fault-injection hook, keyed by stage name. Test-only:
-/// the flow consults the plan (via core::ExecContext::faults) at each
-/// stage boundary and, when the stage is armed, corrupts that stage's
-/// input/artifact before validation — so the harness exercises the real
-/// validators, not a parallel code path. A faulted stage build always
-/// bypasses the artifact cache, so a poisoned artifact can never become
-/// observable through it.
+/// the flow consults the plan (via core::ExecContext::faults) once per
+/// stage execution, at entry; an armed stage refuses with an error
+/// diagnostic and a null artifact before any cache or store lookup, so a
+/// faulted run can never populate or read either. The validators the
+/// refusal stands in for are unit-tested directly.
 class FaultPlan {
  public:
   /// Arms `stage` for `times` injections (-1 = every time it is reached).

@@ -1,14 +1,18 @@
 // Deterministic fault-injection harness over the flow's stage boundaries
 // (DESIGN.md §3f): a util::FaultPlan armed for a stage makes that stage
-// corrupt its own input before validation, so these tests prove that
+// refuse at entry, before its cache lookup, so these tests prove that
 //   * every stage surfaces structured diagnostics instead of crashing,
 //   * a faulted build never reaches the artifact cache (the same cache
 //     serves clean, bit-identical artifacts immediately afterwards),
 //   * every batch driver (Monte Carlo, corner sweep, datasheet, optimizer)
-//     degrades gracefully when a run underneath it is refused.
+//     degrades gracefully when a run underneath it is refused, and the
+//     lane-batched path refuses exactly the faulted entries,
+//   * the boundary checks a refusal stands in for catch the corruptions
+//     they guard against (tested directly, without a plan).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/adc.h"
 #include "core/artifact_cache.h"
@@ -16,6 +20,10 @@
 #include "core/flow.h"
 #include "core/monte_carlo.h"
 #include "core/optimizer.h"
+#include "netlist/equivalence.h"
+#include "netlist/generator.h"
+#include "netlist/verilog_parser.h"
+#include "netlist/verilog_writer.h"
 #include "util/diag.h"
 
 namespace {
@@ -161,15 +169,15 @@ TEST(FaultInjection, FaultedBuildsNeverPopulateTheCache) {
   Harness h;
   Flow flow(h.ctx);
 
-  // A faulted SimRun fails validation before the lookup: no miss, no entry.
+  // A faulted SimRun refuses before the lookup: no miss, no entry.
   h.plan.arm("sim_run", 1);
   EXPECT_EQ(flow.sim_run(spec, small_sim()), nullptr);
   EXPECT_EQ(h.cache.stats().misses, 0u);
   EXPECT_EQ(h.cache.stats().entries, 0u);
 
-  // A faulted Netlist builds its corrupted design outside the cache; the
-  // netlist key must stay vacant afterwards (a dummy build returning null
-  // is how the cache API probes without inserting).
+  // A faulted Netlist refuses before its lookup; the netlist key must stay
+  // vacant afterwards (a dummy build returning null is how the cache API
+  // probes without inserting).
   h.plan.arm("netlist", 1);
   EXPECT_EQ(flow.netlist(spec).design, nullptr);
   bool hit = true;
@@ -179,8 +187,7 @@ TEST(FaultInjection, FaultedBuildsNeverPopulateTheCache) {
   EXPECT_FALSE(hit);
   EXPECT_EQ(probe, nullptr);
 
-  // A faulted HdlEmit corrupts the emitted text outside the cache path:
-  // the equivalence check refuses it and the hdl_emit key stays vacant.
+  // A faulted HdlEmit leaves the hdl_emit key vacant.
   h.plan.arm("hdl_emit", 1);
   EXPECT_EQ(flow.hdl_emit(spec), nullptr);
   hit = true;
@@ -190,7 +197,8 @@ TEST(FaultInjection, FaultedBuildsNeverPopulateTheCache) {
   EXPECT_FALSE(hit);
   EXPECT_EQ(hdl_probe, nullptr);
 
-  // A faulted GateSim fails top-module resolution before the lookup.
+  // A faulted GateSim refuses after pulling its upstream HdlEmit, before
+  // its own lookup.
   core::GateSimOptions gopts;
   gopts.sim.n_samples = 64;
   h.plan.arm("gate_sim", 1);
@@ -216,6 +224,7 @@ TEST(FaultInjection, MonteCarloSurvivesPerRunFaults) {
   core::MonteCarloOptions mc;
   mc.runs = 4;
   mc.sim.n_samples = 1 << 10;
+  mc.batch_width = 4;  // one lane group: faults reach the batched path
   mc.exec = h.ctx;
   h.plan.arm("sim_run", 2);  // exactly two of the four draws are refused
   const auto res = core::monte_carlo_sndr(adc, mc);
@@ -240,6 +249,115 @@ TEST(FaultInjection, CornerSweepSurvivesPerCornerFaults) {
   for (const auto& c : corners) nans += std::isnan(c.sndr_db) ? 1 : 0;
   EXPECT_EQ(nans, 1);
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
+}
+
+TEST(FaultInjection, LaneGroupsRefuseExactlyTheFaultedEntries) {
+  // Six seeds at width 4 are a 4-lane and a 2-lane group. On one thread
+  // the plan's charges go to entries in order, so three lanes of the first
+  // group are refused while its fourth lane still builds the group; every
+  // entry not refused must match a clean scalar run bit for bit.
+  const AdcSpec spec = small_spec();
+  const auto opts_of = [](std::size_t i) {
+    SimulationOptions sim = small_sim();
+    sim.seed = 100 + i;
+    return sim;
+  };
+  constexpr std::size_t kEntries = 6;
+
+  Harness ref;
+  ref.ctx.threads = 1;
+  const core::AdcDesign ref_adc(spec, ref.ctx);
+  std::vector<double> clean(kEntries);
+  Flow(ref.ctx).sim_run_lanes(
+      ref_adc, kEntries, 1, opts_of,
+      [&clean](std::size_t i, const core::RunResult* run) {
+        clean[i] = run != nullptr ? run->sndr.sndr_db : 0.0;
+      });
+
+  Harness h;
+  h.ctx.threads = 1;
+  const core::AdcDesign adc(spec, h.ctx);
+  ASSERT_TRUE(adc.ok());
+  h.plan.arm("sim_run", 3);
+  std::vector<double> got(kEntries);
+  const core::BatchStats stats = Flow(h.ctx).sim_run_lanes(
+      adc, kEntries, 4, opts_of,
+      [&got](std::size_t i, const core::RunResult* run) {
+        got[i] = run != nullptr ? run->sndr.sndr_db
+                                : std::numeric_limits<double>::quiet_NaN();
+      });
+
+  EXPECT_EQ(h.plan.injected(), 3u);
+  EXPECT_EQ(h.sink.error_count(), 3u) << h.sink.render();
+  EXPECT_EQ(stats.task_wall_s.size(), kEntries);
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    SCOPED_TRACE(i);
+    if (i < 3) {
+      EXPECT_TRUE(std::isnan(got[i]));
+    } else {
+      EXPECT_EQ(got[i], clean[i]);
+    }
+    // Refused entries never reach the cache; the others are resident.
+    bool hit = false;
+    (void)h.cache.get_or_build<core::RunResult>(
+        core::sim_run_key(spec, opts_of(i)),
+        []() { return std::shared_ptr<const core::RunResult>(); }, {}, &hit);
+    EXPECT_EQ(hit, i >= 3);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The boundary checks a refusal stands in for, driven directly without a
+// fault plan (the rest — bad captures, slice counts, gate-sim tops — have
+// their own tests in degenerate_input_test.cpp and eval_test.cpp).
+
+TEST(FaultInjection, BoundaryChecksCatchCorruptedStageInputs) {
+  const AdcSpec spec = small_spec();
+  Harness h;
+  Flow flow(h.ctx);
+  const core::DesignBundle bundle = flow.netlist(spec);
+  ASSERT_NE(bundle.design, nullptr);
+
+  // Tech library: a node the technology table does not know.
+  AdcSpec bad_node = spec;
+  bad_node.node_nm = -12345.0;
+  EXPECT_TRUE(core::has_errors(core::validate_spec(bad_node)));
+
+  // Netlist: an instance of an unknown master on an undeclared net.
+  netlist::Design broken = *bundle.design;
+  netlist::Module* top = broken.find_module(broken.top());
+  ASSERT_NE(top, nullptr);
+  netlist::Instance evil;
+  evil.name = "corrupt";
+  evil.master = "CELL_DOES_NOT_EXIST";
+  evil.conn["A"] = "net_does_not_exist";
+  top->add_instance(std::move(evil));
+  EXPECT_TRUE(core::has_errors(core::validate_netlist(broken)));
+
+  // Floorplan: a design whose top module does not resolve.
+  netlist::Design topless = *bundle.design;
+  topless.set_top("<missing>");
+  std::vector<synth::FlowDiagnostic> fdiags;
+  (void)synth::run_floorplan_stage(topless, {}, fdiags);
+  EXPECT_FALSE(fdiags.empty());
+
+  // HdlEmit: emitted text that lost a gate fails the re-parse + strict
+  // equivalence gate the stage applies before caching.
+  std::string text = netlist::write_verilog(*bundle.design);
+  const std::size_t pos = text.find("NOR3X4");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 6, "INVX1");
+  netlist::Design reparsed(bundle.lib.get());
+  const netlist::ParseResult pr = netlist::parse_verilog(text, reparsed);
+  bool caught = !pr.ok;
+  if (pr.ok) {
+    reparsed.set_top(bundle.design->top());
+    netlist::EquivalenceOptions strict;
+    strict.match_drive = true;
+    caught = !netlist::check_equivalence(*bundle.design, reparsed, strict)
+                  .equivalent;
+  }
+  EXPECT_TRUE(caught);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,20 @@
 #include <gtest/gtest.h>
 
+#include "core/artifact_cache.h"
+#include "core/eval.h"
 #include "core/monte_carlo.h"
 
 namespace vcoadc::core {
 namespace {
+
+/// Runs `opts` over a cache of its own, so every draw is simulated rather
+/// than served from artifacts another test (or another width) built.
+MonteCarloResult fresh_monte_carlo(const AdcDesign& adc,
+                                   MonteCarloOptions opts) {
+  ArtifactCache cache(64);
+  opts.exec.cache = &cache;
+  return monte_carlo_sndr(adc, opts);
+}
 
 TEST(MonteCarlo, DistributionIsTightAroundNominal) {
   // The robustness claim, statistically: across independent mismatch draws
@@ -114,9 +125,9 @@ TEST(MonteCarlo, BatchedEngineIsBitIdenticalToScalarPath) {
   opts.exec.threads = 1;
 
   opts.batch_width = 1;  // scalar per-draw reference
-  const MonteCarloResult scalar = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult scalar = fresh_monte_carlo(adc, opts);
   opts.batch_width = 0;  // host-preferred lane width
-  const MonteCarloResult batched = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult batched = fresh_monte_carlo(adc, opts);
 
   ASSERT_EQ(scalar.sndr_db.size(), batched.sndr_db.size());
   for (std::size_t i = 0; i < scalar.sndr_db.size(); ++i) {
@@ -127,10 +138,10 @@ TEST(MonteCarlo, BatchedEngineIsBitIdenticalToScalarPath) {
 }
 
 TEST(MonteCarlo, BatchedRemainderPartitionCoversEveryDraw) {
-  // runs = 7 at a forced width of 4 partitions into one lane group plus
-  // three scalar remainder draws; every draw must land at its own index
-  // with its own seed, identical to the all-scalar partition, and the
-  // per-draw wall times must stay populated (group time amortized).
+  // runs = 7 at a forced width of 4 partitions into a 4-lane group, a
+  // 2-lane group and one scalar draw; every draw must land at its own
+  // index with its own seed, identical to the all-scalar partition, and
+  // the per-draw wall times must stay populated (group time amortized).
   AdcSpec spec = AdcSpec::paper_40nm();
   AdcDesign adc(spec);
   MonteCarloOptions opts;
@@ -139,9 +150,9 @@ TEST(MonteCarlo, BatchedRemainderPartitionCoversEveryDraw) {
   opts.exec.threads = 1;
 
   opts.batch_width = 1;
-  const MonteCarloResult scalar = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult scalar = fresh_monte_carlo(adc, opts);
   opts.batch_width = 4;
-  const MonteCarloResult batched = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult batched = fresh_monte_carlo(adc, opts);
 
   ASSERT_EQ(scalar.sndr_db.size(), 7u);
   ASSERT_EQ(batched.sndr_db.size(), 7u);
@@ -171,6 +182,36 @@ TEST(Corners, DesignOverloadMatchesSpecOverload) {
     EXPECT_EQ(from_spec[i].name, from_design[i].name);
     EXPECT_EQ(from_spec[i].sndr_db, from_design[i].sndr_db) << "corner " << i;
     EXPECT_EQ(from_spec[i].power_w, from_design[i].power_w) << "corner " << i;
+  }
+}
+
+TEST(Corners, BatchedIsBitIdenticalToScalarAtEveryWidth) {
+  // Corners take the lane-batch path the MC draws take, as per-lane PVT;
+  // every width (a fresh cache each, so every corner is simulated) must
+  // reproduce the scalar sweep bit for bit.
+  EvalRequest req;
+  req.kind = EvalKind::kCornerSweep;
+  req.spec = AdcSpec::paper_40nm();
+  req.corners.n_samples = 1 << 11;
+  auto sweep = [&req](int width) {
+    ArtifactCache cache(32);
+    ExecContext ctx;
+    ctx.cache = &cache;
+    ctx.threads = 1;
+    req.corners.batch_width = width;
+    return evaluate(req, ctx).corners;
+  };
+  const auto scalar = sweep(1);
+  ASSERT_EQ(scalar.size(), 6u);
+  for (int width : {0, 2, 4, 8}) {
+    SCOPED_TRACE(width);
+    const auto batched = sweep(width);
+    ASSERT_EQ(batched.size(), scalar.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+      EXPECT_EQ(batched[i].name, scalar[i].name);
+      EXPECT_EQ(batched[i].sndr_db, scalar[i].sndr_db) << scalar[i].name;
+      EXPECT_EQ(batched[i].power_w, scalar[i].power_w) << scalar[i].name;
+    }
   }
 }
 
