@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "netlist/cell_library.h"
@@ -77,6 +78,13 @@ struct GateCase {
   // expected output for input index (bit i of the case index = input i)
   int truth;  // bitmask over 2^inputs cases
 };
+
+// Without a printer gtest dumps the raw bytes, including the address of
+// `master`, into the listed test name; ctest then registers a name that
+// changes from one run to the next.
+void PrintTo(const GateCase& gc, std::ostream* os) {
+  *os << gc.master << " inputs=" << gc.inputs << " truth=" << gc.truth;
+}
 
 class GateTruth : public ::testing::TestWithParam<GateCase> {};
 
