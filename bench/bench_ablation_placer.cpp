@@ -23,25 +23,25 @@ int main() {
   for (double node : {40.0, 180.0}) {
     core::AdcSpec spec =
         (node == 40) ? core::AdcSpec::paper_40nm() : core::AdcSpec::paper_180nm();
-    core::AdcDesign adc(spec);
+    const core::ExecContext ctx;
     int col = 0;
     for (auto placer :
          {synth::PlacerKind::kSerpentine, synth::PlacerKind::kQuadratic}) {
       synth::SynthesisOptions opts;
       opts.placer = placer;
-      const auto res = adc.synthesize(opts);
-      hpwl[row][col] = res.routing.total_hpwl_m * 1e6;
-      all_clean &= res.drc.clean() &&
-                   res.detailed_routing.overflowed_edges == 0;
+      const auto res = core::Flow(ctx).synthesis(spec, opts);
+      hpwl[row][col] = res->routing.total_hpwl_m * 1e6;
+      all_clean &= res->drc.clean() &&
+                   res->detailed_routing.overflowed_edges == 0;
       t.add_row({(node == 40) ? "40 nm" : "180 nm",
                  placer == synth::PlacerKind::kSerpentine ? "serpentine"
                                                           : "quadratic",
-                 bench::fmt("%.0f", res.routing.total_hpwl_m * 1e6),
+                 bench::fmt("%.0f", res->routing.total_hpwl_m * 1e6),
                  bench::fmt("%.0f",
-                            res.detailed_routing.total_wirelength_m * 1e6),
-                 std::to_string(res.detailed_routing.total_vias),
-                 std::to_string(res.detailed_routing.overflowed_edges),
-                 res.drc.clean() ? "clean" : "FAIL"});
+                            res->detailed_routing.total_wirelength_m * 1e6),
+                 std::to_string(res->detailed_routing.total_vias),
+                 std::to_string(res->detailed_routing.overflowed_edges),
+                 res->drc.clean() ? "clean" : "FAIL"});
       ++col;
     }
     ++row;

@@ -27,11 +27,12 @@ int main() {
         db.at(40).fo4_delay_s / db.at(node_nm).fo4_delay_s;
     spec.fs_hz *= speed;
     spec.bandwidth_hz *= speed;
-    core::AdcDesign adc(spec);
-    const auto synth_res = adc.synthesize();
+    const core::ExecContext ctx;
+    const core::AdcDesign adc(spec, ctx);
+    const auto synth_res = core::Flow(ctx).synthesis(spec);
     synth::TimingOptions opts;
     opts.clock_period_s = (node_nm >= 130) ? 1.0 / 250e6 : 1.0 / 750e6;
-    opts.placement = &synth_res.layout->placement();
+    opts.placement = &synth_res->layout->placement();
     const auto rep =
         synth::analyze_timing(adc.netlist(), db.at(node_nm), opts);
     max_clk.push_back(rep.max_clock_hz);

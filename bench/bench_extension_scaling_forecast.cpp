@@ -24,11 +24,10 @@ int main() {
     const double speed = db.at(40).fo4_delay_s / db.at(node).fo4_delay_s;
     spec.fs_hz = 750e6 * speed;
     spec.bandwidth_hz = 5e6 * speed;
-    core::AdcDesign adc(spec);
     core::SimulationOptions opts;
     opts.n_samples = 1 << 14;
     opts.fin_target_hz = spec.bandwidth_hz / 5.0;
-    const auto rep = adc.full_report(opts);
+    const auto rep = core::Flow(core::ExecContext{}).report(spec, opts);
     fom.push_back(rep.run.fom_fj);
     power.push_back(rep.run.power.total_w());
     area.push_back(rep.area_mm2);

@@ -19,7 +19,6 @@
 #include "core/artifact_cache.h"
 #include "core/artifact_store.h"
 #include "core/eval.h"
-#include "core/monte_carlo.h"
 #include "msim/batched_modulator.h"
 #include "util/ascii_plot.h"
 #include "util/simd.h"
@@ -39,26 +38,27 @@ int main(int argc, char** argv) {
                 "statistical backing for the Sec. 2.2 robustness claims");
 
   const auto spec = core::AdcSpec::paper_40nm();
-  // Build the design once; mismatch draws only perturb the behavioral
-  // model, so every MC run and every corner shares this object read-only.
-  const core::AdcDesign adc(spec);
-
-  core::MonteCarloOptions opts;
-  opts.runs = 16;
-  opts.sim.n_samples = 1 << 14;
+  // Mismatch draws only perturb the behavioral model, so each request
+  // builds its design once and every draw shares it read-only.
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.spec = spec;
+  req.monte_carlo.runs = 16;
+  req.monte_carlo.sim.n_samples = 1 << 14;
 
   // Serial and parallel cold runs get separate fresh caches so both truly
   // compute every draw; the warm run reuses the parallel run's cache and
   // must be all hits.
   core::ArtifactCache cache_serial(64), cache_parallel(64);
-
-  opts.exec.threads = 1;  // serial reference
-  opts.exec.cache = &cache_serial;
-  const auto mc_serial = core::monte_carlo_sndr(adc, opts);
-  opts.exec.threads = 0;  // hardware concurrency
-  opts.exec.cache = &cache_parallel;
-  const auto mc = core::monte_carlo_sndr(adc, opts);
-  const auto mc_warm = core::monte_carlo_sndr(adc, opts);  // cache hot
+  core::ExecContext serial_ctx, parallel_ctx;
+  serial_ctx.threads = 1;  // serial reference
+  serial_ctx.cache = &cache_serial;
+  parallel_ctx.threads = 0;  // hardware concurrency
+  parallel_ctx.cache = &cache_parallel;
+  const auto mc_serial = core::evaluate(req, serial_ctx).monte_carlo;
+  const auto mc = core::evaluate(req, parallel_ctx).monte_carlo;
+  const auto mc_warm =
+      core::evaluate(req, parallel_ctx).monte_carlo;  // cache hot
 
   bool bit_identical = mc.sndr_db.size() == mc_serial.sndr_db.size();
   for (std::size_t i = 0; bit_identical && i < mc.sndr_db.size(); ++i) {
@@ -112,19 +112,19 @@ int main(int argc, char** argv) {
   std::uint64_t store_cold_builds = 0;
   bool persistent_identical = false;
   {
-    core::MonteCarloOptions popts = opts;
+    core::ExecContext pctx = parallel_ctx;
     core::ArtifactCache cache_a(64);
     core::ArtifactStore store_a(store_dir);
-    popts.exec.cache = &cache_a;
-    popts.exec.store = &store_a;
-    const auto mc_a = core::monte_carlo_sndr(adc, popts);
+    pctx.cache = &cache_a;
+    pctx.store = &store_a;
+    const auto mc_a = core::evaluate(req, pctx).monte_carlo;
     wall_persist_cold = mc_a.batch.wall_s;
 
     core::ArtifactCache cache_b(64);
     core::ArtifactStore store_b(store_dir);
-    popts.exec.cache = &cache_b;
-    popts.exec.store = &store_b;
-    const auto mc_b = core::monte_carlo_sndr(adc, popts);
+    pctx.cache = &cache_b;
+    pctx.store = &store_b;
+    const auto mc_b = core::evaluate(req, pctx).monte_carlo;
     wall_persist_warm = mc_b.batch.wall_s;
     store_cold_builds = store_b.stats().misses;
 
@@ -169,26 +169,21 @@ int main(int argc, char** argv) {
   double wall_engine_scalar = 0, wall_engine_batched = 0;
   std::string fp_scalar, fp_batched;
   {
-    core::EvalRequest req;
-    req.kind = core::EvalKind::kMonteCarlo;
-    req.spec = spec;
-    req.monte_carlo = opts;
-    req.monte_carlo.exec = core::ExecContext{};
-
+    core::EvalRequest ereq = req;
     core::ArtifactCache cache_eng_scalar(64), cache_eng_batched(64);
     core::ExecContext ectx;
     ectx.threads = 1;
 
-    req.monte_carlo.batch_width = 1;
+    ereq.monte_carlo.batch_width = 1;
     ectx.cache = &cache_eng_scalar;
-    const auto resp_scalar = core::evaluate(req, ectx);
+    const auto resp_scalar = core::evaluate(ereq, ectx);
     wall_engine_scalar = resp_scalar.monte_carlo.batch.wall_s;
     fp_scalar =
         core::eval_result_fingerprint(core::eval_result_to_json(resp_scalar));
 
-    req.monte_carlo.batch_width = 0;
+    ereq.monte_carlo.batch_width = 0;
     ectx.cache = &cache_eng_batched;
-    const auto resp_batched = core::evaluate(req, ectx);
+    const auto resp_batched = core::evaluate(ereq, ectx);
     wall_engine_batched = resp_batched.monte_carlo.batch.wall_s;
     fp_batched =
         core::eval_result_fingerprint(core::eval_result_to_json(resp_batched));
@@ -203,7 +198,11 @@ int main(int argc, char** argv) {
       batched_speedup, fp_batched.c_str(),
       fp_scalar == fp_batched ? "(matches scalar)" : "(MISMATCH)");
 
-  const auto corners = core::corner_sweep(adc, 1 << 14);
+  core::EvalRequest corner_req;
+  corner_req.kind = core::EvalKind::kCornerSweep;
+  corner_req.spec = spec;
+  corner_req.corners.n_samples = 1 << 14;
+  const auto corners = core::evaluate(corner_req, core::ExecContext{}).corners;
   util::Table c("PVT corner sweep");
   c.set_header({"corner", "SNDR [dB]", "power [mW]"});
   for (const auto& cr : corners) {
@@ -284,7 +283,7 @@ int main(int argc, char** argv) {
       "\"batched_speedup\":%.3f,\"result_fp\":\"%s\","
       "\"batched_fp_match\":%s,"
       "\"corners_fp_match\":%s,\"amp_sweep_fp_match\":%s}",
-      opts.runs, mc.batch.threads, hw, mc_serial.batch.wall_s,
+      req.monte_carlo.runs, mc.batch.threads, hw, mc_serial.batch.wall_s,
       mc.batch.wall_s, speedup, mc.batch.utilization,
       mc.batch.max_queue_depth, bit_identical ? "true" : "false", mc.mean_db,
       mc.stddev_db, mc.yield(65.0), mc_warm.batch.wall_s, warm_speedup,

@@ -16,6 +16,8 @@
 
 #include "bench_common.h"
 #include "core/adc.h"
+#include "core/artifact_cache.h"
+#include "core/flow.h"
 #include "dsp/fft.h"
 #include "dsp/signal_gen.h"
 #include "msim/batched_modulator.h"
@@ -134,10 +136,13 @@ static void BM_NetlistFlatten(benchmark::State& state) {
 BENCHMARK(BM_NetlistFlatten);
 
 static void BM_SynthesisFlow(benchmark::State& state) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
+  // An empty cache per iteration: every stage builds, none is a hit.
   for (auto _ : state) {
-    auto res = adc.synthesize();
-    benchmark::DoNotOptimize(res.stats.die_area_m2);
+    core::ArtifactCache cache(16);
+    core::ExecContext ctx;
+    ctx.cache = &cache;
+    auto res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+    benchmark::DoNotOptimize(res->stats.die_area_m2);
   }
 }
 BENCHMARK(BM_SynthesisFlow);

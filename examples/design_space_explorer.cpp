@@ -19,8 +19,8 @@
 
 #include "core/adc.h"
 #include "core/batch.h"
+#include "core/eval.h"
 #include "core/flow.h"
-#include "core/optimizer.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -101,13 +101,12 @@ int main() {
 
   // The same search, via the library's optimizer (with realizability
   // pruning and a mismatch margin baked in).
-  core::OptimizeTarget target;
-  target.min_sndr_db = kTargetSndrDb;
-  target.bandwidth_hz = kBandwidthHz;
-  core::OptimizeOptions oopts;
-  oopts.n_samples = 1 << 13;
-  oopts.exec = ctx;
-  const auto opt = core::optimize_spec(target, oopts);
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kOptimize;
+  req.optimize_target.min_sndr_db = kTargetSndrDb;
+  req.optimize_target.bandwidth_hz = kBandwidthHz;
+  req.optimize.n_samples = 1 << 13;
+  const auto opt = core::evaluate(req, ctx).optimize;
   if (opt.best.has_value()) {
     std::printf("\noptimizer pick: %s -> %.1f dB at %s "
                 "(%zu candidates evaluated)\n",

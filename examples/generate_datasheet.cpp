@@ -3,16 +3,19 @@
 // -> behavioral simulation -> Monte Carlo.
 #include <cstdio>
 
-#include "core/datasheet.h"
+#include "core/eval.h"
 
 int main() {
   using namespace vcoadc;
+  const core::ExecContext ctx;
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kDatasheet;
+  req.datasheet.n_samples = 1 << 14;
+  req.datasheet.mc_runs = 5;
   for (const auto& spec :
        {core::AdcSpec::paper_40nm(), core::AdcSpec::paper_180nm()}) {
-    core::DatasheetOptions opts;
-    opts.n_samples = 1 << 14;
-    opts.mc_runs = 5;
-    const core::Datasheet ds = core::generate_datasheet(spec, opts);
+    req.spec = spec;
+    const core::Datasheet ds = core::evaluate(req, ctx).datasheet;
     std::printf("%s\n", ds.render().c_str());
   }
   return 0;

@@ -17,7 +17,8 @@ int main() {
 
   // The source design: the 40 nm Table 3 part.
   const core::AdcSpec src_spec = core::AdcSpec::paper_40nm();
-  core::Flow flow;
+  const core::ExecContext ctx;
+  core::Flow flow(ctx);
   std::printf("source: %s\n\n", src_spec.describe().c_str());
 
   util::Table t("one design, four nodes");

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "core/adc.h"
+#include "core/flow.h"
 #include "util/units.h"
 
 int main() {
@@ -17,8 +18,10 @@ int main() {
   std::printf("design: %s\n", spec.describe().c_str());
 
   // 2. Instantiate. This derives the behavioral model AND the gate-level
-  //    netlist (Tables 1/2 of the paper) from the same spec.
-  core::AdcDesign adc(spec);
+  //    netlist (Tables 1/2 of the paper) from the same spec. The execution
+  //    context holds the artifact cache every stage shares.
+  const core::ExecContext ctx;
+  const core::AdcDesign adc(spec, ctx);
   std::printf("netlist: %d digital gates, %d resistor cells\n",
               adc.netlist().stats().digital_gates,
               adc.netlist().stats().resistors);
@@ -42,9 +45,10 @@ int main() {
               res.power.digital_fraction() * 100);
   std::printf("  Walden FOM     %.0f fJ/conv-step\n", res.fom_fj);
 
-  // 4. Synthesize the layout (Fig. 9 flow) and check it is DRC clean.
-  const auto layout = adc.synthesize();
+  // 4. Synthesize the layout (Fig. 9 flow: floorplan, place, route) as a
+  //    stage of the flow graph, and check it is DRC clean.
+  const auto layout = core::Flow(ctx).synthesis(spec);
   std::printf("\nlayout: %.4f mm^2, %zu DRC violations\n",
-              layout.stats.die_area_m2 * 1e6, layout.drc.violations.size());
+              layout->stats.die_area_m2 * 1e6, layout->drc.violations.size());
   return 0;
 }

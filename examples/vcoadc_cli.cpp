@@ -69,7 +69,6 @@
 
 #include "core/adc.h"
 #include "core/artifact_store.h"
-#include "core/datasheet.h"
 #include "core/eval.h"
 #include "core/flow.h"
 #include "core/serve_loop.h"
@@ -376,28 +375,31 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "datasheet") {
-    core::DatasheetOptions opts;
-    opts.n_samples = n_samples;
-    opts.amp_sweep_points = args.get_int("amp-sweep", 0);
-    opts.batch_width = args.get_int("batch-width", 0);
-    opts.exec = ctx;
-    const auto ds = core::generate_datasheet(spec, opts);
-    if (!ds.complete) return fail_with_diags(diags);
-    std::printf("%s", ds.render().c_str());
+    core::EvalRequest req;
+    req.kind = core::EvalKind::kDatasheet;
+    req.spec = spec;
+    req.datasheet.n_samples = n_samples;
+    req.datasheet.amp_sweep_points = args.get_int("amp-sweep", 0);
+    req.datasheet.batch_width = args.get_int("batch-width", 0);
+    const core::EvalResponse resp = core::evaluate(req, ctx);
+    if (!resp.ok) return fail_with_diags(diags);
+    std::printf("%s", resp.datasheet.render().c_str());
     print_flow_stats(args, trace, *ctx.cache, ctx.store);
     return 0;
   }
   if (cmd == "montecarlo") {
-    // Thin shim over evaluate(kMonteCarlo) — the same entry point serve
-    // requests take, so the CLI and the wire protocol cannot drift.
-    core::MonteCarloOptions opts;
-    opts.runs = args.get_int("runs", 20);
-    opts.sim.n_samples = n_samples;
-    opts.sim.fin_target_hz = spec.bandwidth_hz / 5.0;
-    opts.seed0 = static_cast<std::uint64_t>(args.get_int("seed0", 1000));
-    opts.batch_width = args.get_int("batch-width", 0);
-    opts.exec = ctx;
-    const core::MonteCarloResult mc = core::monte_carlo_sndr(spec, opts);
+    // evaluate(kMonteCarlo) is the entry point serve requests take, so
+    // the CLI and the wire protocol cannot drift.
+    core::EvalRequest req;
+    req.kind = core::EvalKind::kMonteCarlo;
+    req.spec = spec;
+    req.monte_carlo.runs = args.get_int("runs", 20);
+    req.monte_carlo.sim.n_samples = n_samples;
+    req.monte_carlo.sim.fin_target_hz = spec.bandwidth_hz / 5.0;
+    req.monte_carlo.seed0 =
+        static_cast<std::uint64_t>(args.get_int("seed0", 1000));
+    req.monte_carlo.batch_width = args.get_int("batch-width", 0);
+    const core::MonteCarloResult mc = core::evaluate(req, ctx).monte_carlo;
     if (mc.sndr_db.empty() || diags.has_errors()) {
       return fail_with_diags(diags);
     }

@@ -164,18 +164,4 @@ std::vector<RunResult> AdcDesign::simulate_batch(
   return out;
 }
 
-synth::SynthesisResult AdcDesign::synthesize(
-    const synth::SynthesisOptions& opts) const {
-  // Route stage through the graph; the cached result is cloned so the
-  // caller owns its copy (the historical by-value contract). A rejected
-  // input yields an empty result (null layout) with diagnostics reported
-  // through the context, mirroring synth::synthesize().
-  auto syn = Flow(ctx_).synthesis(spec_, opts);
-  return syn != nullptr ? syn->clone() : synth::SynthesisResult{};
-}
-
-NodeReport AdcDesign::full_report(const SimulationOptions& opts) const {
-  return Flow(ctx_).report(spec_, opts);
-}
-
 }  // namespace vcoadc::core

@@ -1,10 +1,10 @@
-// AdcDesign: the top-level object of the library.
-//
-// From one AdcSpec it derives all three views the paper works with:
+// AdcDesign: one AdcSpec built into two of the three views the paper
+// works with:
 //   * a behavioral simulation model (msim) -> waveforms, spectra, SNDR
 //   * a gate-level netlist (netlist)       -> Verilog, gate counts, power
-//   * a synthesized layout (synth)         -> floorplan, area, DRC
-// plus the combined metrics of Table 3 (power breakdown, Walden FOM).
+// plus the combined metrics of Table 3 (power breakdown, Walden FOM). The
+// third view, the synthesized layout (floorplan, area, DRC), is the Route
+// stage of core::Flow (core/flow.h).
 #pragma once
 
 #include <cstddef>
@@ -70,25 +70,26 @@ struct NodeReport {
   bool complete = false;
 };
 
-/// Thin façade over the stage graph (core/flow.h): construction pulls the
-/// TechLibrary and Netlist stage artifacts from the ExecContext's shared
-/// cache (so two designs of the same spec share one library + netlist),
-/// and synthesize()/full_report() run the Floorplan/Placement/Route/
-/// SimRun/Report stages through the same graph.
+/// The built-design handle: construction pulls the TechLibrary and Netlist
+/// stage artifacts from the ExecContext's shared cache (so two designs of
+/// the same spec share one library + netlist), and simulate()/
+/// simulate_batch() are the raw, uncached simulation kernels the SimRun
+/// stage runs. Every other stage (layout, report, migration) is reached
+/// through core::Flow (core/flow.h).
 class AdcDesign {
  public:
   explicit AdcDesign(const AdcSpec& spec);
-  /// As above with an explicit execution context (thread budget, trace
-  /// sink, artifact cache) threaded into every stage this design runs.
+  /// As above with an explicit execution context: the artifact cache the
+  /// library + netlist come from, and the sink simulate() reports into.
   /// A spec the validators reject does NOT abort: the failure is reported
   /// through the context (ExecContext::diag, stderr when unset) and the
-  /// design is left unbuilt — check ok() before simulating/synthesizing.
+  /// design is left unbuilt — check ok() before simulating.
   AdcDesign(const AdcSpec& spec, const ExecContext& ctx);
 
   /// True when the spec validated and the library + netlist were built.
-  /// When false, simulate()/synthesize()/full_report() return empty
-  /// results (and report a diagnostic) instead of crashing, and
-  /// library()/netlist() must not be called.
+  /// When false, simulate()/simulate_batch() return empty results (and
+  /// report a diagnostic) instead of crashing, and library()/netlist()
+  /// must not be called.
   bool ok() const { return lib_ != nullptr && design_ != nullptr; }
 
   /// Runs the behavioral model and the full spectrum analysis.
@@ -119,16 +120,7 @@ class AdcDesign {
       const std::vector<SimulationOptions>& opts_list,
       msim::BatchedWorkspace& ws) const;
 
-  /// Runs the Fig. 9 layout-synthesis flow on the generated netlist.
-  synth::SynthesisResult synthesize(
-      const synth::SynthesisOptions& opts = {}) const;
-
-  /// Synthesis + simulation with the layout's wire load folded into the
-  /// power model — the "post-layout" result of the paper's Sec. 4.
-  NodeReport full_report(const SimulationOptions& opts = {}) const;
-
   const AdcSpec& spec() const { return spec_; }
-  const ExecContext& exec() const { return ctx_; }
   const netlist::CellLibrary& library() const { return *lib_; }
   const netlist::Design& netlist() const { return *design_; }
 

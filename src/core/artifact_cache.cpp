@@ -58,7 +58,7 @@ void ArtifactCache::evict_over_capacity() {
     lru_.pop_back();
     auto it = map_.find(victim);
     if (it != map_.end()) {
-      bytes_ -= it->second.bytes;
+      bytes_ -= it->second.fut.get().bytes;  // ready: get() never blocks
       map_.erase(it);
     }
     ++evictions_;

@@ -101,18 +101,24 @@ class ArtifactCache {
 
   /// Returns the cached artifact for `key`, building it with `build` on a
   /// miss. Concurrent callers with the same key share one build. `build`
-  /// returns shared_ptr<const T>; `approx_bytes` (optional) sizes the entry
-  /// for the stats. A key that resolves to a different artifact type is a
-  /// programming error (stage tags make it unreachable); it is reported to
-  /// stderr and the artifact is rebuilt uncached rather than aborting. A
-  /// build that returns null (a stage that refused its input) is never
-  /// stored: the failure is returned to this caller, waiters get null, and
-  /// the next lookup rebuilds.
+  /// returns shared_ptr<const T>; `approx_bytes` (optional; sizeof(T)
+  /// without one) sizes the entry once, when it is stored, and
+  /// `out_bytes` receives that stored size on every later hit as on the
+  /// building miss, so a cached artifact is never measured twice. A key
+  /// that resolves to a different artifact type is a programming error
+  /// (stage tags make it unreachable); it is reported to stderr and the
+  /// artifact is rebuilt uncached rather than aborting. A build that
+  /// returns null (a stage that refused its input) is never stored: the
+  /// failure is returned to this caller, waiters get null, and the next
+  /// lookup rebuilds.
   template <typename T, typename BuildFn>
   std::shared_ptr<const T> get_or_build(
       const CacheKey& key, BuildFn&& build,
       std::function<std::size_t(const T&)> approx_bytes = {},
-      bool* out_hit = nullptr) {
+      bool* out_hit = nullptr, std::size_t* out_bytes = nullptr) {
+    auto size_of = [&approx_bytes](const std::shared_ptr<const T>& v) {
+      return (approx_bytes && v) ? approx_bytes(*v) : sizeof(T);
+    };
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = map_.find(key);
     if (it != map_.end()) {
@@ -123,7 +129,9 @@ class ArtifactCache {
                      key.hex().c_str());
         lock.unlock();
         if (out_hit) *out_hit = false;
-        return build();
+        std::shared_ptr<const T> value = build();
+        if (out_bytes) *out_bytes = size_of(value);
+        return value;
       }
       ++hits_;
       if (out_hit) *out_hit = true;
@@ -132,11 +140,13 @@ class ArtifactCache {
       lock.unlock();
       // Either ready (get() returns immediately) or another thread is
       // building this key right now — wait for its result.
-      return std::static_pointer_cast<const T>(fut.get());
+      const Stored& stored = fut.get();
+      if (out_bytes) *out_bytes = stored.bytes;
+      return std::static_pointer_cast<const T>(stored.value);
     }
     ++misses_;
     if (out_hit) *out_hit = false;
-    std::promise<std::shared_ptr<const void>> prom;
+    std::promise<Stored> prom;
     {
       Slot slot;
       slot.type = std::type_index(typeid(T));
@@ -154,9 +164,9 @@ class ArtifactCache {
       map_.erase(key);
       throw;
     }
-    const std::size_t nbytes =
-        (approx_bytes && value) ? approx_bytes(*value) : sizeof(T);
-    prom.set_value(std::static_pointer_cast<const void>(value));
+    const std::size_t nbytes = size_of(value);
+    if (out_bytes) *out_bytes = nbytes;
+    prom.set_value(Stored{value, nbytes});
     lock.lock();
     if (value == nullptr) {
       // Failed build (stage refused its input): unblock same-key waiters
@@ -167,7 +177,6 @@ class ArtifactCache {
     auto it2 = map_.find(key);
     if (it2 != map_.end()) {
       it2->second.ready = true;
-      it2->second.bytes = nbytes;
       lru_.push_front(key);
       it2->second.lru = lru_.begin();
       bytes_ += nbytes;
@@ -181,10 +190,15 @@ class ArtifactCache {
   void clear();
 
  private:
-  struct Slot {
-    std::shared_future<std::shared_ptr<const void>> fut;
-    std::type_index type = std::type_index(typeid(void));
+  /// What a build publishes to its waiters: the artifact and the size it
+  /// was stored with.
+  struct Stored {
+    std::shared_ptr<const void> value;
     std::size_t bytes = 0;
+  };
+  struct Slot {
+    std::shared_future<Stored> fut;
+    std::type_index type = std::type_index(typeid(void));
     bool ready = false;
     std::list<CacheKey>::iterator lru;
   };

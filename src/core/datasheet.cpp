@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/driver_impl.h"
-#include "core/eval.h"
 #include "core/flow.h"
 #include "util/strings.h"
 #include "util/trace.h"
@@ -22,7 +21,7 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
   AdcDesign adc(spec, ctx);
   if (!adc.ok()) return ds;  // spec rejected; flow already reported why
   // The Route-stage artifact is shared, not cloned: the datasheet only
-  // reads it, and a full_report() over the same spec reuses it for free.
+  // reads it, and a Flow::report() over the same spec reuses it for free.
   auto synth_res = flow.synthesis(spec);
   if (synth_res == nullptr || synth_res->layout == nullptr) {
     emit_diag(ctx, util::Diagnostic{util::Severity::kError, "datasheet", "",
@@ -97,15 +96,6 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
   }
   ds.complete = true;
   return ds;
-}
-
-Datasheet generate_datasheet(const AdcSpec& spec,
-                             const DatasheetOptions& opts) {
-  EvalRequest req;
-  req.kind = EvalKind::kDatasheet;
-  req.spec = spec;
-  req.datasheet = opts;
-  return std::move(evaluate(req, opts.exec).datasheet);
 }
 
 std::string Datasheet::render() const {

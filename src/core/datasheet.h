@@ -1,8 +1,8 @@
-// Datasheet generation: one call that takes an AdcSpec through simulation,
-// synthesis, timing, power-grid signoff and (optionally) Monte Carlo, and
-// renders the numbers a part's front page would carry. This is the
-// "product view" of the generator - what a downstream user reads before
-// instantiating the ADC in their SoC.
+// Datasheet generation: one request (core::evaluate, EvalKind::kDatasheet)
+// that takes an AdcSpec through simulation, synthesis, timing, power-grid
+// signoff and (optionally) Monte Carlo, and renders the numbers a part's
+// front page would carry. This is the "product view" of the generator -
+// what a downstream user reads before instantiating the ADC in their SoC.
 #pragma once
 
 #include <string>
@@ -28,9 +28,6 @@ struct DatasheetOptions {
   /// MonteCarloOptions convention: 0 = host-preferred, 1 = scalar per-point
   /// stages, 2/4/8 = forced width. Bit-identical at every setting.
   int batch_width = 0;
-  /// Execution environment; the datasheet's synthesis, nominal run and MC
-  /// batch all execute as stages of the flow graph, sharing its cache.
-  ExecContext exec;
 };
 
 /// One point of the SNDR-vs-amplitude curve.
@@ -59,12 +56,5 @@ struct Datasheet {
   /// Renders the datasheet as a text document.
   std::string render() const;
 };
-
-/// Runs the full flow for a spec — a thin shim over
-/// core::evaluate(EvalKind::kDatasheet). Never aborts: a spec the
-/// validators reject yields an incomplete datasheet (complete == false)
-/// plus diagnostics through opts.exec.
-Datasheet generate_datasheet(const AdcSpec& spec,
-                             const DatasheetOptions& opts = {});
 
 }  // namespace vcoadc::core

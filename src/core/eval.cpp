@@ -100,8 +100,8 @@ EvalResponse evaluate(const EvalRequest& req, const ExecContext& ctx) {
       break;
     }
     case EvalKind::kMigrate: {
-      MigratedDesign m =
-          detail::migrate_impl(sub, req.spec, req.migrate_target_node_nm);
+      Flow flow(sub);
+      MigratedDesign m = flow.migrate(req.spec, req.migrate_target_node_nm);
       resp.ok = m.target_lib != nullptr;
       resp.migrated = std::make_shared<const MigratedDesign>(std::move(m));
       break;

@@ -1,20 +1,18 @@
-// The unified evaluation service: one request/response entry point over
-// every flow driver.
+// The unified evaluation service: core::evaluate(EvalRequest, ExecContext)
+// is the one driver entry point, and core::Flow (core/flow.h) the one
+// handle on individual stages.
 //
-// Each driver (datasheet, Monte Carlo, corner sweep, synthesis, migration,
-// spec optimization) used to be its own free function with its own
-// (spec|design, options) signature. They still exist — as thin wrappers —
-// but all of them now funnel through core::evaluate(EvalRequest,
-// ExecContext): one place that owns the shared semantics (validation
-// order, diagnostic routing, cache/store use, ok-ness), and the seam the
-// CLI's server mode speaks NDJSON through.
+// evaluate() owns the semantics every request kind shares: validation
+// order, diagnostic routing, cache/store use and ok-ness. It is also the
+// seam the CLI's server mode speaks NDJSON through, so the CLI, the serve
+// protocol, the benches and the tests all reach a driver the same way.
+// The ExecContext passed in is the only source of execution knobs
+// (threads, trace, cache, store, diagnostics, fault plan); the per-kind
+// options structs carry result-affecting knobs only, so a server can run
+// every request on one shared warm context.
 //
-// EvalRequest is a tagged union over the driver request kinds, embedding
-// the existing per-driver options structs unchanged; `kind` selects which
-// members are read. The ExecContext passed to evaluate() is authoritative
-// for execution knobs — any ExecContext embedded in an options struct
-// (e.g. MonteCarloOptions::exec) is ignored by evaluate(), so a server can
-// run every request on one shared warm context.
+// EvalRequest is a tagged union over the request kinds, embedding the
+// per-driver options structs; `kind` selects which members are read.
 //
 // Diagnostics: evaluate() collects every stage diagnostic of the request
 // into EvalResponse::diagnostics (for the structured response), then
@@ -55,8 +53,8 @@ const char* eval_kind_name(EvalKind kind);
 /// Inverse of eval_kind_name; false when `name` matches no kind.
 bool eval_kind_from_name(std::string_view name, EvalKind* out);
 
-/// Corner sweeps had no options struct before the unified API; this one
-/// exists so every request kind is (spec, options)-shaped.
+/// Options of a corner sweep, so every request kind is (spec, options)-
+/// shaped.
 struct CornerSweepOptions {
   std::size_t n_samples = 1 << 13;
   /// SIMD lane width for the batched transient engine, the
@@ -97,7 +95,7 @@ struct EvalRequest {
 /// The matching response. Exactly the member selected by `kind` is
 /// populated; `ok` means the driver ran to completion on valid input
 /// (datasheet complete, design built, layout produced, target library
-/// resolved — the same conditions the legacy drivers signalled ad hoc).
+/// resolved).
 struct EvalResponse {
   EvalKind kind = EvalKind::kDatasheet;
   std::string id;

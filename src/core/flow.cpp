@@ -7,8 +7,6 @@
 
 #include "core/artifact_serde.h"
 #include "core/artifact_store.h"
-#include "core/driver_impl.h"
-#include "core/eval.h"
 #include "core/serde.h"
 #include "core/backend.h"
 #include "msim/batched_modulator.h"
@@ -201,7 +199,8 @@ bool fault_injected(const ExecContext& ctx, const char* stage) {
 }
 
 /// Runs one memoized stage: wraps the lookup/build in a trace span and
-/// falls back to a direct build when the context has no cache. When the
+/// falls back to a direct build when the context has no cache. `bytes_of`
+/// sizes an artifact once, when it is built or loaded. When the
 /// context carries an ArtifactStore and the stage a codec, a cache miss
 /// first tries the disk tier (decode failures demote to a rebuild with a
 /// warning), and a real build persists its canonical bytes — both happen
@@ -242,16 +241,17 @@ std::shared_ptr<const T> run_stage(const ExecContext& ctx, Stage stage,
   };
   std::shared_ptr<const T> value;
   bool hit = false;
+  std::size_t bytes = 0;
   if (ctx.cache) {
-    value = ctx.cache->get_or_build<T>(
-        key, build_or_load,
-        bytes_of ? std::function<std::size_t(const T&)>(bytes_of)
-                 : std::function<std::size_t(const T&)>{},
-        &hit);
+    // A hit reports the size the entry was stored with; nothing is
+    // re-measured per lookup.
+    value = ctx.cache->get_or_build<T>(key, build_or_load, bytes_of, &hit,
+                                       &bytes);
   } else {
     value = build_or_load();
+    if (value) bytes = bytes_of(*value);
   }
-  if (value) span.cache(hit, bytes_of ? bytes_of(*value) : sizeof(T));
+  if (value) span.cache(hit, bytes);
   span.note("key=" + key.hex() + (from_store ? " src=store" : ""));
   return value;
 }
@@ -925,34 +925,21 @@ NodeReport Flow::report(const AdcSpec& spec, const SimulationOptions& sim,
   return rep;
 }
 
-MigratedDesign detail::migrate_impl(const ExecContext& ctx,
-                                    const AdcSpec& src_spec,
-                                    double target_node_nm) {
-  util::TraceSpan span(ctx.trace, "migrate");
-  Flow flow(ctx);
+MigratedDesign Flow::migrate(const AdcSpec& src_spec, double target_node_nm) {
+  util::TraceSpan span(ctx_.trace, "migrate");
   AdcSpec target = src_spec;
   target.node_nm = target_node_nm;
   // Not memoized, so the fault hook is consulted here rather than in
   // run_stage.
-  if (fault_injected(ctx, "migrate")) return no_migration();
-  auto target_lib = flow.tech_library(target);
-  const DesignBundle src = flow.netlist(src_spec);
+  if (fault_injected(ctx_, "migrate")) return no_migration();
+  auto target_lib = tech_library(target);
+  const DesignBundle src = netlist(src_spec);
   // Upstream stages already reported why.
   if (target_lib == nullptr || src.design == nullptr) return no_migration();
   MigrationResult result = migrate_design(*src.design, *target_lib);
   span.note(std::to_string(result.exact_matches) + " exact, " +
             std::to_string(result.nearest_matches) + " nearest");
   return MigratedDesign{std::move(target_lib), std::move(result)};
-}
-
-MigratedDesign Flow::migrate(const AdcSpec& src_spec, double target_node_nm) {
-  EvalRequest req;
-  req.kind = EvalKind::kMigrate;
-  req.spec = src_spec;
-  req.migrate_target_node_nm = target_node_nm;
-  EvalResponse resp = evaluate(req, ctx_);
-  if (resp.migrated != nullptr) return *resp.migrated;
-  return no_migration();
 }
 
 }  // namespace vcoadc::core

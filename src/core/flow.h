@@ -137,7 +137,6 @@ struct MigratedDesign {
 /// runner, so batched and scalar paths fault identically.
 class Flow {
  public:
-  Flow() = default;
   explicit Flow(const ExecContext& ctx) : ctx_(ctx) {}
 
   const ExecContext& ctx() const { return ctx_; }
@@ -225,6 +224,8 @@ class Flow {
                     const synth::SynthesisOptions& synth_opts = {});
 
   /// Migrates the spec's netlist onto another node's (cached) library.
+  /// Not memoized itself (a `migrate` span over the cached TechLibrary and
+  /// Netlist stages); EvalKind::kMigrate requests run exactly this.
   MigratedDesign migrate(const AdcSpec& src_spec, double target_node_nm);
 
  private:

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/driver_impl.h"
-#include "core/eval.h"
 #include "core/flow.h"
 
 namespace vcoadc::core {
@@ -71,26 +70,6 @@ MonteCarloResult detail::monte_carlo_impl(const ExecContext& ctx,
   return result;
 }
 
-MonteCarloResult monte_carlo_sndr(const AdcDesign& design,
-                                  const MonteCarloOptions& opts) {
-  // The caller's design shares the spec's cached stage artifacts, so the
-  // evaluate() path re-derives an equivalent design for free.
-  EvalRequest req;
-  req.kind = EvalKind::kMonteCarlo;
-  req.spec = design.spec();
-  req.monte_carlo = opts;
-  return std::move(evaluate(req, opts.exec).monte_carlo);
-}
-
-MonteCarloResult monte_carlo_sndr(const AdcSpec& spec,
-                                  const MonteCarloOptions& opts) {
-  EvalRequest req;
-  req.kind = EvalKind::kMonteCarlo;
-  req.spec = spec;
-  req.monte_carlo = opts;
-  return std::move(evaluate(req, opts.exec).monte_carlo);
-}
-
 std::vector<CornerResult> detail::corner_sweep_impl(const ExecContext& ctx,
                                                     const AdcDesign& design,
                                                     std::size_t n_samples,
@@ -137,36 +116,6 @@ std::vector<CornerResult> detail::corner_sweep_impl(const ExecContext& ctx,
         out[i].power_w = run != nullptr ? run->power.total_w() : kNaN;
       });
   return out;
-}
-
-namespace {
-
-std::vector<CornerResult> sweep_via_eval(const AdcSpec& spec,
-                                         const ExecContext& exec,
-                                         std::size_t n_samples) {
-  EvalRequest req;
-  req.kind = EvalKind::kCornerSweep;
-  req.spec = spec;
-  req.corners.n_samples = n_samples;
-  return std::move(evaluate(req, exec).corners);
-}
-
-}  // namespace
-
-std::vector<CornerResult> corner_sweep(const AdcDesign& design,
-                                       const ExecContext& exec,
-                                       std::size_t n_samples) {
-  return sweep_via_eval(design.spec(), exec, n_samples);
-}
-
-std::vector<CornerResult> corner_sweep(const AdcDesign& design,
-                                       std::size_t n_samples) {
-  return sweep_via_eval(design.spec(), design.exec(), n_samples);
-}
-
-std::vector<CornerResult> corner_sweep(const AdcSpec& spec,
-                                       std::size_t n_samples) {
-  return sweep_via_eval(spec, ExecContext{}, n_samples);
 }
 
 }  // namespace vcoadc::core

@@ -2,17 +2,18 @@
 //
 // The paper argues the architecture is "robust against random mismatches"
 // from a single post-layout run; a production generator must show it
-// statistically. monte_carlo_sndr re-draws every mismatch source (VCO
-// stage delays, Kvco, DAC resistors, comparator offsets) per run and
-// reports the SNDR distribution and the parametric yield against a target.
+// statistically. A Monte-Carlo request (core::evaluate, EvalKind::
+// kMonteCarlo) re-draws every mismatch source (VCO stage delays, Kvco, DAC
+// resistors, comparator offsets) per run and reports the SNDR distribution
+// and the parametric yield against a target; a corner-sweep request
+// (kCornerSweep) evaluates the classic PVT corner set.
 //
 // Both analyses run on the parallel evaluation engine (core::BatchRunner):
 // run i always simulates with seed0 + i and results are ordered by run
 // index, so the output is bit-identical regardless of the thread count.
 // Mismatch draws and PVT corners only perturb the behavioral model, so the
 // AdcDesign (cell library + netlist) is built once and shared read-only
-// across workers — callers that already hold a design use the AdcDesign
-// overloads and skip the rebuild entirely.
+// across workers.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,6 @@
 #include "core/adc.h"
 #include "core/adc_spec.h"
 #include "core/batch.h"
-#include "core/exec_context.h"
 
 namespace vcoadc::core {
 
@@ -37,10 +37,6 @@ struct MonteCarloOptions {
     s.n_samples = 1 << 13;
     return s;
   }();
-  /// Execution environment (worker threads, trace sink, artifact cache);
-  /// every draw runs as a SimRun stage of the flow graph, so a repeated
-  /// batch over the same spec is served from the cache.
-  ExecContext exec;
   std::uint64_t seed0 = 1000;  ///< run i uses seed0 + i
   /// SIMD lane width for the batched transient engine: 0 picks the host's
   /// preferred width (util::simd::active_width), 1 forces the scalar
@@ -66,38 +62,13 @@ struct MonteCarloResult {
   double yield(double spec_db) const;
 };
 
-/// Runs `opts.runs` simulations of an already-built design with independent
-/// mismatch draws (seed of run i = seed0 + i), fanned across the engine.
-/// Thin shim over core::evaluate(EvalKind::kMonteCarlo) — the design's
-/// stages are cache-shared, so re-deriving them from its spec is free.
-MonteCarloResult monte_carlo_sndr(const AdcDesign& design,
-                                  const MonteCarloOptions& opts = {});
-
-/// Spec-shaped shim over the same evaluate() entry point.
-MonteCarloResult monte_carlo_sndr(const AdcSpec& spec,
-                                  const MonteCarloOptions& opts = {});
-
+/// One corner of a corner-sweep request: the classic set (TT, FF, SS, plus
+/// low/high voltage and hot/cold temperature), reported in that order.
 struct CornerResult {
   std::string name;
   PvtCorner pvt;
   double sndr_db = 0;
   double power_w = 0;
 };
-
-/// Evaluates the classic corner set (TT, FF, SS, plus low/high voltage and
-/// hot/cold temperature) on an already-built design, corners fanned across
-/// the engine as SimRun stages of the flow graph. Results are ordered by
-/// the canonical corner table. All three signatures are thin shims over
-/// core::evaluate(EvalKind::kCornerSweep); they differ only in where the
-/// ExecContext comes from (explicit, the design's own, or a default).
-std::vector<CornerResult> corner_sweep(const AdcDesign& design,
-                                       const ExecContext& exec,
-                                       std::size_t n_samples = 1 << 13);
-
-std::vector<CornerResult> corner_sweep(const AdcDesign& design,
-                                       std::size_t n_samples = 1 << 13);
-
-std::vector<CornerResult> corner_sweep(const AdcSpec& spec,
-                                       std::size_t n_samples = 1 << 13);
 
 }  // namespace vcoadc::core

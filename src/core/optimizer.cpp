@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/driver_impl.h"
-#include "core/eval.h"
 #include "core/flow.h"
 
 namespace vcoadc::core {
@@ -98,15 +97,6 @@ OptimizeResult detail::optimize_impl(const ExecContext& ctx,
   }
   result.best_power_w = best_power;
   return result;
-}
-
-OptimizeResult optimize_spec(const OptimizeTarget& target,
-                             const OptimizeOptions& opts) {
-  EvalRequest req;
-  req.kind = EvalKind::kOptimize;
-  req.optimize_target = target;
-  req.optimize = opts;
-  return std::move(evaluate(req, opts.exec).optimize);
 }
 
 }  // namespace vcoadc::core

@@ -30,10 +30,6 @@ struct OptimizeOptions {
   std::vector<double> osr_choices{32, 50, 75, 100, 150};
   std::size_t n_samples = 1 << 13;
   std::uint64_t seed = 1;
-  /// Execution environment; every candidate evaluation runs as a SimRun
-  /// stage of the flow graph, so a re-search over an overlapping grid
-  /// reuses cached evaluations.
-  ExecContext exec;
 };
 
 struct CandidateResult {
@@ -44,18 +40,17 @@ struct CandidateResult {
   bool valid = false;  ///< passed AdcSpec::validate()
 };
 
+/// Result of an optimize request (core::evaluate, EvalKind::kOptimize): an
+/// exhaustive search over the candidate grid with early pruning.
+/// Candidates are ordered by a power prior (slices * fs) and a candidate is
+/// skipped once a cheaper design already met the target. Every candidate
+/// evaluation is a SimRun stage, so a re-search over an overlapping grid
+/// reuses cached runs.
 struct OptimizeResult {
   std::optional<AdcSpec> best;   ///< empty when nothing met the target
   double best_power_w = 0;
   double best_sndr_db = 0;
   std::vector<CandidateResult> evaluated;  ///< full search trace
 };
-
-/// Exhaustive search over the candidate grid with early pruning: candidates
-/// are ordered by a power prior (slices * fs) and a candidate is skipped
-/// once a cheaper design already met the target. Thin shim over
-/// core::evaluate(EvalKind::kOptimize).
-OptimizeResult optimize_spec(const OptimizeTarget& target,
-                             const OptimizeOptions& opts = {});
 
 }  // namespace vcoadc::core

@@ -22,8 +22,8 @@ Diagnostic gate_error(std::string item, std::string reason) {
 
 /// One comparator clock cycle: reset (CLK high forces both NOR3 outputs
 /// low), then decide (CLK low lets the INP/INM side regenerate and the
-/// NOR2 latch capture). Mirrors the Table-1 stimulus of
-/// examples/gate_level_verification.cpp.
+/// NOR2 latch capture). The Table-1 stimulus tests/gate_level_test.cpp
+/// drives as well.
 void comparator_cycle(netlist::LogicSim& sim, Logic inp, Logic inm) {
   sim.set("INP", inp);
   sim.set("INM", inm);

@@ -4,6 +4,7 @@
 
 #include "core/adc.h"
 #include "core/adc_spec.h"
+#include "core/flow.h"
 #include "core/migration.h"
 #include "core/power_model.h"
 #include "netlist/generator.h"
@@ -154,10 +155,10 @@ TEST(AdcDesign, PowerBreakdownMatchesFig15Shape) {
 }
 
 TEST(AdcDesign, FullReportHasAreaAndCleanDrc) {
-  AdcDesign adc(AdcSpec::paper_40nm());
+  const ExecContext ctx;
   SimulationOptions opts;
   opts.n_samples = 1 << 13;
-  const NodeReport report = adc.full_report(opts);
+  const NodeReport report = Flow(ctx).report(AdcSpec::paper_40nm(), opts);
   EXPECT_TRUE(report.synthesis.drc.clean());
   EXPECT_GT(report.area_mm2, 1e-4);
   EXPECT_LT(report.area_mm2, 0.2);
@@ -167,11 +168,10 @@ TEST(AdcDesign, FullReportHasAreaAndCleanDrc) {
 
 TEST(AdcDesign, AreaRatioBetweenNodesInPaperBallpark) {
   // Table 3: 0.151 / 0.012 = 12.6x. Accept 6x..25x from our geometry model.
-  AdcDesign adc40(AdcSpec::paper_40nm());
-  AdcDesign adc180(AdcSpec::paper_180nm());
-  const auto r40 = adc40.synthesize();
-  const auto r180 = adc180.synthesize();
-  const double ratio = r180.stats.die_area_m2 / r40.stats.die_area_m2;
+  const ExecContext ctx;
+  const auto r40 = Flow(ctx).synthesis(AdcSpec::paper_40nm());
+  const auto r180 = Flow(ctx).synthesis(AdcSpec::paper_180nm());
+  const double ratio = r180->stats.die_area_m2 / r40->stats.die_area_m2;
   EXPECT_GT(ratio, 6.0);
   EXPECT_LT(ratio, 25.0);
 }

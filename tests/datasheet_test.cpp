@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/artifact_cache.h"
-#include "core/datasheet.h"
+#include "core/eval.h"
 
 namespace vcoadc::core {
 namespace {
@@ -10,17 +10,19 @@ TEST(Datasheet, AmplitudeSweepIsBitIdenticalAcrossWidths) {
   // The sweep points take the lane-batch path the MC draws take: five
   // points are one scalar stage each at width 1, 2 + 2 + 1 at width 2 and
   // 4 + 1 at width 8. A fresh cache per width makes every point simulate.
-  AdcSpec spec = AdcSpec::paper_40nm();
-  spec.num_slices = 4;
-  auto sheet = [&spec](int width) {
+  EvalRequest req;
+  req.kind = EvalKind::kDatasheet;
+  req.spec = AdcSpec::paper_40nm();
+  req.spec.num_slices = 4;
+  req.datasheet.n_samples = 1 << 11;
+  req.datasheet.amp_sweep_points = 5;
+  auto sheet = [&req](int width) {
     ArtifactCache cache(32);
-    DatasheetOptions opts;
-    opts.n_samples = 1 << 11;
-    opts.amp_sweep_points = 5;
-    opts.batch_width = width;
-    opts.exec.cache = &cache;
-    opts.exec.threads = 1;
-    return generate_datasheet(spec, opts);
+    ExecContext ctx;
+    ctx.cache = &cache;
+    ctx.threads = 1;
+    req.datasheet.batch_width = width;
+    return evaluate(req, ctx).datasheet;
   };
   const Datasheet scalar = sheet(1);
   ASSERT_TRUE(scalar.complete);
@@ -41,10 +43,12 @@ TEST(Datasheet, AmplitudeSweepIsBitIdenticalAcrossWidths) {
 }
 
 TEST(Datasheet, FullFlowProducesConsistentNumbers) {
-  DatasheetOptions opts;
-  opts.n_samples = 1 << 13;
-  opts.mc_runs = 0;
-  const Datasheet ds = generate_datasheet(AdcSpec::paper_40nm(), opts);
+  EvalRequest req;
+  req.kind = EvalKind::kDatasheet;
+  req.spec = AdcSpec::paper_40nm();
+  req.datasheet.n_samples = 1 << 13;
+  req.datasheet.mc_runs = 0;
+  const Datasheet ds = evaluate(req, ExecContext{}).datasheet;
   EXPECT_GT(ds.nominal.sndr.sndr_db, 60.0);
   EXPECT_GT(ds.area_mm2, 1e-3);
   EXPECT_TRUE(ds.drc.clean());
@@ -57,10 +61,12 @@ TEST(Datasheet, FullFlowProducesConsistentNumbers) {
 }
 
 TEST(Datasheet, RenderContainsEverySection) {
-  DatasheetOptions opts;
-  opts.n_samples = 1 << 12;
-  opts.mc_runs = 2;
-  const Datasheet ds = generate_datasheet(AdcSpec::paper_40nm(), opts);
+  EvalRequest req;
+  req.kind = EvalKind::kDatasheet;
+  req.spec = AdcSpec::paper_40nm();
+  req.datasheet.n_samples = 1 << 12;
+  req.datasheet.mc_runs = 2;
+  const Datasheet ds = evaluate(req, ExecContext{}).datasheet;
   const std::string text = ds.render();
   for (const char* needle :
        {"dynamic performance", "SNDR", "ENOB", "Walden FOM", "die area",
@@ -70,10 +76,12 @@ TEST(Datasheet, RenderContainsEverySection) {
 }
 
 TEST(Datasheet, MonteCarloSectionOptional) {
-  DatasheetOptions opts;
-  opts.n_samples = 1 << 12;
-  opts.mc_runs = 0;
-  const Datasheet ds = generate_datasheet(AdcSpec::paper_40nm(), opts);
+  EvalRequest req;
+  req.kind = EvalKind::kDatasheet;
+  req.spec = AdcSpec::paper_40nm();
+  req.datasheet.n_samples = 1 << 12;
+  req.datasheet.mc_runs = 0;
+  const Datasheet ds = evaluate(req, ExecContext{}).datasheet;
   EXPECT_EQ(ds.render().find("SNDR (MC"), std::string::npos);
 }
 

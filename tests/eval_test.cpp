@@ -1,9 +1,10 @@
-// core::evaluate(): the unified request/response driver entry point. The
-// contract under test: the legacy drivers (monte_carlo_sndr, corner_sweep,
-// generate_datasheet, ...) are thin shims over evaluate() and agree with
-// it exactly; diagnostics are request-local (collected into the response,
-// not leaked between requests); and the JSON bridging parses the serve
-// protocol's vocabulary and fingerprints results stably.
+// core::evaluate(): the one request/response driver entry point. The
+// contract under test: every request kind dispatches through it with an
+// explicit ExecContext; diagnostics are request-local (collected into the
+// response, then re-emitted into the caller's sink, never leaked between
+// requests); the gate-level backend gates spec-driven kinds; and the JSON
+// bridging parses the serve protocol's vocabulary and fingerprints
+// results stably.
 #include "core/eval.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +12,6 @@
 #include <string>
 
 #include "core/artifact_cache.h"
-#include "core/datasheet.h"
-#include "core/flow.h"
-#include "core/monte_carlo.h"
 #include "util/json.h"
 
 using namespace vcoadc;
@@ -188,50 +186,6 @@ TEST(EvalTest, GateLevelBackendGatesSpecDrivenKinds) {
   EXPECT_TRUE(named);
 }
 
-TEST(EvalTest, MonteCarloShimMatchesEvaluateExactly) {
-  const core::AdcSpec spec = small_spec();
-
-  core::MonteCarloOptions opts;
-  opts.runs = 2;
-  opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
-  const core::MonteCarloResult via_shim = core::monte_carlo_sndr(spec, opts);
-
-  core::EvalRequest req;
-  req.kind = core::EvalKind::kMonteCarlo;
-  req.spec = spec;
-  req.monte_carlo = opts;
-  core::ExecContext ctx;
-  ctx.threads = 1;
-  const core::EvalResponse resp = core::evaluate(req, ctx);
-  ASSERT_TRUE(resp.ok);
-
-  // Not approximately: the shim *is* evaluate(), so the draws, seeds and
-  // reductions are the same computation.
-  EXPECT_EQ(resp.monte_carlo.sndr_db, via_shim.sndr_db);
-  EXPECT_EQ(resp.monte_carlo.mean_db, via_shim.mean_db);
-  EXPECT_EQ(resp.monte_carlo.stddev_db, via_shim.stddev_db);
-}
-
-TEST(EvalTest, CornerSweepShimMatchesEvaluateExactly) {
-  const core::AdcSpec spec = small_spec();
-  const auto via_shim = core::corner_sweep(spec, 1 << 11);
-
-  core::EvalRequest req;
-  req.kind = core::EvalKind::kCornerSweep;
-  req.spec = spec;
-  req.corners.n_samples = 1 << 11;
-  core::ExecContext ctx;
-  const core::EvalResponse resp = core::evaluate(req, ctx);
-  ASSERT_TRUE(resp.ok);
-
-  ASSERT_EQ(resp.corners.size(), via_shim.size());
-  for (std::size_t i = 0; i < via_shim.size(); ++i) {
-    EXPECT_EQ(resp.corners[i].name, via_shim[i].name);
-    EXPECT_EQ(resp.corners[i].sndr_db, via_shim[i].sndr_db);
-  }
-}
-
 TEST(EvalTest, InvalidSpecFailsWithRequestLocalDiagnostics) {
   core::EvalRequest req;
   req.kind = core::EvalKind::kDatasheet;
@@ -293,23 +247,6 @@ TEST(EvalTest, ResultJsonAndFingerprintAreStable) {
   ASSERT_TRUE(r3.ok);
   EXPECT_NE(core::eval_result_fingerprint(core::eval_result_to_json(r3)),
             core::eval_result_fingerprint(j1));
-}
-
-TEST(EvalTest, DatasheetShimMatchesEvaluate) {
-  const core::AdcSpec spec = small_spec();
-  core::DatasheetOptions opts;
-  opts.n_samples = 1 << 12;
-  const core::Datasheet via_shim = core::generate_datasheet(spec, opts);
-  ASSERT_TRUE(via_shim.complete);
-
-  core::EvalRequest req;
-  req.kind = core::EvalKind::kDatasheet;
-  req.spec = spec;
-  req.datasheet = opts;
-  core::ExecContext ctx;
-  const core::EvalResponse resp = core::evaluate(req, ctx);
-  ASSERT_TRUE(resp.ok);
-  EXPECT_EQ(resp.datasheet.render(), via_shim.render());
 }
 
 }  // namespace

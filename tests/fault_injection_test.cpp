@@ -16,10 +16,8 @@
 
 #include "core/adc.h"
 #include "core/artifact_cache.h"
-#include "core/datasheet.h"
+#include "core/eval.h"
 #include "core/flow.h"
-#include "core/monte_carlo.h"
-#include "core/optimizer.h"
 #include "netlist/equivalence.h"
 #include "netlist/generator.h"
 #include "netlist/verilog_parser.h"
@@ -218,16 +216,14 @@ TEST(FaultInjection, FaultedBuildsNeverPopulateTheCache) {
 
 TEST(FaultInjection, MonteCarloSurvivesPerRunFaults) {
   Harness h;
-  const core::AdcDesign adc(small_spec(), h.ctx);
-  ASSERT_TRUE(adc.ok());
-
-  core::MonteCarloOptions mc;
-  mc.runs = 4;
-  mc.sim.n_samples = 1 << 10;
-  mc.batch_width = 4;  // one lane group: faults reach the batched path
-  mc.exec = h.ctx;
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.spec = small_spec();
+  req.monte_carlo.runs = 4;
+  req.monte_carlo.sim.n_samples = 1 << 10;
+  req.monte_carlo.batch_width = 4;  // one lane group: faults reach the lanes
   h.plan.arm("sim_run", 2);  // exactly two of the four draws are refused
-  const auto res = core::monte_carlo_sndr(adc, mc);
+  const auto res = core::evaluate(req, h.ctx).monte_carlo;
 
   ASSERT_EQ(res.sndr_db.size(), 4u);
   int nans = 0;
@@ -239,11 +235,12 @@ TEST(FaultInjection, MonteCarloSurvivesPerRunFaults) {
 
 TEST(FaultInjection, CornerSweepSurvivesPerCornerFaults) {
   Harness h;
-  const core::AdcDesign adc(small_spec(), h.ctx);
-  ASSERT_TRUE(adc.ok());
-
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kCornerSweep;
+  req.spec = small_spec();
+  req.corners.n_samples = 1 << 10;
   h.plan.arm("sim_run", 1);
-  const auto corners = core::corner_sweep(adc, h.ctx, 1 << 10);
+  const auto corners = core::evaluate(req, h.ctx).corners;
   ASSERT_EQ(corners.size(), 6u);
   int nans = 0;
   for (const auto& c : corners) nans += std::isnan(c.sndr_db) ? 1 : 0;
@@ -367,21 +364,19 @@ TEST(FaultInjection, MonteCarloRejectsInvalidInput) {
   Harness h;
 
   // An invalid spec never builds a design; the driver refuses to fan out.
-  AdcSpec bad = small_spec();
-  bad.num_slices = 1;
-  core::MonteCarloOptions mc;
-  mc.exec = h.ctx;
-  const auto res = core::monte_carlo_sndr(bad, mc);
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.spec = small_spec();
+  req.spec.num_slices = 1;
+  const auto res = core::evaluate(req, h.ctx).monte_carlo;
   EXPECT_TRUE(res.sndr_db.empty());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 
   // Bad per-run options are rejected once, before the batch.
   h.sink.clear();
-  const core::AdcDesign adc(small_spec(), h.ctx);
-  core::MonteCarloOptions badsim;
-  badsim.exec = h.ctx;
-  badsim.sim.n_samples = 1000;  // not a power of two
-  const auto res2 = core::monte_carlo_sndr(adc, badsim);
+  req.spec = small_spec();
+  req.monte_carlo.sim.n_samples = 1000;  // not a power of two
+  const auto res2 = core::evaluate(req, h.ctx).monte_carlo;
   EXPECT_TRUE(res2.sndr_db.empty());
   bool names_the_knob = false;
   for (const auto& d : h.sink.all()) {
@@ -392,24 +387,26 @@ TEST(FaultInjection, MonteCarloRejectsInvalidInput) {
 
 TEST(FaultInjection, CornerSweepRejectsUnbuiltDesign) {
   Harness h;
-  AdcSpec bad = small_spec();
-  bad.fs_hz = 0;
-  const core::AdcDesign adc(bad, h.ctx);
-  EXPECT_FALSE(adc.ok());
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kCornerSweep;
+  req.spec = small_spec();
+  req.spec.fs_hz = 0;
+  req.corners.n_samples = 1 << 10;
+  EXPECT_FALSE(core::AdcDesign(req.spec, h.ctx).ok());
   h.sink.clear();  // keep only the sweep's own refusal
-  const auto corners = core::corner_sweep(adc, h.ctx, 1 << 10);
+  const auto corners = core::evaluate(req, h.ctx).corners;
   EXPECT_TRUE(corners.empty());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 }
 
 TEST(FaultInjection, DatasheetIncompleteOnInvalidSpec) {
   Harness h;
-  AdcSpec bad = small_spec();
-  bad.num_slices = 100;  // beyond the 64-slice packing limit
-  core::DatasheetOptions opts;
-  opts.n_samples = 1 << 10;
-  opts.exec = h.ctx;
-  const core::Datasheet ds = core::generate_datasheet(bad, opts);
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kDatasheet;
+  req.spec = small_spec();
+  req.spec.num_slices = 100;  // beyond the 64-slice packing limit
+  req.datasheet.n_samples = 1 << 10;
+  const core::Datasheet ds = core::evaluate(req, h.ctx).datasheet;
   EXPECT_FALSE(ds.complete);
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
   // The incomplete datasheet still renders without crashing.
@@ -419,46 +416,43 @@ TEST(FaultInjection, DatasheetIncompleteOnInvalidSpec) {
 TEST(FaultInjection, DatasheetIncompleteWhenSynthesisIsFaulted) {
   Harness h;
   h.plan.arm("route", 1);
-  core::DatasheetOptions opts;
-  opts.n_samples = 1 << 10;
-  opts.exec = h.ctx;
-  const core::Datasheet ds = core::generate_datasheet(small_spec(), opts);
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kDatasheet;
+  req.spec = small_spec();
+  req.datasheet.n_samples = 1 << 10;
+  const core::Datasheet ds = core::evaluate(req, h.ctx).datasheet;
   EXPECT_FALSE(ds.complete);
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 }
 
 TEST(FaultInjection, OptimizerRejectsMalformedTargetAndGrid) {
   Harness h;
-  core::OptimizeTarget target;
-  target.bandwidth_hz = -1.0;
-  core::OptimizeOptions opts;
-  opts.exec = h.ctx;
-  const auto res = core::optimize_spec(target, opts);
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kOptimize;
+  req.optimize_target.bandwidth_hz = -1.0;
+  const auto res = core::evaluate(req, h.ctx).optimize;
   EXPECT_FALSE(res.best.has_value());
   EXPECT_TRUE(res.evaluated.empty());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 
   h.sink.clear();
-  core::OptimizeTarget ok_target;
-  core::OptimizeOptions empty_grid;
-  empty_grid.exec = h.ctx;
-  empty_grid.slice_choices.clear();
-  const auto res2 = core::optimize_spec(ok_target, empty_grid);
+  req.optimize_target = core::OptimizeTarget{};
+  req.optimize.slice_choices.clear();
+  const auto res2 = core::evaluate(req, h.ctx).optimize;
   EXPECT_FALSE(res2.best.has_value());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 }
 
 TEST(FaultInjection, OptimizerRecordsFaultedCandidatesAsUnevaluated) {
   Harness h;
-  core::OptimizeTarget target;
-  target.min_sndr_db = 20.0;
-  core::OptimizeOptions opts;
-  opts.exec = h.ctx;
-  opts.n_samples = 1 << 10;
-  opts.slice_choices = {4};
-  opts.osr_choices = {50, 75};
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kOptimize;
+  req.optimize_target.min_sndr_db = 20.0;
+  req.optimize.n_samples = 1 << 10;
+  req.optimize.slice_choices = {4};
+  req.optimize.osr_choices = {50, 75};
   h.plan.arm("sim_run", 1);  // the first candidate's run is refused
-  const auto res = core::optimize_spec(target, opts);
+  const auto res = core::evaluate(req, h.ctx).optimize;
   ASSERT_EQ(res.evaluated.size(), 2u);
   EXPECT_FALSE(res.evaluated.front().valid);
   EXPECT_TRUE(res.evaluated.back().valid);

@@ -10,9 +10,8 @@
 #include "core/adc.h"
 #include "core/artifact_cache.h"
 #include "core/batch.h"
-#include "core/datasheet.h"
+#include "core/eval.h"
 #include "core/flow.h"
-#include "core/monte_carlo.h"
 #include "netlist/generator.h"
 #include "util/trace.h"
 
@@ -282,7 +281,7 @@ TEST(FlowCache, CachedSynthesisBitIdenticalToFresh) {
     ASSERT_EQ(a[i].rect.y, b[i].rect.y) << "cell " << i;
   }
 
-  // clone() (the AdcDesign::synthesize contract) deep-copies the artifact.
+  // clone() (how Flow::report hands out its copy) deep-copies the artifact.
   const synth::SynthesisResult owned = cold->clone();
   EXPECT_EQ(owned.floorplan_spec, cold->floorplan_spec);
   ASSERT_TRUE(owned.layout);
@@ -292,18 +291,20 @@ TEST(FlowCache, CachedSynthesisBitIdenticalToFresh) {
 }
 
 TEST(FlowCache, MonteCarloWarmRunBitIdentical) {
-  const core::AdcDesign adc(small_spec());
   ArtifactCache cache(64);
+  ExecContext ctx;
+  ctx.cache = &cache;
+  ctx.threads = 2;
 
-  core::MonteCarloOptions opts;
-  opts.runs = 5;
-  opts.sim.n_samples = 1 << 10;
-  opts.exec.cache = &cache;
-  opts.exec.threads = 2;
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.spec = small_spec();
+  req.monte_carlo.runs = 5;
+  req.monte_carlo.sim.n_samples = 1 << 10;
 
-  const auto cold = core::monte_carlo_sndr(adc, opts);
+  const auto cold = core::evaluate(req, ctx).monte_carlo;
   const auto before = cache.stats();
-  const auto warm = core::monte_carlo_sndr(adc, opts);
+  const auto warm = core::evaluate(req, ctx).monte_carlo;
   const auto after = cache.stats();
 
   ASSERT_EQ(cold.sndr_db.size(), warm.sndr_db.size());
@@ -323,19 +324,18 @@ TEST(FlowCache, SharedAcrossDriversBuildsNetlistOnce) {
   ExecContext ctx;
   ctx.cache = &cache;
 
-  const core::AdcDesign adc(spec, ctx);
-
-  core::MonteCarloOptions mc;
-  mc.runs = 3;
-  mc.sim.n_samples = 1 << 10;
-  mc.exec = ctx;
-  core::monte_carlo_sndr(adc, mc);
-  core::corner_sweep(adc, ctx, 1 << 10);
-
-  core::DatasheetOptions ds;
-  ds.n_samples = 1 << 10;
-  ds.exec = ctx;
-  core::generate_datasheet(spec, ds);
+  core::EvalRequest req;
+  req.spec = spec;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.monte_carlo.runs = 3;
+  req.monte_carlo.sim.n_samples = 1 << 10;
+  core::evaluate(req, ctx);
+  req.kind = core::EvalKind::kCornerSweep;
+  req.corners.n_samples = 1 << 10;
+  core::evaluate(req, ctx);
+  req.kind = core::EvalKind::kDatasheet;
+  req.datasheet.n_samples = 1 << 10;
+  core::evaluate(req, ctx);
 
   // Count the Netlist-stage builds: exactly one miss for its key means the
   // library+netlist were built once and shared by every driver.
@@ -478,6 +478,34 @@ TEST(FlowTrace, SpansNestAndRenderBothWays) {
     if (e.name == "route" || e.name == "sim_run") {
       EXPECT_EQ(e.cache_hit, 1) << e.name;
     }
+  }
+}
+
+TEST(FlowTrace, HitSpansReportTheBytesTheirMissStored) {
+  // An artifact is sized once, when it enters the cache; a hit span
+  // reports that stored size rather than re-measuring the artifact (for a
+  // netlist that would be a full Design::stats() walk per lookup).
+  util::Trace trace;
+  ArtifactCache cache(32);
+  ExecContext ctx;
+  ctx.cache = &cache;
+  ctx.trace = &trace;
+  Flow flow(ctx);
+  for (int pass = 0; pass < 2; ++pass) {
+    flow.netlist(small_spec());
+    flow.sim_run(small_spec(), small_sim());
+  }
+
+  for (const std::string stage : {"netlist", "sim_run"}) {
+    SCOPED_TRACE(stage);
+    std::vector<util::TraceEvent> misses, hits;
+    for (const auto& e : trace.events()) {
+      if (e.name == stage) (e.cache_hit == 1 ? hits : misses).push_back(e);
+    }
+    ASSERT_EQ(misses.size(), 1u);
+    ASSERT_FALSE(hits.empty());
+    EXPECT_GT(misses.front().bytes, 0u);
+    for (const auto& e : hits) EXPECT_EQ(e.bytes, misses.front().bytes);
   }
 }
 

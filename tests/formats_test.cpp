@@ -2,6 +2,7 @@
 
 #include "core/adc_spec.h"
 #include "core/adc.h"
+#include "core/flow.h"
 #include "netlist/cell_library.h"
 #include "netlist/lef.h"
 #include "netlist/liberty.h"
@@ -107,9 +108,9 @@ TEST(Liberty, DelayModelMatchesDriveScaling) {
 }
 
 TEST(Gdsii, WriteProducesValidHeaderAndTrailer) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto synth_res = adc.synthesize();
-  const auto bytes = synth::write_gdsii(*synth_res.layout, "vcoadc");
+  const core::ExecContext ctx;
+  const auto synth_res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  const auto bytes = synth::write_gdsii(*synth_res->layout, "vcoadc");
   ASSERT_GT(bytes.size(), 64u);
   // HEADER record: len=6, type 0x0002, version 600.
   EXPECT_EQ(bytes[0], 0x00);
@@ -122,9 +123,9 @@ TEST(Gdsii, WriteProducesValidHeaderAndTrailer) {
 }
 
 TEST(Gdsii, RoundTripStructureAndPlacement) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto synth_res = adc.synthesize();
-  const auto bytes = synth::write_gdsii(*synth_res.layout, "vcoadc");
+  const core::ExecContext ctx;
+  const auto synth_res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  const auto bytes = synth::write_gdsii(*synth_res->layout, "vcoadc");
   const auto parsed = synth::read_gdsii(bytes);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.library.name, "vcoadc");
@@ -133,17 +134,17 @@ TEST(Gdsii, RoundTripStructureAndPlacement) {
   const synth::GdsStructure* top = parsed.library.find("TOP");
   ASSERT_NE(top, nullptr);
   // Every placed cell appears as an SREF at its placement position.
-  EXPECT_EQ(top->srefs.size(), synth_res.layout->flat().size());
+  EXPECT_EQ(top->srefs.size(), synth_res->layout->flat().size());
   for (std::size_t i = 0; i < top->srefs.size(); ++i) {
     const auto& sref = top->srefs[i];
-    const auto& pc = synth_res.layout->placement().cells[i];
-    EXPECT_EQ(sref.structure, synth_res.layout->flat()[i].cell->name);
+    const auto& pc = synth_res->layout->placement().cells[i];
+    EXPECT_EQ(sref.structure, synth_res->layout->flat()[i].cell->name);
     EXPECT_NEAR(sref.x * parsed.library.meters_per_db, pc.rect.x, 1e-9);
     EXPECT_NEAR(sref.y * parsed.library.meters_per_db, pc.rect.y, 1e-9);
   }
   // Die + 10 regions as boundaries.
   EXPECT_EQ(top->boundaries.size(),
-            1 + synth_res.layout->floorplan().regions.size());
+            1 + synth_res->layout->floorplan().regions.size());
   // Each referenced master exists as a structure with its outline box.
   const synth::GdsStructure* inv = parsed.library.find("INVX1");
   ASSERT_NE(inv, nullptr);
@@ -154,9 +155,9 @@ TEST(Gdsii, RoundTripStructureAndPlacement) {
 TEST(Gdsii, Real8EncodingSurvivesUnitsRoundTrip) {
   // UNITS carries two excess-64 reals; the values must survive exactly
   // enough to recover nanometre DB units.
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto synth_res = adc.synthesize();
-  const auto bytes = synth::write_gdsii(*synth_res.layout, "u");
+  const core::ExecContext ctx;
+  const auto synth_res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  const auto bytes = synth::write_gdsii(*synth_res->layout, "u");
   const auto parsed = synth::read_gdsii(bytes);
   ASSERT_TRUE(parsed.ok);
   EXPECT_NEAR(parsed.library.user_unit, 1e-3, 1e-9);
@@ -164,9 +165,9 @@ TEST(Gdsii, Real8EncodingSurvivesUnitsRoundTrip) {
 }
 
 TEST(Gdsii, ReaderRejectsTruncatedStream) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto synth_res = adc.synthesize();
-  auto bytes = synth::write_gdsii(*synth_res.layout, "u");
+  const core::ExecContext ctx;
+  const auto synth_res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  auto bytes = synth::write_gdsii(*synth_res->layout, "u");
   bytes.resize(bytes.size() - 8);  // drop ENDLIB (and more)
   const auto parsed = synth::read_gdsii(bytes);
   EXPECT_FALSE(parsed.ok);

@@ -1,9 +1,9 @@
-// Tier-1 promotion of examples/gate_level_verification.cpp plus the
-// emitted-HDL backend seam (DESIGN.md §3j): the Table-1 comparator truth
-// table, the ring-period check against the stage-delay prediction, the
-// VCD/SPICE export paths, writer→parser round-trip equivalence at both
-// paper nodes, and the hdl_emit/gate_sim flow stages cross-checked against
-// the behavioral engine.
+// Gate-level execution of the generated netlist and the emitted-HDL
+// backend seam (DESIGN.md §3j): the Table-1 comparator truth table in the
+// event simulator, the ring-period check against the stage-delay
+// prediction, the VCD/SPICE export paths, writer→parser round-trip
+// equivalence at both paper nodes, and the hdl_emit/gate_sim flow stages
+// cross-checked against the behavioral engine.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -6,6 +6,7 @@
 #include "synth/floorplan.h"
 #include "synth/synthesis_flow.h"
 #include "core/adc.h"
+#include "core/flow.h"
 
 namespace vcoadc::core {
 namespace {
@@ -77,12 +78,12 @@ TEST(Linearity, StaticMappingBendsTransferUnderMismatch) {
 }
 
 TEST(FloorplanSpec, RoundTripGeometry) {
-  AdcDesign adc(AdcSpec::paper_40nm());
-  const auto res = adc.synthesize();
-  const std::string spec_text = res.floorplan_spec;
+  const core::ExecContext ctx;
+  const auto res = core::Flow(ctx).synthesis(AdcSpec::paper_40nm());
+  const std::string spec_text = res->floorplan_spec;
   const auto parsed = synth::parse_floorplan_spec(spec_text);
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  const auto& orig = res.layout->floorplan();
+  const auto& orig = res->layout->floorplan();
   EXPECT_NEAR(parsed.floorplan.die.w, orig.die.w, 1e-9);
   EXPECT_NEAR(parsed.floorplan.die.h, orig.die.h, 1e-9);
   EXPECT_NEAR(parsed.floorplan.row_height_m, orig.row_height_m, 1e-12);

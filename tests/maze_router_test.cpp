@@ -2,6 +2,7 @@
 
 #include "core/adc_spec.h"
 #include "core/adc.h"
+#include "core/flow.h"
 #include "netlist/cell_library.h"
 #include "netlist/generator.h"
 #include "synth/maze_router.h"
@@ -161,25 +162,25 @@ TEST(MazeRouter, CapacityForcesDetours) {
 }
 
 TEST(MazeRouter, FullAdcRoutesWithoutOverflow) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto res = adc.synthesize();
-  EXPECT_EQ(res.detailed_routing.failed_nets, 0);
-  EXPECT_EQ(res.detailed_routing.overflowed_edges, 0);
-  EXPECT_GT(res.detailed_routing.nets.size(), 100u);
+  const core::ExecContext ctx;
+  const auto res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  EXPECT_EQ(res->detailed_routing.failed_nets, 0);
+  EXPECT_EQ(res->detailed_routing.overflowed_edges, 0);
+  EXPECT_GT(res->detailed_routing.nets.size(), 100u);
   // Routed length upper-bounds the HPWL estimate but stays within ~3x.
-  EXPECT_GE(res.detailed_routing.total_wirelength_m,
-            res.routing.total_hpwl_m * 0.5);
-  EXPECT_LE(res.detailed_routing.total_wirelength_m,
-            res.routing.total_hpwl_m * 3.0);
-  EXPECT_GT(res.detailed_routing.total_vias, 0);
+  EXPECT_GE(res->detailed_routing.total_wirelength_m,
+            res->routing.total_hpwl_m * 0.5);
+  EXPECT_LE(res->detailed_routing.total_wirelength_m,
+            res->routing.total_hpwl_m * 3.0);
+  EXPECT_GT(res->detailed_routing.total_vias, 0);
 }
 
 TEST(MazeRouter, DisableFlagSkipsRouting) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
+  const core::ExecContext ctx;
   SynthesisOptions opts;
   opts.detailed_route = false;
-  const auto res = adc.synthesize(opts);
-  EXPECT_TRUE(res.detailed_routing.nets.empty());
+  const auto res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm(), opts);
+  EXPECT_TRUE(res->detailed_routing.nets.empty());
 }
 
 }  // namespace

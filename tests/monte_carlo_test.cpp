@@ -2,28 +2,30 @@
 
 #include "core/artifact_cache.h"
 #include "core/eval.h"
-#include "core/monte_carlo.h"
 
 namespace vcoadc::core {
 namespace {
 
-/// Runs `opts` over a cache of its own, so every draw is simulated rather
-/// than served from artifacts another test (or another width) built.
-MonteCarloResult fresh_monte_carlo(const AdcDesign& adc,
-                                   MonteCarloOptions opts) {
+/// Runs `req` on `threads` workers over a cache of its own, so every draw
+/// is simulated rather than served from artifacts another test (or
+/// another width or thread count) built.
+MonteCarloResult fresh_monte_carlo(const EvalRequest& req, int threads = 1) {
   ArtifactCache cache(64);
-  opts.exec.cache = &cache;
-  return monte_carlo_sndr(adc, opts);
+  ExecContext ctx;
+  ctx.cache = &cache;
+  ctx.threads = threads;
+  return evaluate(req, ctx).monte_carlo;
 }
 
 TEST(MonteCarlo, DistributionIsTightAroundNominal) {
   // The robustness claim, statistically: across independent mismatch draws
   // the SNDR spread stays small and the worst case stays near the mean.
-  AdcSpec spec = AdcSpec::paper_40nm();
-  MonteCarloOptions opts;
-  opts.runs = 8;
-  opts.sim.n_samples = 1 << 13;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 8;
+  req.monte_carlo.sim.n_samples = 1 << 13;
+  const MonteCarloResult res = evaluate(req, ExecContext{}).monte_carlo;
   ASSERT_EQ(res.sndr_db.size(), 8u);
   EXPECT_GT(res.mean_db, 60.0);
   EXPECT_LT(res.stddev_db, 3.0);
@@ -32,11 +34,12 @@ TEST(MonteCarlo, DistributionIsTightAroundNominal) {
 }
 
 TEST(MonteCarlo, YieldSemantics) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  MonteCarloOptions opts;
-  opts.runs = 6;
-  opts.sim.n_samples = 1 << 12;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 6;
+  req.monte_carlo.sim.n_samples = 1 << 12;
+  const MonteCarloResult res = evaluate(req, ExecContext{}).monte_carlo;
   EXPECT_DOUBLE_EQ(res.yield(-1000.0), 1.0);   // everything passes
   EXPECT_DOUBLE_EQ(res.yield(1000.0), 0.0);    // nothing passes
   const double y = res.yield(res.mean_db);
@@ -45,11 +48,12 @@ TEST(MonteCarlo, YieldSemantics) {
 }
 
 TEST(MonteCarlo, RunsAreIndependentDraws) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  MonteCarloOptions opts;
-  opts.runs = 4;
-  opts.sim.n_samples = 1 << 12;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 4;
+  req.monte_carlo.sim.n_samples = 1 << 12;
+  const MonteCarloResult res = evaluate(req, ExecContext{}).monte_carlo;
   // With mismatch enabled, different seeds cannot yield identical SNDRs.
   for (std::size_t i = 1; i < res.sndr_db.size(); ++i) {
     EXPECT_NE(res.sndr_db[i], res.sndr_db[0]);
@@ -59,17 +63,17 @@ TEST(MonteCarlo, RunsAreIndependentDraws) {
 TEST(MonteCarlo, ParallelIsBitIdenticalToSerial) {
   // The engine's determinism contract: run i always simulates with
   // seed0 + i and results are ordered by index, so the thread count can
-  // never change a single bit of the output.
-  AdcSpec spec = AdcSpec::paper_40nm();
-  AdcDesign adc(spec);
-  MonteCarloOptions opts;
-  opts.runs = 6;
-  opts.sim.n_samples = 1 << 12;
+  // never change a single bit of the output. Each side simulates in a
+  // cache of its own (a shared cache would serve the second from the first).
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 6;
+  req.monte_carlo.sim.n_samples = 1 << 12;
 
-  opts.exec.threads = 1;
-  const MonteCarloResult serial = monte_carlo_sndr(adc, opts);
-  opts.exec.threads = 4;
-  const MonteCarloResult parallel = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult serial = fresh_monte_carlo(req, 1);
+  const MonteCarloResult parallel = fresh_monte_carlo(req, 4);
+  EXPECT_EQ(parallel.batch.threads, 4);
 
   ASSERT_EQ(serial.sndr_db.size(), parallel.sndr_db.size());
   for (std::size_t i = 0; i < serial.sndr_db.size(); ++i) {
@@ -80,29 +84,39 @@ TEST(MonteCarlo, ParallelIsBitIdenticalToSerial) {
 }
 
 TEST(MonteCarlo, DesignOverloadMatchesSpecOverload) {
-  // The AdcSpec wrapper must be a pure convenience: building the design
-  // up front and reusing it yields the same bits.
-  AdcSpec spec = AdcSpec::paper_40nm();
-  MonteCarloOptions opts;
-  opts.runs = 3;
-  opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
-  const MonteCarloResult from_spec = monte_carlo_sndr(spec, opts);
-  AdcDesign adc(spec);
-  const MonteCarloResult from_design = monte_carlo_sndr(adc, opts);
-  ASSERT_EQ(from_spec.sndr_db.size(), from_design.sndr_db.size());
+  // A request builds its design from the spec; draw i run as a SimRun
+  // stage (seed seed0 + i) over a design built up front yields the same
+  // bits. Each side simulates in a cache of its own.
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 3;
+  req.monte_carlo.sim.n_samples = 1 << 12;
+  const MonteCarloResult from_spec = fresh_monte_carlo(req);
+
+  ArtifactCache cache(64);
+  ExecContext ctx;
+  ctx.cache = &cache;
+  const AdcDesign adc(req.spec, ctx);
+  ASSERT_EQ(from_spec.sndr_db.size(), 3u);
   for (std::size_t i = 0; i < from_spec.sndr_db.size(); ++i) {
-    EXPECT_EQ(from_spec.sndr_db[i], from_design.sndr_db[i]);
+    SimulationOptions sim = req.monte_carlo.sim;
+    sim.seed = req.monte_carlo.seed0 + i;
+    const auto from_design = Flow(ctx).sim_run(adc, sim);
+    ASSERT_NE(from_design, nullptr);
+    EXPECT_EQ(from_spec.sndr_db[i], from_design->sndr.sndr_db);
   }
 }
 
 TEST(MonteCarlo, BatchInstrumentationIsPopulated) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  MonteCarloOptions opts;
-  opts.runs = 4;
-  opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 2;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 4;
+  req.monte_carlo.sim.n_samples = 1 << 12;
+  ExecContext ctx;
+  ctx.threads = 2;
+  const MonteCarloResult res = evaluate(req, ctx).monte_carlo;
   EXPECT_EQ(res.batch.threads, 2);
   EXPECT_GT(res.batch.wall_s, 0.0);
   EXPECT_GT(res.batch.busy_s, 0.0);
@@ -117,17 +131,16 @@ TEST(MonteCarlo, BatchedEngineIsBitIdenticalToScalarPath) {
   // The batched SoA engine's whole-pipeline contract: grouping draws into
   // SIMD lanes (default width) changes nothing but wall time versus the
   // forced per-draw scalar path — the SNDR vector matches bit for bit.
-  AdcSpec spec = AdcSpec::paper_40nm();
-  AdcDesign adc(spec);
-  MonteCarloOptions opts;
-  opts.runs = 6;
-  opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 6;
+  req.monte_carlo.sim.n_samples = 1 << 12;
 
-  opts.batch_width = 1;  // scalar per-draw reference
-  const MonteCarloResult scalar = fresh_monte_carlo(adc, opts);
-  opts.batch_width = 0;  // host-preferred lane width
-  const MonteCarloResult batched = fresh_monte_carlo(adc, opts);
+  req.monte_carlo.batch_width = 1;  // scalar per-draw reference
+  const MonteCarloResult scalar = fresh_monte_carlo(req);
+  req.monte_carlo.batch_width = 0;  // host-preferred lane width
+  const MonteCarloResult batched = fresh_monte_carlo(req);
 
   ASSERT_EQ(scalar.sndr_db.size(), batched.sndr_db.size());
   for (std::size_t i = 0; i < scalar.sndr_db.size(); ++i) {
@@ -142,17 +155,16 @@ TEST(MonteCarlo, BatchedRemainderPartitionCoversEveryDraw) {
   // 2-lane group and one scalar draw; every draw must land at its own
   // index with its own seed, identical to the all-scalar partition, and
   // the per-draw wall times must stay populated (group time amortized).
-  AdcSpec spec = AdcSpec::paper_40nm();
-  AdcDesign adc(spec);
-  MonteCarloOptions opts;
-  opts.runs = 7;
-  opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 7;
+  req.monte_carlo.sim.n_samples = 1 << 12;
 
-  opts.batch_width = 1;
-  const MonteCarloResult scalar = fresh_monte_carlo(adc, opts);
-  opts.batch_width = 4;
-  const MonteCarloResult batched = fresh_monte_carlo(adc, opts);
+  req.monte_carlo.batch_width = 1;
+  const MonteCarloResult scalar = fresh_monte_carlo(req);
+  req.monte_carlo.batch_width = 4;
+  const MonteCarloResult batched = fresh_monte_carlo(req);
 
   ASSERT_EQ(scalar.sndr_db.size(), 7u);
   ASSERT_EQ(batched.sndr_db.size(), 7u);
@@ -164,24 +176,42 @@ TEST(MonteCarlo, BatchedRemainderPartitionCoversEveryDraw) {
 }
 
 TEST(MonteCarlo, ZeroRunsIsEmptyNotUndefined) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  MonteCarloOptions opts;
-  opts.runs = 0;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = AdcSpec::paper_40nm();
+  req.monte_carlo.runs = 0;
+  const MonteCarloResult res = evaluate(req, ExecContext{}).monte_carlo;
   EXPECT_TRUE(res.sndr_db.empty());
   EXPECT_DOUBLE_EQ(res.yield(60.0), 0.0);
 }
 
 TEST(Corners, DesignOverloadMatchesSpecOverload) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  const auto from_spec = corner_sweep(spec, 1 << 12);
-  AdcDesign adc(spec);
-  const auto from_design = corner_sweep(adc, 1 << 12);
-  ASSERT_EQ(from_spec.size(), from_design.size());
-  for (std::size_t i = 0; i < from_spec.size(); ++i) {
-    EXPECT_EQ(from_spec[i].name, from_design[i].name);
-    EXPECT_EQ(from_spec[i].sndr_db, from_design[i].sndr_db) << "corner " << i;
-    EXPECT_EQ(from_spec[i].power_w, from_design[i].power_w) << "corner " << i;
+  // Each corner of a sweep request is the SimRun stage, at that corner's
+  // PVT, of a design built up front. Each side simulates in a cache of
+  // its own.
+  EvalRequest req;
+  req.kind = EvalKind::kCornerSweep;
+  req.spec = AdcSpec::paper_40nm();
+  req.corners.n_samples = 1 << 12;
+  ArtifactCache sweep_cache(32);
+  ExecContext sweep_ctx;
+  sweep_ctx.cache = &sweep_cache;
+  const auto from_spec = evaluate(req, sweep_ctx).corners;
+  ASSERT_EQ(from_spec.size(), 6u);
+
+  ArtifactCache cache(32);
+  ExecContext ctx;
+  ctx.cache = &cache;
+  const AdcDesign adc(req.spec, ctx);
+  for (const CornerResult& c : from_spec) {
+    SimulationOptions sim;
+    sim.n_samples = req.corners.n_samples;
+    sim.fin_target_hz = req.spec.bandwidth_hz / 5.0;
+    sim.pvt = c.pvt;
+    const auto from_design = Flow(ctx).sim_run(adc, sim);
+    ASSERT_NE(from_design, nullptr);
+    EXPECT_EQ(c.sndr_db, from_design->sndr.sndr_db) << c.name;
+    EXPECT_EQ(c.power_w, from_design->power.total_w()) << c.name;
   }
 }
 
@@ -216,8 +246,11 @@ TEST(Corners, BatchedIsBitIdenticalToScalarAtEveryWidth) {
 }
 
 TEST(Corners, AllCornersStayFunctional) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  const auto corners = corner_sweep(spec, 1 << 13);
+  EvalRequest req;
+  req.kind = EvalKind::kCornerSweep;
+  req.spec = AdcSpec::paper_40nm();
+  req.corners.n_samples = 1 << 13;
+  const auto corners = evaluate(req, ExecContext{}).corners;
   ASSERT_EQ(corners.size(), 6u);
   double tt_sndr = 0;
   for (const auto& c : corners) {
@@ -234,8 +267,11 @@ TEST(Corners, AllCornersStayFunctional) {
 }
 
 TEST(Corners, VoltageScalesPower) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  const auto corners = corner_sweep(spec, 1 << 12);
+  EvalRequest req;
+  req.kind = EvalKind::kCornerSweep;
+  req.spec = AdcSpec::paper_40nm();
+  req.corners.n_samples = 1 << 12;
+  const auto corners = evaluate(req, ExecContext{}).corners;
   double p_low = 0, p_high = 0;
   for (const auto& c : corners) {
     if (c.name.find("0.90V") != std::string::npos) p_low = c.power_w;

@@ -3,6 +3,7 @@
 
 #include "core/adc_spec.h"
 #include "core/adc.h"
+#include "core/flow.h"
 #include "netlist/generator.h"
 #include "synth/power_grid.h"
 #include "synth/synthesis_flow.h"
@@ -20,16 +21,16 @@ TEST(PowerGrid, DomainToNetMapping) {
 }
 
 TEST(PowerGrid, RailsOnlyInPowerDomains) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto res = adc.synthesize();
-  const PowerGrid grid = generate_power_grid(res.layout->floorplan());
+  const core::ExecContext ctx;
+  const auto res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  const PowerGrid grid = generate_power_grid(res->layout->floorplan());
   EXPECT_FALSE(grid.rails.empty());
   for (const RailSegment& r : grid.rails) {
     EXPECT_EQ(r.region.find("GRP_"), std::string::npos)
         << "rail in component group " << r.region;
   }
   // Both rail polarities exist in every domain region.
-  for (const PlacedRegion& region : res.layout->floorplan().regions) {
+  for (const PlacedRegion& region : res->layout->floorplan().regions) {
     if (region.spec.is_group) continue;
     bool vss = false, pwr = false;
     for (const RailSegment& r : grid.rails) {
@@ -43,9 +44,9 @@ TEST(PowerGrid, RailsOnlyInPowerDomains) {
 }
 
 TEST(PowerGrid, RailsAlternateOnRowGrid) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto res = adc.synthesize();
-  const auto& fp = res.layout->floorplan();
+  const core::ExecContext ctx;
+  const auto res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  const auto& fp = res->layout->floorplan();
   const PowerGrid grid = generate_power_grid(fp);
   for (const RailSegment& r : grid.rails) {
     const double yc = r.rect.y + r.rect.h / 2;
@@ -61,12 +62,12 @@ TEST(PowerGrid, RailsAlternateOnRowGrid) {
 }
 
 TEST(PowerGrid, ProposedFlowIsFullyConnected) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto res = adc.synthesize();
-  const PowerGrid grid = generate_power_grid(res.layout->floorplan());
+  const core::ExecContext ctx;
+  const auto res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  const PowerGrid grid = generate_power_grid(res->layout->floorplan());
   const PowerGridCheck check =
-      check_power_grid(grid, res.layout->flat(), res.layout->placement(),
-                       res.layout->floorplan());
+      check_power_grid(grid, res->layout->flat(), res->layout->placement(),
+                       res->layout->floorplan());
   EXPECT_TRUE(check.clean());
   for (const auto& p : check.problems) ADD_FAILURE() << p;
   EXPECT_GT(check.cells_checked, 400);  // 16 slices of gates
@@ -75,29 +76,30 @@ TEST(PowerGrid, ProposedFlowIsFullyConnected) {
 TEST(PowerGrid, NaiveFlowFailsConnectivity) {
   // PD-oblivious placement scatters cells across foreign regions: their
   // supply pins land on wrong rails - the physical Sec. 3.3 failure.
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
+  const core::ExecContext ctx;
   SynthesisOptions naive;
   naive.respect_power_domains = false;
   naive.detailed_route = false;
-  const auto res = adc.synthesize(naive);
-  const PowerGrid grid = generate_power_grid(res.layout->floorplan());
+  const auto res =
+      core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm(), naive);
+  const PowerGrid grid = generate_power_grid(res->layout->floorplan());
   const PowerGridCheck check =
-      check_power_grid(grid, res.layout->flat(), res.layout->placement(),
-                       res.layout->floorplan());
+      check_power_grid(grid, res->layout->flat(), res->layout->placement(),
+                       res->layout->floorplan());
   EXPECT_FALSE(check.clean());
   EXPECT_GT(check.wrong_rail_cells + check.unconnected_cells, 50);
 }
 
 TEST(PowerGrid, IrDropSmallAndScalesWithCurrent) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto res = adc.synthesize();
-  const PowerGrid grid = generate_power_grid(res.layout->floorplan());
-  const auto low = check_power_grid(grid, res.layout->flat(),
-                                    res.layout->placement(),
-                                    res.layout->floorplan(), 1e-6);
-  const auto high = check_power_grid(grid, res.layout->flat(),
-                                     res.layout->placement(),
-                                     res.layout->floorplan(), 1e-4);
+  const core::ExecContext ctx;
+  const auto res = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  const PowerGrid grid = generate_power_grid(res->layout->floorplan());
+  const auto low = check_power_grid(grid, res->layout->flat(),
+                                    res->layout->placement(),
+                                    res->layout->floorplan(), 1e-6);
+  const auto high = check_power_grid(grid, res->layout->flat(),
+                                     res->layout->placement(),
+                                     res->layout->floorplan(), 1e-4);
   EXPECT_GT(low.max_ir_drop_v, 0.0);
   EXPECT_NEAR(high.max_ir_drop_v / low.max_ir_drop_v, 100.0, 1.0);
   // At realistic per-gate currents the drop is far below 1% of VDD.

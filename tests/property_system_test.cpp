@@ -9,6 +9,7 @@
 #include "core/adc.h"
 #include "core/adc_spec.h"
 #include "core/migration.h"
+#include "core/flow.h"
 #include "dsp/signal_gen.h"
 #include "msim/modulator.h"
 #include "netlist/generator.h"
@@ -136,16 +137,16 @@ TEST_P(SynthesisNodes, FullFlowCleanAtEveryNode) {
   spec.fs_hz *= speed;
   spec.bandwidth_hz *= speed;
   ASSERT_TRUE(spec.validate().empty());
-  core::AdcDesign adc(spec);
-  const auto res = adc.synthesize();
-  EXPECT_TRUE(res.drc.clean()) << node_nm;
-  EXPECT_EQ(res.detailed_routing.failed_nets, 0) << node_nm;
-  EXPECT_EQ(res.detailed_routing.overflowed_edges, 0) << node_nm;
+  const core::ExecContext ctx;
+  const auto res = core::Flow(ctx).synthesis(spec);
+  EXPECT_TRUE(res->drc.clean()) << node_nm;
+  EXPECT_EQ(res->detailed_routing.failed_nets, 0) << node_nm;
+  EXPECT_EQ(res->detailed_routing.overflowed_edges, 0) << node_nm;
   const synth::PowerGrid grid =
-      synth::generate_power_grid(res.layout->floorplan());
-  const auto pg = synth::check_power_grid(grid, res.layout->flat(),
-                                          res.layout->placement(),
-                                          res.layout->floorplan());
+      synth::generate_power_grid(res->layout->floorplan());
+  const auto pg = synth::check_power_grid(grid, res->layout->flat(),
+                                          res->layout->placement(),
+                                          res->layout->floorplan());
   EXPECT_TRUE(pg.clean()) << node_nm;
 }
 

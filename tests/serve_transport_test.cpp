@@ -32,10 +32,13 @@ using util::net::Listener;
 
 namespace {
 
-/// Unix-socket path under the temp dir, short enough for sun_path.
+/// Unix-socket path under the temp dir, short enough for sun_path, and
+/// this process's own (the plain and TSan variants of a test run
+/// concurrently under `ctest -j`).
 std::string temp_sock_path(const std::string& tag) {
-  const fs::path p =
-      fs::temp_directory_path() / ("vcoadc_net_" + tag + ".sock");
+  const fs::path p = fs::temp_directory_path() /
+                     ("vcoadc_net_" + tag + "_" +
+                      std::to_string(::getpid()) + ".sock");
   std::error_code ec;
   fs::remove(p, ec);
   return p.string();

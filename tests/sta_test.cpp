@@ -2,6 +2,7 @@
 
 #include "core/adc_spec.h"
 #include "core/adc.h"
+#include "core/flow.h"
 #include "netlist/cell_library.h"
 #include "netlist/generator.h"
 #include "netlist/liberty.h"
@@ -120,11 +121,12 @@ TEST(Sta, MaxClockScalesWithFo4) {
 }
 
 TEST(Sta, PlacementWireLoadSlowsPaths) {
-  core::AdcDesign adc(core::AdcSpec::paper_40nm());
-  const auto synth_res = adc.synthesize();
+  const core::ExecContext ctx;
+  const core::AdcDesign adc(core::AdcSpec::paper_40nm(), ctx);
+  const auto synth_res = core::Flow(ctx).synthesis(adc.spec());
   TimingOptions no_wire;
   TimingOptions wired;
-  wired.placement = &synth_res.layout->placement();
+  wired.placement = &synth_res->layout->placement();
   const auto fast = analyze_timing(adc.netlist(), node40(), no_wire);
   const auto slow = analyze_timing(adc.netlist(), node40(), wired);
   EXPECT_GT(slow.critical_delay_s, fast.critical_delay_s);

@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "util/diag.h"
 
 namespace fs = std::filesystem;
@@ -22,10 +24,13 @@ using namespace vcoadc;
 
 namespace {
 
+/// A store directory of this process's own: the plain and sanitizer
+/// variants of a test run concurrently under `ctest -j`.
 struct TempStoreDir {
   fs::path path;
   explicit TempStoreDir(const std::string& tag) {
-    path = fs::temp_directory_path() / ("vcoadc_store_conc_" + tag);
+    path = fs::temp_directory_path() /
+           ("vcoadc_store_conc_" + tag + "_" + std::to_string(::getpid()));
     fs::remove_all(path);
   }
   ~TempStoreDir() {

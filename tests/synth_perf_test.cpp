@@ -9,8 +9,9 @@
 #include <queue>
 #include <set>
 
-#include "core/adc.h"
 #include "core/adc_spec.h"
+#include "core/artifact_cache.h"
+#include "core/flow.h"
 #include "netlist/cell_library.h"
 #include "netlist/generator.h"
 #include "synth/drc.h"
@@ -23,6 +24,7 @@
 #include "synth/synthesis_flow.h"
 #include "tech/tech_node.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace vcoadc::synth {
 namespace {
@@ -152,12 +154,11 @@ TEST(NetDb, RoutingEstimatePinCountsMatchReference) {
 // reproduced the string-map flow exactly (same sums, same RNG stream), so
 // any drift here means the determinism contract broke.
 TEST(NetDb, FullFlowHpwlGoldens) {
-  core::AdcDesign adc40(core::AdcSpec::paper_40nm());
-  const auto r40 = adc40.synthesize();
-  EXPECT_NEAR(r40.routing.total_hpwl_m * 1e6, 21637.630, 1e-3);
-  core::AdcDesign adc180(core::AdcSpec::paper_180nm());
-  const auto r180 = adc180.synthesize();
-  EXPECT_NEAR(r180.routing.total_hpwl_m * 1e6, 59815.980, 1e-3);
+  const core::ExecContext ctx;
+  const auto r40 = core::Flow(ctx).synthesis(core::AdcSpec::paper_40nm());
+  EXPECT_NEAR(r40->routing.total_hpwl_m * 1e6, 21637.630, 1e-3);
+  const auto r180 = core::Flow(ctx).synthesis(core::AdcSpec::paper_180nm());
+  EXPECT_NEAR(r180->routing.total_hpwl_m * 1e6, 59815.980, 1e-3);
 }
 
 /// Plain Dijkstra over the full grid, the way the pre-A* router searched:
@@ -294,19 +295,39 @@ TEST(AStar, CostsEqualDijkstraOnRandomGrid) {
   }
 }
 
+/// Routes `spec` on `threads` route threads in a cache of its own, and
+/// checks from the trace that the route stage really built (a miss), so a
+/// comparison of two calls compares two routings.
+std::shared_ptr<const SynthesisResult> route_fresh(const core::AdcSpec& spec,
+                                                   int threads) {
+  core::ArtifactCache cache(16);
+  util::Trace trace;
+  core::ExecContext ctx;
+  ctx.cache = &cache;
+  ctx.trace = &trace;
+  ctx.threads = threads;
+  auto res = core::Flow(ctx).synthesis(spec);
+  int route_misses = 0;
+  for (const auto& e : trace.events()) {
+    route_misses += e.name == "route" && e.cache_hit == 0;
+  }
+  EXPECT_EQ(route_misses, 1) << "threads " << threads;
+  return res;
+}
+
 // Parallel rip-up batches must be bit-identical to the serial router on the
 // real design: identical per-net paths, not just identical totals.
 TEST(ParallelRoute, BitIdenticalToSerialOnFullAdc) {
   for (double nm : {40.0, 180.0}) {
-    core::AdcDesign adc(nm == 40 ? core::AdcSpec::paper_40nm()
-                                 : core::AdcSpec::paper_180nm());
-    SynthesisOptions so;
-    auto serial = adc.synthesize(so);
-    so.threads = 4;
-    auto parallel = adc.synthesize(so);
+    const core::AdcSpec spec = nm == 40 ? core::AdcSpec::paper_40nm()
+                                        : core::AdcSpec::paper_180nm();
+    const auto serial = route_fresh(spec, 1);
+    const auto parallel = route_fresh(spec, 4);
+    ASSERT_NE(serial, nullptr);
+    ASSERT_NE(parallel, nullptr);
 
-    const auto& a = serial.detailed_routing;
-    const auto& b = parallel.detailed_routing;
+    const auto& a = serial->detailed_routing;
+    const auto& b = parallel->detailed_routing;
     EXPECT_EQ(a.total_wirelength_m, b.total_wirelength_m) << "node " << nm;
     EXPECT_EQ(a.total_vias, b.total_vias);
     EXPECT_EQ(a.overflowed_edges, b.overflowed_edges);
