@@ -242,8 +242,7 @@ void encode_routing_estimate(const synth::RoutingEstimate& re,
   w.f64(re.total_est_length_m);
   w.i64(re.congestion.nx);
   w.i64(re.congestion.ny);
-  w.size(re.congestion.demand.size());
-  for (const double d : re.congestion.demand) w.f64(d);
+  w.f64s(re.congestion.demand);
   w.f64(re.congestion.max_demand);
   w.f64(re.congestion.mean_demand);
   w.f64(re.wire_cap_f);
@@ -265,12 +264,7 @@ bool decode_routing_estimate(serde::Reader& r, synth::RoutingEstimate& re) {
   re.total_est_length_m = r.f64();
   re.congestion.nx = static_cast<int>(r.i64());
   re.congestion.ny = static_cast<int>(r.i64());
-  const std::size_t nd = r.size();
-  re.congestion.demand.clear();
-  re.congestion.demand.reserve(nd);
-  for (std::size_t i = 0; i < nd && r.ok(); ++i) {
-    re.congestion.demand.push_back(r.f64());
-  }
+  r.f64s(re.congestion.demand);
   re.congestion.max_demand = r.f64();
   re.congestion.mean_demand = r.f64();
   re.wire_cap_f = r.f64();
@@ -548,8 +542,7 @@ void encode_run_result(const RunResult& res, serde::Writer& w) {
   w.f64(res.fin_hz);
   w.f64(res.amplitude_v);
   w.f64(res.full_scale_v);
-  w.size(res.mod.output.size());
-  for (const double v : res.mod.output) w.f64(v);
+  w.f64s(res.mod.output);
   w.size(res.mod.counts.size());
   for (const int v : res.mod.counts) w.i64(v);
   w.size(res.mod.slice_bits.size());
@@ -572,12 +565,9 @@ void encode_run_result(const RunResult& res, serde::Writer& w) {
   w.f64(res.mod.mean_freq1_hz);
   w.f64(res.mod.mean_freq2_hz);
   w.f64(res.mod.bit_toggle_rate);
-  w.size(res.spectrum.freq_hz.size());
-  for (const double v : res.spectrum.freq_hz) w.f64(v);
-  w.size(res.spectrum.power.size());
-  for (const double v : res.spectrum.power) w.f64(v);
-  w.size(res.spectrum.dbfs.size());
-  for (const double v : res.spectrum.dbfs) w.f64(v);
+  w.f64s(res.spectrum.freq_hz);
+  w.f64s(res.spectrum.power);
+  w.f64s(res.spectrum.dbfs);
   w.f64(res.spectrum.fs_hz);
   w.f64(res.spectrum.bin_hz);
   w.f64(res.spectrum.enbw_bins);
@@ -617,13 +607,7 @@ std::shared_ptr<const RunResult> decode_run_result(serde::Reader& r) {
   res->fin_hz = r.f64();
   res->amplitude_v = r.f64();
   res->full_scale_v = r.f64();
-  {
-    const std::size_t n = r.size();
-    res->mod.output.reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) {
-      res->mod.output.push_back(r.f64());
-    }
-  }
+  r.f64s(res->mod.output);
   {
     const std::size_t n = r.size();
     res->mod.counts.reserve(n);
@@ -651,12 +635,9 @@ std::shared_ptr<const RunResult> decode_run_result(serde::Reader& r) {
   res->mod.mean_freq1_hz = r.f64();
   res->mod.mean_freq2_hz = r.f64();
   res->mod.bit_toggle_rate = r.f64();
-  for (std::vector<double>* vec :
-       {&res->spectrum.freq_hz, &res->spectrum.power, &res->spectrum.dbfs}) {
-    const std::size_t n = r.size();
-    vec->reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) vec->push_back(r.f64());
-  }
+  r.f64s(res->spectrum.freq_hz);
+  r.f64s(res->spectrum.power);
+  r.f64s(res->spectrum.dbfs);
   res->spectrum.fs_hz = r.f64();
   res->spectrum.bin_hz = r.f64();
   res->spectrum.enbw_bins = r.f64();
@@ -735,10 +716,8 @@ void encode_gate_sim_artifact(const GateSimResult& g, serde::Writer& w) {
   w.boolean(g.ring_ok);
   w.size(g.n_samples);
   w.i64(g.num_slices);
-  w.size(g.decoded.size());
-  for (const double v : g.decoded) w.f64(v);
-  w.size(g.decimated.size());
-  for (const double v : g.decimated) w.f64(v);
+  w.f64s(g.decoded);
+  w.f64s(g.decimated);
   w.boolean(g.matches_behavioral);
   w.u64(g.transitions);
 }
@@ -752,15 +731,79 @@ std::shared_ptr<const GateSimResult> decode_gate_sim_artifact(
   g->ring_ok = r.boolean();
   g->n_samples = r.u64();
   g->num_slices = static_cast<int>(r.i64());
-  for (std::vector<double>* vec : {&g->decoded, &g->decimated}) {
-    const std::size_t n = r.size();
-    vec->reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) vec->push_back(r.f64());
-  }
+  r.f64s(g->decoded);
+  r.f64s(g->decimated);
   g->matches_behavioral = r.boolean();
   g->transitions = r.u64();
   if (!r.ok() || !r.at_end()) return nullptr;
   return g;
+}
+
+void encode_timing_artifact(const synth::TimingReport& t, serde::Writer& w) {
+  w.f64(t.critical_delay_s);
+  w.size(t.critical_path.size());
+  for (const synth::TimingPathStep& step : t.critical_path) {
+    w.str(step.through_gate);
+    w.str(step.to_net);
+    w.f64(step.arc_delay_s);
+    w.f64(step.arrival_s);
+  }
+  w.f64(t.clock_period_s);
+  w.f64(t.slack_s);
+  w.f64(t.max_clock_hz);
+  w.i64(t.loops_cut);
+  w.i64(t.num_gates);
+  w.i64(t.num_arcs);
+}
+
+std::shared_ptr<const synth::TimingReport> decode_timing_artifact(
+    serde::Reader& r) {
+  auto t = std::make_shared<synth::TimingReport>();
+  t->critical_delay_s = r.f64();
+  const std::size_t n = r.size();
+  t->critical_path.reserve(n);
+  for (std::size_t i = 0; i < n && r.ok(); ++i) {
+    synth::TimingPathStep step;
+    step.through_gate = r.str();
+    step.to_net = r.str();
+    step.arc_delay_s = r.f64();
+    step.arrival_s = r.f64();
+    t->critical_path.push_back(std::move(step));
+  }
+  t->clock_period_s = r.f64();
+  t->slack_s = r.f64();
+  t->max_clock_hz = r.f64();
+  t->loops_cut = static_cast<int>(r.i64());
+  t->num_gates = static_cast<int>(r.i64());
+  t->num_arcs = static_cast<int>(r.i64());
+  if (!r.ok() || !r.at_end()) return nullptr;
+  return t;
+}
+
+void encode_power_grid_artifact(const synth::PowerGridCheck& c,
+                                serde::Writer& w) {
+  w.i64(c.cells_checked);
+  w.i64(c.unconnected_cells);
+  w.i64(c.wrong_rail_cells);
+  w.f64(c.max_ir_drop_v);
+  w.str(c.worst_rail);
+  w.size(c.problems.size());
+  for (const std::string& p : c.problems) w.str(p);
+}
+
+std::shared_ptr<const synth::PowerGridCheck> decode_power_grid_artifact(
+    serde::Reader& r) {
+  auto c = std::make_shared<synth::PowerGridCheck>();
+  c->cells_checked = static_cast<int>(r.i64());
+  c->unconnected_cells = static_cast<int>(r.i64());
+  c->wrong_rail_cells = static_cast<int>(r.i64());
+  c->max_ir_drop_v = r.f64();
+  c->worst_rail = r.str();
+  const std::size_t n = r.size();
+  c->problems.reserve(n);
+  for (std::size_t i = 0; i < n && r.ok(); ++i) c->problems.push_back(r.str());
+  if (!r.ok() || !r.at_end()) return nullptr;
+  return c;
 }
 
 }  // namespace
@@ -810,6 +853,19 @@ const ArtifactCodec<HdlEmitResult>& hdl_emit_codec() {
 const ArtifactCodec<GateSimResult>& gate_sim_codec() {
   static const ArtifactCodec<GateSimResult> codec{
       "gate_sim", 1, &encode_gate_sim_artifact, &decode_gate_sim_artifact};
+  return codec;
+}
+
+const ArtifactCodec<synth::TimingReport>& timing_codec() {
+  static const ArtifactCodec<synth::TimingReport> codec{
+      "timing", 1, &encode_timing_artifact, &decode_timing_artifact};
+  return codec;
+}
+
+const ArtifactCodec<synth::PowerGridCheck>& power_grid_codec() {
+  static const ArtifactCodec<synth::PowerGridCheck> codec{
+      "power_grid", 1, &encode_power_grid_artifact,
+      &decode_power_grid_artifact};
   return codec;
 }
 

@@ -51,5 +51,7 @@ const ArtifactCodec<RunResult>& run_result_codec();
 /// the stored bytes stay the flow's single source of truth.
 const ArtifactCodec<HdlEmitResult>& hdl_emit_codec();
 const ArtifactCodec<GateSimResult>& gate_sim_codec();
+const ArtifactCodec<synth::TimingReport>& timing_codec();
+const ArtifactCodec<synth::PowerGridCheck>& power_grid_codec();
 
 }  // namespace vcoadc::core

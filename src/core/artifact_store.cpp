@@ -25,20 +25,60 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint32_t kMagic = 0x44414356u;  // "VCAD" little-endian
-constexpr std::uint32_t kContainerVersion = 1;
+// 2: the trailer became record_checksum (1 used a byte-serial FNV-1a-64).
+constexpr std::uint32_t kContainerVersion = 2;
 
 // Framing overhead without the type tag's characters: magic + container
 // version + key-format version + key echo + tag length + type version +
 // payload size + trailing checksum.
 constexpr std::size_t kFixedFrameBytes = 4 + 4 + 8 + 16 + 8 + 4 + 8 + 8;
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
+/// One lane step. Both halves are bijections — of h for a fixed word and
+/// of the word for a fixed h — so two inputs that differ in one word leave
+/// the lane in different states, and later steps keep them apart.
+std::uint64_t lane_step(std::uint64_t h, std::uint64_t w) {
+  h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
+}
+
+/// The record checksum: four independent lanes over the record's
+/// little-endian 8-byte words (word i feeds lane i % 4, so the multiply
+/// chains overlap), the byte tail zero-padded into one more word, then the
+/// lanes summed under distinct odd multipliers with the length folded in,
+/// and a final avalanche. A change confined to one word moves one lane,
+/// hence the sum, hence the result: it is always caught. Reads 8 bytes per
+/// step where FNV-1a read one.
+std::uint64_t record_checksum(const std::uint8_t* data, std::size_t n) {
+  std::uint64_t lane[4] = {0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+                           0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull};
+  auto word = [data](std::size_t at) {
+    return serde::load_le<std::uint64_t>(data + at);
+  };
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    lane[0] = lane_step(lane[0], word(i));
+    lane[1] = lane_step(lane[1], word(i + 8));
+    lane[2] = lane_step(lane[2], word(i + 16));
+    lane[3] = lane_step(lane[3], word(i + 24));
   }
-  return h;
+  std::size_t k = 0;
+  for (; i + 8 <= n; i += 8, ++k) lane[k] = lane_step(lane[k], word(i));
+  if (i < n) {
+    std::uint64_t tail = 0;
+    for (std::size_t b = 0; i + b < n; ++b) {
+      tail |= std::uint64_t{data[i + b]} << (8 * b);
+    }
+    lane[k] = lane_step(lane[k], tail);
+  }
+  std::uint64_t h = lane[0] * 0xbf58476d1ce4e5b9ull +
+                    lane[1] * 0x94d049bb133111ebull +
+                    lane[2] * 0xff51afd7ed558ccdull +
+                    lane[3] * 0xc4ceb9fe1a85ec53ull + n;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
 }
 
 /// Reads a whole file; false on open/read failure.
@@ -122,7 +162,7 @@ bool ArtifactStore::save(const CacheKey& key, std::string_view type_tag,
   record.insert(record.end(), payload.begin(), payload.end());
   {
     serde::Writer trailer;
-    trailer.u64(fnv1a64(record.data(), record.size()));
+    trailer.u64(record_checksum(record.data(), record.size()));
     const auto& t = trailer.bytes();
     record.insert(record.end(), t.begin(), t.end());
   }
@@ -163,9 +203,10 @@ bool ArtifactStore::save(const CacheKey& key, std::string_view type_tag,
 bool ArtifactStore::load(const CacheKey& key, std::string_view type_tag,
                          std::uint32_t type_version,
                          std::vector<std::uint8_t>* payload,
-                         util::DiagSink* diag) {
+                         util::DiagSink* diag, std::uint64_t* record_bytes) {
   enum class Miss { kAbsent, kCorrupt, kVersionSkew };
   auto miss = [&](Miss why, std::string reason) {
+    payload->clear();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.misses;
@@ -177,17 +218,29 @@ bool ArtifactStore::load(const CacheKey& key, std::string_view type_tag,
     return false;
   };
 
-  std::vector<std::uint8_t> record;
+  // The record is read straight into the caller's buffer; on a hit the
+  // frame is cut off in place, so the payload is never copied.
+  std::vector<std::uint8_t>& record = *payload;
   if (!ok_ || !read_file(path_for(key), &record)) {
     return miss(Miss::kAbsent, {});
   }
   if (record.size() < kFixedFrameBytes) {
     return miss(Miss::kCorrupt, "record truncated below frame size");
   }
-  // Checksum first: nothing in a corrupted record can be trusted, not
-  // even its version fields.
+  // Checksum first: nothing in a record that fails it is trusted. Its
+  // magic and container version only word the miss — a record in an older
+  // container format (checksummed another way) is version skew, anything
+  // else is corrupt. Both rebuild.
   serde::Reader trailer(record.data() + record.size() - 8, 8);
-  if (trailer.u64() != fnv1a64(record.data(), record.size() - 8)) {
+  if (trailer.u64() != record_checksum(record.data(), record.size() - 8)) {
+    serde::Reader head(record.data(), 8);
+    const bool ours = head.u32() == kMagic;
+    if (const std::uint32_t v = head.u32();
+        ours && v >= 1 && v < kContainerVersion) {
+      return miss(Miss::kVersionSkew,
+                  util::format("container version %u, want %u", v,
+                               kContainerVersion));
+    }
     return miss(Miss::kCorrupt, "checksum mismatch (corrupt record)");
   }
   serde::Reader r(record.data(), record.size() - 8);
@@ -223,22 +276,27 @@ bool ArtifactStore::load(const CacheKey& key, std::string_view type_tag,
   if (!r.ok() || n != r.remaining()) {
     return miss(Miss::kCorrupt, "payload size disagrees with record size");
   }
-  payload->assign(record.end() - 8 - static_cast<std::ptrdiff_t>(n),
-                  record.end() - 8);
+  const std::uint64_t size = record.size();
+  record.resize(record.size() - 8);
+  record.erase(record.begin(), record.end() - static_cast<std::ptrdiff_t>(n));
+  if (record_bytes != nullptr) *record_bytes = size;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
-    stats_.bytes_read += record.size();
-    // Remembered so a later note_decode_failure can take these bytes
-    // back out of bytes_read: a codec-rejected record was never served.
-    hit_bytes_[key] = record.size();
+    stats_.bytes_read += size;
   }
   return true;
 }
 
 void ArtifactStore::note_decode_failure(const CacheKey& key,
                                         std::string_view type_tag,
-                                        util::DiagSink* diag) {
+                                        util::DiagSink* diag,
+                                        std::uint64_t record_bytes) {
+  if (record_bytes == 0) {
+    std::error_code ec;
+    const std::uintmax_t on_disk = fs::file_size(path_for(key), ec);
+    record_bytes = ec ? 0 : static_cast<std::uint64_t>(on_disk);
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stats_.hits > 0) --stats_.hits;
@@ -248,11 +306,7 @@ void ArtifactStore::note_decode_failure(const CacheKey& key,
     // bytes_read the load charged, so byte counters never over-report.
     // (The miss-taxonomy invariant misses == absent + corrupt +
     // version_skew is preserved: the demotion increments both sides.)
-    const auto it = hit_bytes_.find(key);
-    if (it != hit_bytes_.end()) {
-      stats_.bytes_read -= std::min(stats_.bytes_read, it->second);
-      hit_bytes_.erase(it);
-    }
+    stats_.bytes_read -= std::min(stats_.bytes_read, record_bytes);
   }
   warn(diag, key.hex(),
        "payload failed to decode as '" + std::string(type_tag) +

@@ -13,7 +13,10 @@
 //   - writes are write-then-rename: a record is either fully present or
 //     absent, never torn, even with concurrent writers (last one wins,
 //     and all writers of one key write identical bytes by construction);
-//   - loads verify a whole-record checksum before any field is trusted;
+//   - loads verify a whole-record checksum before any field is trusted. A
+//     record that fails it is a miss: version skew when its magic and
+//     container-version fields name an older container format (one that
+//     checksummed differently), corrupt otherwise;
 //   - every failure mode (absent, truncated, corrupted, wrong version,
 //     wrong type tag) degrades to a miss — the stage rebuilds — with a
 //     kWarning Diagnostic for the non-absent cases; the store never
@@ -26,15 +29,18 @@
 //
 // On-disk layout: <dir>/<first-2-hex-of-key>/<32-hex-key>.art
 // Record framing (all little-endian, via serde::Writer):
-//   u32  magic 'VCAD'             u32  container version (kContainerVersion)
+//   u32  magic 'VCAD'             u32  container version (2)
 //   u64  kKeyFormatVersion        u64  key.lo       u64 key.hi
 //   str  type_tag                 u32  type_version
 //   u64  payload size             ...  payload bytes
-//   u64  FNV-1a-64 checksum over every preceding record byte
+//   u64  checksum over every preceding record byte: four 64-bit lanes fed
+//        8-byte little-endian words round-robin, each step
+//        h = (h ^ w) * odd; h ^= h >> 29, then the zero-padded byte tail,
+//        the length, an odd-weighted lane sum and a final avalanche.
+//        Container version 1 used a byte-serial FNV-1a-64 here.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -92,18 +98,24 @@ class ArtifactStore {
             util::DiagSink* diag = nullptr);
 
   /// Loads the payload for (key, type_tag, type_version). Returns false on
-  /// a miss: absent records silently, corrupt/version-skewed/mistagged
-  /// records with a kWarning through `diag`. Never throws.
+  /// a miss (`payload` left empty): absent records silently,
+  /// corrupt/version-skewed/mistagged records with a kWarning through
+  /// `diag`. On a hit `record_bytes`, when given, receives the record's
+  /// size on disk. Never throws.
   bool load(const CacheKey& key, std::string_view type_tag,
             std::uint32_t type_version, std::vector<std::uint8_t>* payload,
-            util::DiagSink* diag = nullptr);
+            util::DiagSink* diag = nullptr,
+            std::uint64_t* record_bytes = nullptr);
 
   /// Demotes an already-counted hit to a corrupt-miss: called by the flow
   /// when a record's frame verified but its payload failed to decode (the
   /// codec rejected it), so the stats still satisfy "hits == stage builds
-  /// actually avoided".
+  /// actually avoided". `record_bytes` is the size load() reported for the
+  /// rejected hit, taken back out of bytes_read; 0 means the caller did
+  /// not keep it, and the key's record is measured on disk instead.
   void note_decode_failure(const CacheKey& key, std::string_view type_tag,
-                           util::DiagSink* diag = nullptr);
+                           util::DiagSink* diag = nullptr,
+                           std::uint64_t record_bytes = 0);
 
   /// Final path of the record for `key` (exposed for tests that corrupt
   /// or inspect records directly).
@@ -147,12 +159,9 @@ class ArtifactStore {
 
   std::string dir_;
   bool ok_ = false;
-  mutable std::mutex mutex_;  ///< guards stats_, tmp_counter_, hit_bytes_
+  mutable std::mutex mutex_;  ///< guards stats_, tmp_counter_
   ArtifactStoreStats stats_;
   std::uint64_t tmp_counter_ = 0;
-  /// Record size of the most recent hit per key, so note_decode_failure
-  /// can take the rejected record's bytes back out of bytes_read.
-  std::map<CacheKey, std::uint64_t> hit_bytes_;
 };
 
 }  // namespace vcoadc::core

@@ -34,22 +34,12 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
   ds.routing = synth_res->detailed_routing;
   ds.area_mm2 = synth_res->stats.die_area_m2 * 1e6;
 
-  {
-    util::TraceSpan span(ctx.trace, "timing");
-    synth::TimingOptions topts;
-    topts.clock_period_s = 1.0 / spec.fs_hz;
-    topts.placement = &synth_res->layout->placement();
-    ds.timing = synth::analyze_timing(adc.netlist(), spec.tech_node(), topts);
-  }
-
-  {
-    util::TraceSpan span(ctx.trace, "power_grid");
-    const synth::PowerGrid grid =
-        synth::generate_power_grid(synth_res->layout->floorplan());
-    ds.power_grid = synth::check_power_grid(grid, synth_res->layout->flat(),
-                                            synth_res->layout->placement(),
-                                            synth_res->layout->floorplan());
-  }
+  const auto timing = flow.timing(spec);
+  const auto power_grid = flow.power_grid(spec);
+  // A refused stage already reported why.
+  if (timing == nullptr || power_grid == nullptr) return ds;
+  ds.timing = *timing;
+  ds.power_grid = *power_grid;
 
   SimulationOptions sim;
   sim.n_samples = opts.n_samples;

@@ -103,6 +103,18 @@ void hash_placement_opts(KeyHasher& h, const synth::SynthesisOptions& o) {
   h.u64(o.seed);
 }
 
+/// The STA options of the Timing stage, minus the placement (the Route
+/// artifact's, identified by the upstream key).
+synth::TimingOptions timing_options(const AdcSpec& spec) {
+  synth::TimingOptions o;
+  o.clock_period_s = 1.0 / spec.fs_hz;
+  return o;
+}
+
+/// The PowerGrid stage's rail options and per-cell supply current.
+constexpr synth::PowerGridOptions kPowerGridOptions{};
+constexpr double kCellCurrentA = 10e-6;
+
 // --- Approximate resident sizes for the cache stats. Estimates only; the
 // cache bounds by entry count, these just make `--cache-stats` readable.
 
@@ -165,6 +177,20 @@ std::size_t approx_bytes_gate(const GateSimResult& g) {
   return sizeof(g) + (g.decoded.size() + g.decimated.size()) * sizeof(double);
 }
 
+std::size_t approx_bytes_timing(const synth::TimingReport& t) {
+  std::size_t n = sizeof(t);
+  for (const synth::TimingPathStep& s : t.critical_path) {
+    n += sizeof(s) + s.through_gate.size() + s.to_net.size();
+  }
+  return n;
+}
+
+std::size_t approx_bytes_power_grid(const synth::PowerGridCheck& c) {
+  std::size_t n = sizeof(c) + c.worst_rail.size();
+  for (const std::string& p : c.problems) n += sizeof(p) + p.size();
+  return n;
+}
+
 std::size_t approx_bytes_run(const RunResult& r) {
   std::size_t n = sizeof(r);
   n += r.mod.output.size() * sizeof(double);
@@ -220,14 +246,16 @@ std::shared_ptr<const T> run_stage(const ExecContext& ctx, Stage stage,
   auto build_or_load = [&]() -> std::shared_ptr<const T> {
     if (ctx.store != nullptr && codec != nullptr) {
       std::vector<std::uint8_t> payload;
+      std::uint64_t record_bytes = 0;
       if (ctx.store->load(key, codec->type_tag, codec->type_version,
-                          &payload, ctx.diag)) {
+                          &payload, ctx.diag, &record_bytes)) {
         serde::Reader r(payload);
         if (std::shared_ptr<const T> loaded = codec->decode(r)) {
           from_store = true;
           return loaded;
         }
-        ctx.store->note_decode_failure(key, codec->type_tag, ctx.diag);
+        ctx.store->note_decode_failure(key, codec->type_tag, ctx.diag,
+                                       record_bytes);
       }
     }
     std::shared_ptr<const T> built = build();
@@ -432,6 +460,10 @@ const char* stage_name(Stage s) {
       return "hdl_emit";
     case Stage::kGateSim:
       return "gate_sim";
+    case Stage::kTiming:
+      return "timing";
+    case Stage::kPowerGrid:
+      return "power_grid";
     case Stage::kReport:
       return "report";
   }
@@ -550,6 +582,39 @@ CacheKey gate_sim_key(const AdcSpec& spec, const GateSimOptions& opts) {
   h.f64(opts.ring_period_tol);
   h.tag("top");
   h.str(opts.top);
+  return h.digest();
+}
+
+CacheKey timing_key(const AdcSpec& spec,
+                    const synth::SynthesisOptions& opts) {
+  const CacheKey up = synthesis_key(spec, opts);
+  const synth::TimingOptions t = timing_options(spec);
+  KeyHasher h;
+  h.u64(kKeyFormatVersion);
+  h.tag("stage:timing");
+  h.u64(up.lo);
+  h.u64(up.hi);
+  h.tag("clock_period_s");
+  h.f64(t.clock_period_s);
+  h.tag("cap_per_m");
+  h.f64(t.cap_per_m);
+  return h.digest();
+}
+
+CacheKey power_grid_key(const AdcSpec& spec,
+                        const synth::SynthesisOptions& opts) {
+  const CacheKey up = synthesis_key(spec, opts);
+  KeyHasher h;
+  h.u64(kKeyFormatVersion);
+  h.tag("stage:power_grid");
+  h.u64(up.lo);
+  h.u64(up.hi);
+  h.tag("rail_width_m");
+  h.f64(kPowerGridOptions.rail_width_m);
+  h.tag("rail_sheet_ohms");
+  h.f64(kPowerGridOptions.rail_sheet_ohms);
+  h.tag("current_per_cell_a");
+  h.f64(kCellCurrentA);
   return h.digest();
 }
 
@@ -727,6 +792,41 @@ std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
         const synth::NetDb db(art->flat);
         return std::make_shared<const synth::SynthesisResult>(
             synth::run_route_stage(*art, *pl, o, db));
+      });
+}
+
+std::shared_ptr<const synth::TimingReport> Flow::timing(
+    const AdcSpec& spec, const synth::SynthesisOptions& opts) {
+  return run_stage<synth::TimingReport>(
+      ctx_, Stage::kTiming, timing_key(spec, opts), &approx_bytes_timing,
+      &timing_codec(),
+      [this, &spec, &opts]() -> std::shared_ptr<const synth::TimingReport> {
+        const auto syn = synthesis(spec, opts);
+        if (syn == nullptr) return nullptr;  // upstream already reported
+        const DesignBundle bundle = netlist(spec);
+        if (bundle.design == nullptr) return nullptr;
+        synth::TimingOptions topts = timing_options(spec);
+        topts.placement = &syn->layout->placement();
+        return std::make_shared<const synth::TimingReport>(
+            synth::analyze_timing(*bundle.design, spec.tech_node(), topts));
+      });
+}
+
+std::shared_ptr<const synth::PowerGridCheck> Flow::power_grid(
+    const AdcSpec& spec, const synth::SynthesisOptions& opts) {
+  return run_stage<synth::PowerGridCheck>(
+      ctx_, Stage::kPowerGrid, power_grid_key(spec, opts),
+      &approx_bytes_power_grid, &power_grid_codec(),
+      [this, &spec,
+       &opts]() -> std::shared_ptr<const synth::PowerGridCheck> {
+        const auto syn = synthesis(spec, opts);
+        if (syn == nullptr) return nullptr;  // upstream already reported
+        const synth::Layout& lay = *syn->layout;
+        const synth::PowerGrid grid =
+            synth::generate_power_grid(lay.floorplan(), kPowerGridOptions);
+        return std::make_shared<const synth::PowerGridCheck>(
+            synth::check_power_grid(grid, lay.flat(), lay.placement(),
+                                    lay.floorplan(), kCellCurrentA));
       });
 }
 

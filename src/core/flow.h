@@ -1,8 +1,8 @@
 // The explicit stage graph of the end-to-end pipeline (the paper's Fig. 9
 // flow, made a first-class object):
 //
-//   TechLibrary --> Netlist --> Floorplan --> Placement --> Route
-//         \                                                  |
+//   TechLibrary --> Netlist --> Floorplan --> Placement --> Route --> Timing
+//         \                                                  |  \--> PowerGrid
 //          \--------------------> SimRun <-- (wire load) ----/
 //                                    \--> Report
 //
@@ -29,6 +29,10 @@
 //                   and proves structural equivalence before caching)
 //   GateSim      <- HdlEmit + SimRun (the behavioral reference, with
 //                   record_bits canonicalized on) + ring tolerance + top
+//   Timing       <- Route + clock period (1 / fs) + wire cap per metre
+//                   (STA over the netlist, wire loads from the placement)
+//   PowerGrid    <- Route + rail width + rail sheet resistance + per-cell
+//                   current (rail generation + supply/IR-drop check)
 //   Report       <- assembled from cached Route + SimRun; not memoized
 //                   itself (assembly is a clone + a struct fill).
 // ExecContext fields (threads, trace, cache) are never hashed: they must
@@ -45,6 +49,8 @@
 #include "core/exec_context.h"
 #include "core/migration.h"
 #include "core/sim_backend.h"
+#include "synth/power_grid.h"
+#include "synth/sta.h"
 #include "synth/synthesis_flow.h"
 
 namespace vcoadc::core {
@@ -59,6 +65,8 @@ enum class Stage {
   kSimRun,
   kHdlEmit,
   kGateSim,
+  kTiming,
+  kPowerGrid,
   kReport,
 };
 
@@ -107,6 +115,9 @@ CacheKey hdl_emit_key(const AdcSpec& spec);
 /// Canonicalizes `opts` the way Flow::gate_sim does (record_bits forced on
 /// in the embedded reference-run options) before hashing.
 CacheKey gate_sim_key(const AdcSpec& spec, const GateSimOptions& opts);
+CacheKey timing_key(const AdcSpec& spec, const synth::SynthesisOptions& opts);
+CacheKey power_grid_key(const AdcSpec& spec,
+                        const synth::SynthesisOptions& opts);
 
 /// Netlist-stage artifact: the cell library plus the gate-level design
 /// referencing it (the design holds a raw pointer into the library, so the
@@ -159,6 +170,17 @@ class Flow {
   /// Route stage: routing estimate + detailed route + DRC, the full
   /// SynthesisResult.
   std::shared_ptr<const synth::SynthesisResult> synthesis(
+      const AdcSpec& spec, const synth::SynthesisOptions& opts = {});
+
+  /// Timing stage: static timing of the netlist against one clock period
+  /// (1 / spec.fs_hz), wire loads from the Route artifact's placement.
+  std::shared_ptr<const synth::TimingReport> timing(
+      const AdcSpec& spec, const synth::SynthesisOptions& opts = {});
+
+  /// PowerGrid stage: rails generated over the Route artifact's floorplan,
+  /// then every placed cell's supply pins and the worst rail IR drop
+  /// checked.
+  std::shared_ptr<const synth::PowerGridCheck> power_grid(
       const AdcSpec& spec, const synth::SynthesisOptions& opts = {});
 
   /// SimRun stage for a spec (pulls the Netlist stage first).

@@ -12,8 +12,13 @@
 // Reader is fail-safe, never throwing and never reading past the end: any
 // short or malformed read latches ok() to false and yields zeros, so a
 // truncated or corrupted record decodes to "reject and rebuild", not UB.
+//
+// On little-endian hosts the in-memory representation already is the
+// canonical one, so integers and f64 arrays move with one memcpy; the
+// byte loops are the big-endian path. Both produce the same bytes.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -22,21 +27,30 @@
 
 namespace vcoadc::core::serde {
 
+inline constexpr bool kNativeLittleEndian =
+    std::endian::native == std::endian::little;
+
+/// The unsigned integer stored little-endian in the sizeof(U) bytes at p.
+template <typename U>
+U load_le(const std::uint8_t* p) {
+  U v = 0;
+  if constexpr (kNativeLittleEndian) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v |= static_cast<U>(U{p[i]} << (8 * i));
+    }
+  }
+  return v;
+}
+
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void u32(std::uint32_t v) { put_le(v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void u64(std::uint64_t v) { put_le(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -57,10 +71,37 @@ class Writer {
 
   void size(std::size_t n) { u64(n); }
 
+  /// Length-prefixed f64 array: the count, then each element's bit
+  /// pattern — the same bytes as size(n) followed by n f64() calls.
+  void f64s(const std::vector<double>& v) {
+    size(v.size());
+    if constexpr (kNativeLittleEndian) {
+      if (v.empty()) return;
+      const std::size_t at = buf_.size();
+      buf_.resize(at + v.size() * sizeof(double));
+      std::memcpy(buf_.data() + at, v.data(), v.size() * sizeof(double));
+    } else {
+      for (const double d : v) f64(d);
+    }
+  }
+
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  template <typename U>
+  void put_le(U v) {
+    if constexpr (kNativeLittleEndian) {
+      const std::size_t at = buf_.size();
+      buf_.resize(at + sizeof v);
+      std::memcpy(buf_.data() + at, &v, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i) {
+        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -82,21 +123,11 @@ class Reader {
   }
 
   std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p_[pos_ - 4 + i]) << (8 * i);
-    }
-    return v;
+    return take(4) ? load_le<std::uint32_t>(p_ + pos_ - 4) : 0;
   }
 
   std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p_[pos_ - 8 + i]) << (8 * i);
-    }
-    return v;
+    return take(8) ? load_le<std::uint64_t>(p_ + pos_ - 8) : 0;
   }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -132,6 +163,28 @@ class Reader {
       return 0;
     }
     return static_cast<std::size_t>(n);
+  }
+
+  /// Reads a Writer::f64s array into `out`. The count is checked against
+  /// the bytes left (n <= remaining() / 8, which cannot overflow) before
+  /// anything is allocated; a short or oversized count latches !ok() and
+  /// leaves `out` empty.
+  void f64s(std::vector<double>& out) {
+    out.clear();
+    const std::uint64_t n = u64();
+    if (!ok_ || n > remaining() / sizeof(double)) {
+      ok_ = false;
+      return;
+    }
+    const std::size_t count = static_cast<std::size_t>(n);
+    out.resize(count);
+    if constexpr (kNativeLittleEndian) {
+      if (count == 0) return;
+      std::memcpy(out.data(), p_ + pos_, count * sizeof(double));
+      pos_ += count * sizeof(double);
+    } else {
+      for (double& d : out) d = f64();
+    }
   }
 
  private:

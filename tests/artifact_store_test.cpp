@@ -8,11 +8,15 @@
 #include "core/artifact_store.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "core/serde.h"
 #include "util/diag.h"
 #include "util/json.h"
+#include "util/trace.h"
 
 namespace fs = std::filesystem;
 using namespace vcoadc;
@@ -29,11 +34,14 @@ using namespace vcoadc;
 namespace {
 
 /// Fresh per-test store root under the system temp dir; removed on
-/// destruction so repeated ctest runs never see stale records.
+/// destruction so repeated ctest runs never see stale records. The process
+/// id keeps the plain and sanitizer builds of this suite apart when ctest
+/// runs them concurrently.
 struct TempStoreDir {
   fs::path path;
   explicit TempStoreDir(const std::string& tag) {
-    path = fs::temp_directory_path() / ("vcoadc_store_test_" + tag);
+    path = fs::temp_directory_path() /
+           ("vcoadc_store_test_" + tag + "_" + std::to_string(::getpid()));
     fs::remove_all(path);
   }
   ~TempStoreDir() {
@@ -52,6 +60,60 @@ std::vector<std::uint8_t> make_payload(std::size_t n, std::uint8_t seed) {
 }
 
 constexpr core::CacheKey kKey{0x1234567890abcdefull, 0xfedcba0987654321ull};
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Saves a small record (a 45-byte payload: the checksum's word loop, its
+/// zero-padded byte tail and the trailer all take part), then loads every
+/// variant `damaged(original, i)` yields for i = 0, 1, ... until it
+/// returns false. Each variant must be a corrupt miss with exactly one
+/// warning.
+void expect_each_variant_is_corrupt_miss(
+    const std::string& tag,
+    const std::function<bool(const std::vector<std::uint8_t>&, std::size_t,
+                             std::vector<std::uint8_t>*)>& damaged) {
+  TempStoreDir dir(tag);
+  core::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.save(kKey, "unit", 1, make_payload(45, 11)));
+  const std::string path = store.path_for(kKey);
+  const std::vector<std::uint8_t> original = read_bytes(path);
+  ASSERT_FALSE(original.empty());
+
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t cases = 0;
+  for (std::size_t i = 0; damaged(original, i, &bytes); ++i) {
+    write_bytes(path, bytes);
+    util::DiagSink diags;
+    std::vector<std::uint8_t> loaded;
+    ASSERT_FALSE(store.load(kKey, "unit", 1, &loaded, &diags))
+        << "variant " << i << " was accepted";
+    EXPECT_TRUE(loaded.empty());
+    ASSERT_EQ(diags.size(), 1u) << "variant " << i;
+    EXPECT_FALSE(diags.has_errors());
+    ++cases;
+    ASSERT_EQ(store.stats().corrupt, cases) << "variant " << i << ": "
+                                            << diags.render();
+  }
+  EXPECT_GT(cases, 0u);
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(store.stats().misses, cases);
+
+  // The undamaged record still loads.
+  write_bytes(path, original);
+  std::vector<std::uint8_t> loaded;
+  EXPECT_TRUE(store.load(kKey, "unit", 1, &loaded));
+  EXPECT_EQ(loaded, make_payload(45, 11));
+}
 
 TEST(ArtifactStoreTest, SaveThenLoadRoundTripsBytes) {
   TempStoreDir dir("roundtrip");
@@ -112,6 +174,33 @@ TEST(ArtifactStoreTest, CorruptRecordIsMissWithWarning) {
   const core::ArtifactStoreStats st = store.stats();
   EXPECT_EQ(st.corrupt, 1u);
   EXPECT_EQ(st.misses, 1u);
+
+  // Every single-bit flip of a small record — header, payload and
+  // trailer — is caught.
+  expect_each_variant_is_corrupt_miss(
+      "corrupt_bits",
+      [](const std::vector<std::uint8_t>& rec, std::size_t i,
+         std::vector<std::uint8_t>* out) {
+        if (i >= rec.size() * 8) return false;
+        *out = rec;
+        (*out)[i / 8] ^= static_cast<std::uint8_t>(1u << (i % 8));
+        return true;
+      });
+
+  // Two swapped 8-byte payload words: adjacent words (they feed different
+  // checksum lanes) and words four apart (the same lane).
+  expect_each_variant_is_corrupt_miss(
+      "corrupt_swaps",
+      [](const std::vector<std::uint8_t>& rec, std::size_t i,
+         std::vector<std::uint8_t>* out) {
+        constexpr std::ptrdiff_t kOther[] = {8, 32};
+        if (i >= std::size(kOther)) return false;
+        *out = rec;
+        // The 45-byte payload sits just before the 8-byte trailer.
+        const auto payload = out->end() - 8 - 45;
+        std::swap_ranges(payload, payload + 8, payload + kOther[i]);
+        return *out != rec;
+      });
 }
 
 TEST(ArtifactStoreTest, TruncatedRecordIsMissWithWarning) {
@@ -125,6 +214,43 @@ TEST(ArtifactStoreTest, TruncatedRecordIsMissWithWarning) {
   EXPECT_FALSE(store.load(kKey, "unit", 1, &loaded, &diags));
   EXPECT_EQ(diags.size(), 1u);
   EXPECT_EQ(store.stats().corrupt, 1u);
+
+  // Truncation of a small record to every shorter length, down to empty.
+  expect_each_variant_is_corrupt_miss(
+      "truncated_all",
+      [](const std::vector<std::uint8_t>& rec, std::size_t i,
+         std::vector<std::uint8_t>* out) {
+        if (i >= rec.size()) return false;
+        out->assign(rec.begin(), rec.begin() + static_cast<std::ptrdiff_t>(i));
+        return true;
+      });
+}
+
+TEST(ArtifactStoreTest, OlderContainerVersionIsVersionSkewMiss) {
+  TempStoreDir dir("container_v1");
+  core::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.save(kKey, "unit", 1, make_payload(64, 6)));
+  const std::string path = store.path_for(kKey);
+  // Patch the container-version field (bytes 4..7) to 1, the format that
+  // checksummed with FNV-1a: the checksum no longer matches, but the miss
+  // is worded as version skew rather than corruption.
+  std::vector<std::uint8_t> rec = read_bytes(path);
+  ASSERT_GE(rec.size(), 8u);
+  rec[4] = 1;
+  rec[5] = rec[6] = rec[7] = 0;
+  write_bytes(path, rec);
+
+  util::DiagSink diags;
+  std::vector<std::uint8_t> loaded;
+  EXPECT_FALSE(store.load(kKey, "unit", 1, &loaded, &diags));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_FALSE(diags.has_errors());
+  EXPECT_NE(diags.render().find("container version 1"), std::string::npos)
+      << diags.render();
+  const core::ArtifactStoreStats st = store.stats();
+  EXPECT_EQ(st.version_skew, 1u);
+  EXPECT_EQ(st.corrupt, 0u);
+  EXPECT_EQ(st.misses, 1u);
 }
 
 TEST(ArtifactStoreTest, TypeVersionBumpIsVersionSkewMiss) {
@@ -493,19 +619,155 @@ TEST(ArtifactSerdeTest, GateSimResultRoundTripsBitExactly) {
   EXPECT_EQ(w.bytes(), w2.bytes());
 }
 
-TEST(ArtifactSerdeTest, DecoderRejectsTruncatedPayload) {
+TEST(ArtifactSerdeTest, TimingReportRoundTripsBitExactly) {
   core::ExecContext ctx;
   core::Flow flow(ctx);
-  const auto lib = flow.tech_library(small_spec());
-  ASSERT_NE(lib, nullptr);
-  const auto& codec = core::cell_library_codec();
-  core::serde::Writer w;
-  codec.encode(*lib, w);
+  const auto t = flow.timing(small_spec());
+  ASSERT_NE(t, nullptr);
+  ASSERT_FALSE(t->critical_path.empty());
 
-  std::vector<std::uint8_t> cut(w.bytes().begin(),
-                                w.bytes().begin() + w.bytes().size() / 2);
-  core::serde::Reader r(cut);
-  EXPECT_EQ(codec.decode(r), nullptr);  // null, never UB
+  const auto& codec = core::timing_codec();
+  core::serde::Writer w;
+  codec.encode(*t, w);
+  core::serde::Reader r(w.bytes());
+  const auto back = codec.decode(r);
+  ASSERT_NE(back, nullptr);
+
+  EXPECT_EQ(back->critical_delay_s, t->critical_delay_s);  // bit-exact f64
+  ASSERT_EQ(back->critical_path.size(), t->critical_path.size());
+  for (std::size_t i = 0; i < t->critical_path.size(); ++i) {
+    EXPECT_EQ(back->critical_path[i].through_gate,
+              t->critical_path[i].through_gate);
+    EXPECT_EQ(back->critical_path[i].to_net, t->critical_path[i].to_net);
+    EXPECT_EQ(back->critical_path[i].arc_delay_s,
+              t->critical_path[i].arc_delay_s);
+    EXPECT_EQ(back->critical_path[i].arrival_s,
+              t->critical_path[i].arrival_s);
+  }
+  EXPECT_EQ(back->clock_period_s, t->clock_period_s);
+  EXPECT_EQ(back->slack_s, t->slack_s);
+  EXPECT_EQ(back->max_clock_hz, t->max_clock_hz);
+  EXPECT_EQ(back->loops_cut, t->loops_cut);
+  EXPECT_EQ(back->num_gates, t->num_gates);
+  EXPECT_EQ(back->num_arcs, t->num_arcs);
+  core::serde::Writer w2;
+  codec.encode(*back, w2);
+  EXPECT_EQ(w.bytes(), w2.bytes());
+}
+
+TEST(ArtifactSerdeTest, PowerGridCheckRoundTripsBitExactly) {
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  const auto c = flow.power_grid(small_spec());
+  ASSERT_NE(c, nullptr);
+  ASSERT_GT(c->cells_checked, 0);
+
+  const auto& codec = core::power_grid_codec();
+  core::serde::Writer w;
+  codec.encode(*c, w);
+  core::serde::Reader r(w.bytes());
+  const auto back = codec.decode(r);
+  ASSERT_NE(back, nullptr);
+
+  EXPECT_EQ(back->cells_checked, c->cells_checked);
+  EXPECT_EQ(back->unconnected_cells, c->unconnected_cells);
+  EXPECT_EQ(back->wrong_rail_cells, c->wrong_rail_cells);
+  EXPECT_EQ(back->max_ir_drop_v, c->max_ir_drop_v);  // bit-exact f64
+  EXPECT_EQ(back->worst_rail, c->worst_rail);
+  EXPECT_EQ(back->problems, c->problems);
+  core::serde::Writer w2;
+  codec.encode(*back, w2);
+  EXPECT_EQ(w.bytes(), w2.bytes());
+}
+
+/// One stage artifact's canonical bytes plus its codec's decoder (true
+/// when the decode yields an artifact).
+struct EncodedArtifact {
+  std::string type_tag;
+  std::vector<std::uint8_t> bytes;
+  std::function<bool(core::serde::Reader&)> decodes;
+};
+
+template <typename T>
+EncodedArtifact encoded(const core::ArtifactCodec<T>& codec,
+                        const T* artifact) {
+  EncodedArtifact e;
+  e.type_tag = codec.type_tag;
+  if (artifact == nullptr) return e;  // the caller asserts non-empty bytes
+  core::serde::Writer w;
+  codec.encode(*artifact, w);
+  e.bytes = w.take();
+  e.decodes = [&codec](core::serde::Reader& r) {
+    return codec.decode(r) != nullptr;
+  };
+  return e;
+}
+
+/// Every stage codec, each over a real artifact of a 4-slice design.
+std::vector<EncodedArtifact> every_codec_payload() {
+  core::AdcSpec spec = small_spec();
+  spec.num_slices = 4;
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  core::SimulationOptions sim;
+  sim.n_samples = 64;
+  core::GateSimOptions gopts;
+  gopts.sim.n_samples = 64;
+  const core::DesignBundle bundle = flow.netlist(spec);
+  return {
+      encoded(core::cell_library_codec(), flow.tech_library(spec).get()),
+      encoded(core::design_bundle_codec(),
+              bundle.design != nullptr ? &bundle : nullptr),
+      encoded(core::floorplan_codec(), flow.floorplan(spec).get()),
+      encoded(core::placement_codec(), flow.placement(spec).get()),
+      encoded(core::synthesis_codec(), flow.synthesis(spec).get()),
+      encoded(core::run_result_codec(), flow.sim_run(spec, sim).get()),
+      encoded(core::hdl_emit_codec(), flow.hdl_emit(spec).get()),
+      encoded(core::gate_sim_codec(), flow.gate_sim(spec, gopts).get()),
+      encoded(core::timing_codec(), flow.timing(spec).get()),
+      encoded(core::power_grid_codec(), flow.power_grid(spec).get()),
+  };
+}
+
+TEST(ArtifactSerdeTest, DecoderRejectsTruncatedPayload) {
+  // Every codec, with its payload cut at every 8-byte boundary short of
+  // the whole: each prefix decodes to null, never UB, never an artifact.
+  // The codecs that carry f64 arrays also get a first array whose count
+  // claims more than the payload holds (one element past the end, 2^61,
+  // 2^64 - 1): null with the reader latched !ok(). That count sits at
+  // byte 24 of a run_result payload (after fin, amplitude and full scale)
+  // and at byte 34 of a gate_sim payload (after two bools, two f64s,
+  // n_samples and num_slices).
+  const std::map<std::string, std::size_t> f64s_count_at = {
+      {"run_result", 24}, {"gate_sim", 34}};
+  for (const EncodedArtifact& e : every_codec_payload()) {
+    SCOPED_TRACE(e.type_tag);
+    ASSERT_FALSE(e.bytes.empty()) << "stage refused its input";
+    core::serde::Reader whole(e.bytes);
+    ASSERT_TRUE(e.decodes(whole));
+    for (std::size_t cut = 0; cut < e.bytes.size(); cut += 8) {
+      core::serde::Reader r(e.bytes.data(), cut);
+      ASSERT_FALSE(e.decodes(r)) << "prefix of " << cut << " of "
+                                 << e.bytes.size() << " bytes decoded";
+    }
+
+    const auto it = f64s_count_at.find(e.type_tag);
+    if (it == f64s_count_at.end()) continue;
+    const std::size_t at = it->second;
+    ASSERT_GT(e.bytes.size(), at + 8);
+    const std::uint64_t remaining = e.bytes.size() - at - 8;
+    for (const std::uint64_t count :
+         {remaining / 8 + 1, std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+      SCOPED_TRACE(count);
+      std::vector<std::uint8_t> crafted = e.bytes;
+      for (int b = 0; b < 8; ++b) {
+        crafted[at + b] = static_cast<std::uint8_t>(count >> (8 * b));
+      }
+      core::serde::Reader r(crafted);
+      EXPECT_FALSE(e.decodes(r));
+      EXPECT_FALSE(r.ok());
+    }
+  }
 }
 
 // --- the cross-process acceptance test ------------------------------------
@@ -540,16 +802,37 @@ TEST(ArtifactStoreTest, CrossProcessWarmStartIsBitIdenticalWithZeroColdBuilds) {
   // "Process" B: warm from disk only.
   core::ArtifactCache cache_b(64);
   core::ArtifactStore store_b(dir.str());
+  util::Trace trace_b;
   core::ExecContext ctx_b;
   ctx_b.threads = 1;
   ctx_b.cache = &cache_b;
   ctx_b.store = &store_b;
+  ctx_b.trace = &trace_b;
   const core::EvalResponse resp_b = core::evaluate(req, ctx_b);
   ASSERT_TRUE(resp_b.ok);
 
   const core::ArtifactStoreStats sb = store_b.stats();
   EXPECT_EQ(sb.misses, 0u) << "cold stage builds in the warm process";
   EXPECT_GT(sb.hits, 0u);
+  // STA and the power-grid check are stages too: B reads them off disk.
+  for (const std::string stage : {"timing", "power_grid"}) {
+    SCOPED_TRACE(stage);
+    int from_store = 0;
+    for (const util::TraceEvent& e : trace_b.events()) {
+      if (e.name != stage) continue;
+      EXPECT_EQ(e.cache_hit, 0);  // a miss in B's fresh cache...
+      EXPECT_NE(e.detail.find("src=store"), std::string::npos);  // ...on disk
+      ++from_store;
+    }
+    EXPECT_EQ(from_store, 1);
+  }
+  EXPECT_EQ(resp_b.datasheet.timing.critical_delay_s,
+            resp_a.datasheet.timing.critical_delay_s);
+  EXPECT_EQ(resp_b.datasheet.timing.slack_s, resp_a.datasheet.timing.slack_s);
+  EXPECT_EQ(resp_b.datasheet.power_grid.max_ir_drop_v,
+            resp_a.datasheet.power_grid.max_ir_drop_v);
+  EXPECT_EQ(resp_b.datasheet.power_grid.cells_checked,
+            resp_a.datasheet.power_grid.cells_checked);
 
   // Bit-identical, not approximately equal: the store hands back the very
   // artifact bytes process A computed.

@@ -134,6 +134,12 @@ TEST(FaultInjection, EveryStageSurfacesDiagnosticsAndRecovers) {
         return s != nullptr && s->layout != nullptr;
       });
   check(
+      "timing", [&] { return flow.timing(spec) == nullptr; },
+      [&] { return flow.timing(spec) != nullptr; });
+  check(
+      "power_grid", [&] { return flow.power_grid(spec) == nullptr; },
+      [&] { return flow.power_grid(spec) != nullptr; });
+  check(
       "sim_run", [&] { return flow.sim_run(spec, sim) == nullptr; },
       [&] { return flow.sim_run(spec, sim) != nullptr; });
   check(
@@ -152,7 +158,7 @@ TEST(FaultInjection, EveryStageSurfacesDiagnosticsAndRecovers) {
       "gate_sim", [&] { return flow.gate_sim(spec, gopts) == nullptr; },
       [&] { return flow.gate_sim(spec, gopts) != nullptr; });
 
-  // After all ten injections, the warm cache still serves the original
+  // After all twelve injections, the warm cache still serves the original
   // artifacts: the final report is bit-identical to the pre-fault one.
   h.sink.clear();
   const core::NodeReport again = flow.report(spec, sim);

@@ -216,6 +216,37 @@ TEST(FlowKeys, SynthesisOptionsChangeTheRightStages) {
   EXPECT_EQ(core::synthesis_key(spec, ex), core::synthesis_key(spec, base));
 }
 
+TEST(FlowKeys, TimingAndPowerGridKeysFollowRouteAndClock) {
+  const AdcSpec spec = AdcSpec::paper_40nm();
+  const synth::SynthesisOptions base;
+  const core::CacheKey t0 = core::timing_key(spec, base);
+  const core::CacheKey p0 = core::power_grid_key(spec, base);
+  std::set<std::string> keys{core::synthesis_key(spec, base).hex()};
+  EXPECT_TRUE(keys.insert(t0.hex()).second);
+  EXPECT_TRUE(keys.insert(p0.hex()).second);
+  EXPECT_EQ(core::timing_key(spec, base), t0);  // deterministic
+
+  // The clock period is an STA input; the power grid does not see it.
+  AdcSpec faster = spec;
+  faster.fs_hz *= 1.5;
+  EXPECT_NE(core::timing_key(faster, base), t0);
+  EXPECT_EQ(core::power_grid_key(faster, base), p0);
+
+  // Any Route-key change (here a placement knob) reaches both.
+  synth::SynthesisOptions pl = base;
+  pl.seed = 7;
+  EXPECT_NE(core::timing_key(spec, pl), t0);
+  EXPECT_NE(core::power_grid_key(spec, pl), p0);
+
+  // Spec fields neither analysis reads leave both keys alone, so one
+  // layout's STA serves every behavioral variant of the spec.
+  AdcSpec behavioral = spec;
+  behavioral.seed = 99;
+  behavioral.loop_gain *= 1.1;
+  EXPECT_EQ(core::timing_key(behavioral, base), t0);
+  EXPECT_EQ(core::power_grid_key(behavioral, base), p0);
+}
+
 // ---------------------------------------------------------------------------
 // Cached-vs-fresh bit-identity
 
