@@ -6,10 +6,13 @@
 // against a 65 dB spec line, and the classic PVT corner table.
 //
 // It doubles as the acceptance harness for the parallel evaluation engine:
-// the same batch runs at threads = 1 and threads = hardware concurrency,
-// the SNDR vectors must be bit-identical (the deterministic seeding
-// contract), and the wall-clock speedup is recorded in BENCH JSON so the
-// figure is trackable across revisions.
+// one batch runs at threads = 1 and threads = hardware concurrency, the
+// SNDR vectors must be bit-identical (the deterministic seeding contract),
+// and the wall-clock speedup is recorded in BENCH JSON so the figure is
+// trackable across revisions. That batch is sized to give every worker at
+// least two lane groups; the 16-draw statistics batch would be two groups
+// at W=8, which leaves the other workers idle.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -46,34 +49,52 @@ int main(int argc, char** argv) {
   req.monte_carlo.runs = 16;
   req.monte_carlo.sim.n_samples = 1 << 14;
 
-  // Serial and parallel cold runs get separate fresh caches so both truly
-  // compute every draw; the warm run reuses the parallel run's cache and
-  // must be all hits.
-  core::ArtifactCache cache_serial(64), cache_parallel(64);
-  core::ExecContext serial_ctx, parallel_ctx;
-  serial_ctx.threads = 1;  // serial reference
-  serial_ctx.cache = &cache_serial;
+  // The statistics batch runs cold at hardware concurrency; the warm run
+  // reuses its cache and must be all hits.
+  core::ArtifactCache cache_parallel(64);
+  core::ExecContext parallel_ctx;
   parallel_ctx.threads = 0;  // hardware concurrency
   parallel_ctx.cache = &cache_parallel;
-  const auto mc_serial = core::evaluate(req, serial_ctx).monte_carlo;
   const auto mc = core::evaluate(req, parallel_ctx).monte_carlo;
   const auto mc_warm =
       core::evaluate(req, parallel_ctx).monte_carlo;  // cache hot
 
-  bool bit_identical = mc.sndr_db.size() == mc_serial.sndr_db.size();
-  for (std::size_t i = 0; bit_identical && i < mc.sndr_db.size(); ++i) {
-    bit_identical = (mc.sndr_db[i] == mc_serial.sndr_db[i]);
+  // Engine-speedup batch: two lane groups of the host-preferred width per
+  // worker, at least 16 draws. Serial and parallel runs get separate fresh
+  // caches so both truly compute every draw.
+  const int hw = static_cast<int>(util::ThreadPool::hardware_workers());
+  core::EvalRequest speed_req = req;
+  speed_req.monte_carlo.runs =
+      std::max(16, 2 * msim::BatchedModulator::preferred_width() * hw);
+  core::MonteCarloResult mc_serial, mc_parallel;
+  {
+    core::ArtifactCache cache_serial, cache_speed;
+    core::ExecContext serial_ctx, speed_ctx;
+    serial_ctx.threads = 1;  // serial reference
+    serial_ctx.cache = &cache_serial;
+    speed_ctx.threads = 0;
+    speed_ctx.cache = &cache_speed;
+    mc_serial = core::evaluate(speed_req, serial_ctx).monte_carlo;
+    mc_parallel = core::evaluate(speed_req, speed_ctx).monte_carlo;
+  }
+
+  bool bit_identical =
+      mc_parallel.sndr_db.size() == mc_serial.sndr_db.size();
+  for (std::size_t i = 0; bit_identical && i < mc_serial.sndr_db.size();
+       ++i) {
+    bit_identical = (mc_parallel.sndr_db[i] == mc_serial.sndr_db[i]);
   }
   bool warm_identical = mc_warm.sndr_db.size() == mc.sndr_db.size();
   for (std::size_t i = 0; warm_identical && i < mc.sndr_db.size(); ++i) {
     warm_identical = (mc_warm.sndr_db[i] == mc.sndr_db[i]);
   }
-  const double speedup =
-      mc.batch.wall_s > 0 ? mc_serial.batch.wall_s / mc.batch.wall_s : 0.0;
+  const double speedup = mc_parallel.batch.wall_s > 0
+                             ? mc_serial.batch.wall_s /
+                                   mc_parallel.batch.wall_s
+                             : 0.0;
   const double warm_speedup =
       mc_warm.batch.wall_s > 0 ? mc.batch.wall_s / mc_warm.batch.wall_s : 0.0;
   const double cache_hit_rate = cache_parallel.stats().hit_rate();
-  const int hw = static_cast<int>(util::ThreadPool::hardware_workers());
 
   util::Table t("SNDR over independent mismatch draws (40 nm point)");
   t.set_header({"run", "SNDR [dB]", "wall [ms]"});
@@ -88,10 +109,12 @@ int main(int argc, char** argv) {
       mc.mean_db, mc.stddev_db, mc.min_db, mc.max_db,
       mc.yield(65.0) * 100.0);
   std::printf(
-      "engine: %d threads | serial %.2f s -> parallel %.2f s | speedup "
-      "%.2fx | utilization %.0f%% | max queue depth %zu\n",
-      mc.batch.threads, mc_serial.batch.wall_s, mc.batch.wall_s, speedup,
-      mc.batch.utilization * 100.0, mc.batch.max_queue_depth);
+      "engine: %d draws, %d threads | serial %.2f s -> parallel %.2f s | "
+      "speedup %.2fx | utilization %.0f%% | max queue depth %zu\n",
+      speed_req.monte_carlo.runs, mc_parallel.batch.threads,
+      mc_serial.batch.wall_s, mc_parallel.batch.wall_s, speedup,
+      mc_parallel.batch.utilization * 100.0,
+      mc_parallel.batch.max_queue_depth);
   std::printf(
       "cache: cold %.2f s -> warm %.3f s | warm speedup %.1fx | hit rate "
       "%.0f%%\n",
@@ -268,7 +291,7 @@ int main(int argc, char** argv) {
 
   // Machine-readable record so BENCH_*.json tracking sees the speedup.
   const std::string payload = util::format(
-      "{\"bench\":\"montecarlo_yield\",\"runs\":%d,"
+      "{\"bench\":\"montecarlo_yield\",\"runs\":%d,\"speed_runs\":%d,"
       "\"threads\":%d,\"hardware_threads\":%d,"
       "\"wall_serial_s\":%.4f,\"wall_parallel_s\":%.4f,"
       "\"speedup\":%.3f,\"utilization\":%.3f,\"max_queue_depth\":%zu,"
@@ -283,11 +306,12 @@ int main(int argc, char** argv) {
       "\"batched_speedup\":%.3f,\"result_fp\":\"%s\","
       "\"batched_fp_match\":%s,"
       "\"corners_fp_match\":%s,\"amp_sweep_fp_match\":%s}",
-      req.monte_carlo.runs, mc.batch.threads, hw, mc_serial.batch.wall_s,
-      mc.batch.wall_s, speedup, mc.batch.utilization,
-      mc.batch.max_queue_depth, bit_identical ? "true" : "false", mc.mean_db,
-      mc.stddev_db, mc.yield(65.0), mc_warm.batch.wall_s, warm_speedup,
-      cache_hit_rate, warm_identical ? "true" : "false",
+      req.monte_carlo.runs, speed_req.monte_carlo.runs,
+      mc_parallel.batch.threads, hw, mc_serial.batch.wall_s,
+      mc_parallel.batch.wall_s, speedup, mc_parallel.batch.utilization,
+      mc_parallel.batch.max_queue_depth, bit_identical ? "true" : "false",
+      mc.mean_db, mc.stddev_db, mc.yield(65.0), mc_warm.batch.wall_s,
+      warm_speedup, cache_hit_rate, warm_identical ? "true" : "false",
       wall_persist_cold, wall_persist_warm, persistent_warm_speedup,
       static_cast<unsigned long long>(store_cold_builds),
       persistent_identical ? "true" : "false", resolved_width,

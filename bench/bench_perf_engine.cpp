@@ -185,9 +185,9 @@ void emit_bench_json_summary(const std::string& json_out) {
   // pure-SIMD argument would promise: the packed ziggurat and packed
   // comparator-bit extraction moved most of the once-serial per-lane work
   // into the lanes, but the rejection tail, metastability draws and result
-  // write-out stay per-lane (measured on the avx512 reference host: W=4
-  // ~2.7-3.0x, W=8 ~2.3-2.6x — 32 zmm registers hold the W=8 state, the
-  // wider rejection tail is what costs it the lead).
+  // write-out stay per-lane. Medians of 5 runs on a 4-thread avx512 host:
+  // W=2 2.25x, W=4 2.35x, W=8 2.40x, each inside the others' run-to-run
+  // spread (an earlier host read W=4 2.7-3.0x, W=8 2.3-2.6x).
   const util::simd::Tier tier = util::simd::active_tier();
   const int simd_width = util::simd::tier_width(tier);
   double batched_clocks_per_s = 0.0;

@@ -15,9 +15,10 @@ namespace {
 /// Everything downstream of the modulator run: spectrum, SNDR, shaping
 /// slope, idle tones, power, FOM. Shared verbatim by the scalar and the
 /// batched simulation paths so their RunResults cannot drift apart.
+/// `load` is the design's power table, built once per lane group.
 void analyze_run(const AdcSpec& sp, const msim::SimConfig& cfg,
-                 const SimulationOptions& opts,
-                 const netlist::Design& design, RunResult& res) {
+                 const SimulationOptions& opts, const PowerLoad& load,
+                 RunResult& res) {
   res.spectrum = dsp::compute_spectrum(res.mod.output, cfg.fs_hz, 1.0,
                                        dsp::WindowKind::kHann);
   res.sndr = dsp::analyze_sndr(res.spectrum, sp.bandwidth_hz, res.fin_hz);
@@ -30,9 +31,38 @@ void analyze_run(const AdcSpec& sp, const msim::SimConfig& cfg,
 
   PowerModelOptions popts;
   popts.wire_cap_f = opts.wire_cap_f;
-  res.power = estimate_power(sp, design, res.mod, popts);
+  res.power = estimate_power(sp, load, res.mod, popts);
   res.fom_fj = util::walden_fom_fj(res.power.total_w(), res.sndr.sndr_db,
                                    sp.bandwidth_hz);
+}
+
+/// One lane through the scalar modulator, then the analysis step.
+RunResult simulate_scalar(const AdcSpec& spec, const SimulationOptions& opts,
+                          msim::SimWorkspace& ws, const PowerLoad& load) {
+  RunResult res;
+  // Per-run overrides: seed and PVT only influence the behavioral model and
+  // the power estimate, never the netlist, so applying them here is exactly
+  // equivalent to rebuilding the design from a modified spec.
+  AdcSpec sp = spec;
+  if (opts.seed != 0) sp.seed = opts.seed;
+  if (opts.pvt.has_value()) sp.pvt = *opts.pvt;
+  const msim::SimConfig cfg = sp.to_sim_config();
+
+  msim::VcoDsmModulator::Options mopts;
+  mopts.comparator = opts.comparator;
+  mopts.dac = opts.dac;
+  mopts.record_bits = opts.record_bits;
+  msim::VcoDsmModulator mod(cfg, mopts);
+
+  res.full_scale_v = mod.full_scale_diff();
+  res.fin_hz = dsp::coherent_freq(opts.fin_target_hz, cfg.fs_hz,
+                                  opts.n_samples);
+  res.amplitude_v =
+      res.full_scale_v * util::from_db_amplitude(opts.amplitude_dbfs);
+  res.mod = mod.run(dsp::make_sine(res.amplitude_v, res.fin_hz),
+                    opts.n_samples, ws);
+  analyze_run(sp, cfg, opts, load, res);
+  return res;
 }
 
 }  // namespace
@@ -58,35 +88,12 @@ RunResult AdcDesign::simulate(const SimulationOptions& opts) const {
 
 RunResult AdcDesign::simulate(const SimulationOptions& opts,
                               msim::SimWorkspace& ws) const {
-  RunResult res;
   if (!ok()) {
     emit_diag(ctx_, util::Diagnostic{util::Severity::kError, "sim_run", "",
                                      "design was not built (invalid spec)"});
-    return res;
+    return RunResult{};
   }
-  // Per-run overrides: seed and PVT only influence the behavioral model and
-  // the power estimate, never the netlist, so applying them here is exactly
-  // equivalent to rebuilding the design from a modified spec.
-  AdcSpec sp = spec_;
-  if (opts.seed != 0) sp.seed = opts.seed;
-  if (opts.pvt.has_value()) sp.pvt = *opts.pvt;
-  const msim::SimConfig cfg = sp.to_sim_config();
-
-  msim::VcoDsmModulator::Options mopts;
-  mopts.comparator = opts.comparator;
-  mopts.dac = opts.dac;
-  mopts.record_bits = opts.record_bits;
-  msim::VcoDsmModulator mod(cfg, mopts);
-
-  res.full_scale_v = mod.full_scale_diff();
-  res.fin_hz = dsp::coherent_freq(opts.fin_target_hz, cfg.fs_hz,
-                                  opts.n_samples);
-  res.amplitude_v =
-      res.full_scale_v * util::from_db_amplitude(opts.amplitude_dbfs);
-  res.mod = mod.run(dsp::make_sine(res.amplitude_v, res.fin_hz),
-                    opts.n_samples, ws);
-  analyze_run(sp, cfg, opts, *design_, res);
-  return res;
+  return simulate_scalar(spec_, opts, ws, power_load(*design_));
 }
 
 std::vector<RunResult> AdcDesign::simulate_batch(
@@ -99,6 +106,10 @@ std::vector<RunResult> AdcDesign::simulate_batch(
                                      "design was not built (invalid spec)"});
     return out;
   }
+  // One netlist walk for the whole group: every lane reads the same power
+  // table, on the batched path and on the scalar fallback alike.
+  const PowerLoad load = power_load(*design_);
+
   // The lanes share one input-sample schedule (n_samples * substeps base
   // values) and one analysis netlist, so the non-PVT knobs must agree;
   // anything else goes through the scalar loop below.
@@ -134,7 +145,7 @@ std::vector<RunResult> AdcDesign::simulate_batch(
     // is how Flow runs every scalar SimRun over a built design.
     static thread_local msim::SimWorkspace sws;
     for (std::size_t k = 0; k < opts_list.size(); ++k) {
-      out[k] = simulate(opts_list[k], sws);
+      out[k] = simulate_scalar(spec_, opts_list[k], sws, load);
     }
     return out;
   }
@@ -159,7 +170,7 @@ std::vector<RunResult> AdcDesign::simulate_batch(
   for (int k = 0; k < W; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     out[sk].mod = lanes[sk];
-    analyze_run(lane_sp[sk], cfgs[sk], opts_list[sk], *design_, out[sk]);
+    analyze_run(lane_sp[sk], cfgs[sk], opts_list[sk], load, out[sk]);
   }
   return out;
 }

@@ -13,6 +13,8 @@
 // by the external source and is excluded, per ADC-survey convention.
 #pragma once
 
+#include <vector>
+
 #include "core/adc_spec.h"
 #include "msim/modulator.h"
 #include "netlist/netlist.h"
@@ -55,11 +57,30 @@ struct PowerModelOptions {
   double wire_cap_f = 0.0;
 };
 
+/// The netlist half of the power model: what estimate_power reads of each
+/// flat leaf instance, in Design::flatten() order. Building it walks the
+/// netlist once; every run simulated on that netlist can then share it.
+struct PowerLoad {
+  enum class Domain : unsigned char { kVctrl, kVbuf, kVrefp, kVdd };
+  struct Leaf {
+    Domain domain = Domain::kVdd;
+    bool is_resistor = false;
+    bool is_inv = false;  ///< an inverter (counted toward buf_cells)
+    double input_cap_f = 0;
+    double leakage_w = 0;
+    double vdd_activity = 0;  ///< transitions per clock (VDD domain only)
+  };
+  std::vector<Leaf> leaves;
+};
+
+/// One flatten() of `design` into the table estimate_power loops over.
+PowerLoad power_load(const netlist::Design& design);
+
 /// Computes the breakdown for a simulated operating point. `activity` must
 /// come from a run of the behavioral modulator at this spec (it supplies the
-/// mean ring rates, control voltages and DAC toggle rate).
-PowerBreakdown estimate_power(const AdcSpec& spec,
-                              const netlist::Design& design,
+/// mean ring rates, control voltages and DAC toggle rate), and `load` from
+/// power_load() of the spec's netlist.
+PowerBreakdown estimate_power(const AdcSpec& spec, const PowerLoad& load,
                               const msim::ModulatorResult& activity,
                               const PowerModelOptions& opts = {});
 

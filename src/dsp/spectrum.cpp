@@ -212,19 +212,27 @@ SlopeFit fit_noise_slope(const Spectrum& spec, double f_lo, double f_hi) {
   if (n < 8) return fit;
 
   // Median-smooth the dB spectrum in log-spaced buckets, then fit a line
-  // (dB vs log10 f). Median per bucket suppresses tones.
+  // (dB vs log10 f). Median per bucket suppresses tones. freq_hz ascends,
+  // so bucket [a, c) is one contiguous run of bins: a binary search finds
+  // its first bin and the walk stops at the first bin >= c. The run is
+  // collected in bin order, the order a full scan would collect it in, so
+  // nth_element picks the same median.
   constexpr int kBuckets = 24;
-  std::vector<double> xs, ys;
+  std::vector<double> log_f(n);  // bin 0 (DC) is never bucketed
+  for (std::size_t i = 1; i < n; ++i) log_f[i] = std::log10(spec.freq_hz[i]);
+  std::vector<double> xs, ys, vals;
   const double llo = std::log10(std::max(f_lo, spec.bin_hz));
   const double lhi = std::log10(std::max(f_hi, f_lo * 1.01));
   for (int b = 0; b < kBuckets; ++b) {
     const double a = llo + (lhi - llo) * b / kBuckets;
     const double c = llo + (lhi - llo) * (b + 1) / kBuckets;
-    std::vector<double> vals;
-    for (std::size_t i = 1; i < n; ++i) {
-      const double lf = std::log10(spec.freq_hz[i]);
-      if (lf >= a && lf < c) vals.push_back(spec.dbfs[i]);
-    }
+    // No bin lies in an empty or inverted bucket, nor in one with a NaN
+    // edge (an infinite f_hi makes the first lower edge inf * 0).
+    if (!(a < c)) continue;
+    vals.clear();
+    auto i = static_cast<std::size_t>(
+        std::lower_bound(log_f.begin() + 1, log_f.end(), a) - log_f.begin());
+    for (; i < n && log_f[i] < c; ++i) vals.push_back(spec.dbfs[i]);
     if (vals.size() < 3) continue;
     std::nth_element(vals.begin(), vals.begin() + vals.size() / 2, vals.end());
     xs.push_back((a + c) / 2);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/adc.h"
 #include "core/adc_spec.h"
@@ -212,6 +215,90 @@ TEST(PowerModel, ComponentsAllPositive) {
   EXPECT_GT(res.power.dac_static_w, 0.0);
   EXPECT_GT(res.power.buffer_bias_w, 0.0);
   EXPECT_GT(res.power.leakage_w, 0.0);
+}
+
+// What the analysis step reads off one 2^12-sample run, pinned bit for bit:
+// every PowerBreakdown field, the shaping fit, SNDR and the idle-tone count.
+struct PinnedAnalysis {
+  double vco_w, sampling_w, dac_drive_w, buffer_sw_w;
+  double wire_w, leakage_w, dac_static_w, buffer_bias_w;
+  double db_per_decade, r_squared, sndr_db;
+  std::size_t idle_tones;
+};
+
+void expect_pinned(const RunResult& r, const PinnedAnalysis& want,
+                   const char* tag) {
+  SCOPED_TRACE(tag);
+  const auto expect_bits = [](double got, double pinned, const char* field) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(pinned))
+        << field << ": got " << std::hexfloat << got << ", pinned " << pinned;
+  };
+  expect_bits(r.power.vco_w, want.vco_w, "vco_w");
+  expect_bits(r.power.sampling_w, want.sampling_w, "sampling_w");
+  expect_bits(r.power.dac_drive_w, want.dac_drive_w, "dac_drive_w");
+  expect_bits(r.power.buffer_sw_w, want.buffer_sw_w, "buffer_sw_w");
+  expect_bits(r.power.wire_w, want.wire_w, "wire_w");
+  expect_bits(r.power.leakage_w, want.leakage_w, "leakage_w");
+  expect_bits(r.power.dac_static_w, want.dac_static_w, "dac_static_w");
+  expect_bits(r.power.buffer_bias_w, want.buffer_bias_w, "buffer_bias_w");
+  expect_bits(r.shaping.db_per_decade, want.db_per_decade, "db_per_decade");
+  expect_bits(r.shaping.r_squared, want.r_squared, "r_squared");
+  expect_bits(r.sndr.sndr_db, want.sndr_db, "sndr_db");
+  EXPECT_EQ(r.idle_tones.size(), want.idle_tones);
+}
+
+TEST(AdcDesign, AnalysisStepPinnedBitForBit) {
+  // Lanes 0 and 7 of a W=8 simulate_batch group (seeds, amplitudes and wire
+  // loads differ per lane), then one scalar simulate(), on both paper nodes.
+  const PinnedAnalysis pinned[2][3] = {
+      {// 40 nm
+       {0x1.6655199a904fap-13, 0x1.8aa3f0502dc29p-12, 0x1.7d7bcaeb65021p-16,
+        0x1.6655595fcd996p-13, 0x1.4d0dcfcc5b8ddp-14, 0x1.86699b620c314p-20,
+        0x1.5a07b352a92d5p-12, 0x1.711947cfa26a3p-13, 0x1.412f312fa541cp+4,
+        0x1.de743b2b491b7p-1, 0x1.0e1925e53918ep+6, 0},
+       {0x1.6654c292d2b81p-13, 0x1.8aa3f0502dc29p-12, 0x1.35679d3387353p-15,
+        0x1.66555319f75ffp-13, 0x1.4d0dcfcc5b8ddp-11, 0x1.86699b620c314p-20,
+        0x1.5a07b352acf48p-12, 0x1.711947cfa26a3p-13, 0x1.37689284fdaa9p+4,
+        0x1.e1b3d87844e7bp-1, 0x1.99e68ff36176ap+5, 0},
+       {0x1.6655f3fdfaedbp-13, 0x1.8aa3f0502dc29p-12, 0x1.0bf42c2ea9831p-15,
+        0x1.66556963f75f9p-13, 0x1.4d0dcfcc5b8ddp-12, 0x1.86699b620c314p-20,
+        0x1.5a07b352ac94p-12, 0x1.711947cfa26a3p-13, 0x1.445d459cdd3a4p+4,
+        0x1.f34696ad3c31ep-1, 0x1.ea6a9cb47dea8p+5, 0}},
+      {// 180 nm
+       {0x1.67d0363a4376cp-11, 0x1.8c4568d7ea3dap-10, 0x1.7ee61138d9ddep-14,
+        0x1.67d06911dcaffp-11, 0x1.294573a797892p-14, 0x1.15a06e7e9c958p-27,
+        0x1.cf47aa445aa5p-12, 0x1.2dfd694ccab3fp-12, 0x1.39e4fcf3ba2b7p+4,
+        0x1.ea9fa79328f23p-1, 0x1.15ee35b47acd1p+6, 0},
+       {0x1.67d0325afa606p-11, 0x1.8c4568d7ea3dap-10, 0x1.36ac2a978d8dfp-13,
+        0x1.67d068a312d32p-11, 0x1.294573a797892p-11, 0x1.15a06e7e9c958p-27,
+        0x1.cf47aa445ac0ap-12, 0x1.2dfd694ccab3fp-12, 0x1.1b622baef7262p+4,
+        0x1.e0922a500d8d6p-1, 0x1.bf0fb51808609p+5, 0},
+       {0x1.67d0a63acebffp-11, 0x1.8c4568d7ea3dap-10, 0x1.0cba51c941141p-13,
+        0x1.67d0745e55cc1p-11, 0x1.294573a797892p-12, 0x1.15a06e7e9c958p-27,
+        0x1.cf47aa445a9d8p-12, 0x1.2dfd694ccab3fp-12, 0x1.2714e057288acp+4,
+        0x1.e664334c5e83ap-1, 0x1.01e2ad803b26ap+6, 0}}};
+  const AdcSpec specs[2] = {AdcSpec::paper_40nm(), AdcSpec::paper_180nm()};
+  for (int node = 0; node < 2; ++node) {
+    SCOPED_TRACE(specs[node].node_nm);
+    AdcDesign adc(specs[node]);
+    std::vector<SimulationOptions> group(8);
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      group[k].n_samples = 1 << 12;
+      group[k].fin_target_hz = node == 0 ? 1e6 : 250e3;
+      group[k].seed = 101 + k;
+      group[k].wire_cap_f = 0.25e-12 * static_cast<double>(k + 1);
+      group[k].amplitude_dbfs = -3.0 - 2.0 * static_cast<double>(k);
+    }
+    msim::BatchedWorkspace ws;
+    const std::vector<RunResult> lanes = adc.simulate_batch(group, ws);
+    ASSERT_EQ(lanes.size(), group.size());
+    expect_pinned(lanes.front(), pinned[node][0], "batched lane 0");
+    expect_pinned(lanes.back(), pinned[node][1], "batched lane 7");
+    SimulationOptions one = group[3];
+    one.seed = 7;
+    expect_pinned(adc.simulate(one), pinned[node][2], "scalar");
+  }
 }
 
 TEST(AdcDesign, NetlistMatchesSimConfigResistorNetwork) {

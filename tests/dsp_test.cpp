@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include "dsp/decimator.h"
 #include "dsp/fft.h"
@@ -174,6 +179,97 @@ TEST(Spectrum, NoiseSlopeOfShapedNoise) {
   const SlopeFit fit = fit_noise_slope(spec, fs / 2000, fs / 8);
   EXPECT_NEAR(fit.db_per_decade, 20.0, 3.0);
   EXPECT_GT(fit.r_squared, 0.9);
+}
+
+// The bucket scan fit_noise_slope replaced, kept verbatim: 24 passes over
+// every bin, one log10 per bin per pass. The library's bucket walk must
+// reproduce it bit for bit.
+SlopeFit reference_noise_slope(const Spectrum& spec, double f_lo,
+                               double f_hi) {
+  SlopeFit fit;
+  const std::size_t n = spec.power.size();
+  if (n < 8) return fit;
+  constexpr int kBuckets = 24;
+  std::vector<double> xs, ys;
+  const double llo = std::log10(std::max(f_lo, spec.bin_hz));
+  const double lhi = std::log10(std::max(f_hi, f_lo * 1.01));
+  for (int b = 0; b < kBuckets; ++b) {
+    const double a = llo + (lhi - llo) * b / kBuckets;
+    const double c = llo + (lhi - llo) * (b + 1) / kBuckets;
+    std::vector<double> vals;
+    for (std::size_t i = 1; i < n; ++i) {
+      const double lf = std::log10(spec.freq_hz[i]);
+      if (lf >= a && lf < c) vals.push_back(spec.dbfs[i]);
+    }
+    if (vals.size() < 3) continue;
+    std::nth_element(vals.begin(), vals.begin() + vals.size() / 2, vals.end());
+    xs.push_back((a + c) / 2);
+    ys.push_back(vals[vals.size() / 2]);
+  }
+  if (xs.size() < 3) return fit;
+
+  double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    sx += xs[i];
+    sy += ys[i];
+    sxx += xs[i] * xs[i];
+    sxy += xs[i] * ys[i];
+    syy += ys[i] * ys[i];
+  }
+  const double m = static_cast<double>(xs.size());
+  const double denom = m * sxx - sx * sx;
+  if (denom == 0) return fit;
+  fit.db_per_decade = (m * sxy - sx * sy) / denom;
+  const double ss_tot = syy - sy * sy / m;
+  double ss_res = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double pred = (sy - fit.db_per_decade * sx) / m + fit.db_per_decade * xs[i];
+    ss_res += (ys[i] - pred) * (ys[i] - pred);
+  }
+  fit.r_squared = (ss_tot > 0) ? 1.0 - ss_res / ss_tot : 1.0;
+  return fit;
+}
+
+TEST(Spectrum, NoiseSlopeMatchesFullScanReferenceBitForBit) {
+  // Seeded shaped-noise-plus-tone spectra of 2^4..2^16 samples, fitted over
+  // in-band, full-range, inverted, sub-bin, negative and unbounded bands.
+  util::Rng rng(1517);
+  for (int log2n = 4; log2n <= 16; ++log2n) {
+    const std::size_t n = std::size_t{1} << log2n;
+    for (int draw = 0; draw < 3; ++draw) {
+      const double fs = 1e6 * (1 + draw);
+      auto x = sample(make_sine(0.4, coherent_freq(fs / 37, fs, n)), fs, n);
+      double prev = 0;
+      for (auto& v : x) {
+        const double e = rng.uniform(-0.5, 0.5);
+        v += 0.01 * (e - prev);
+        prev = e;
+      }
+      const Spectrum spec = compute_spectrum(x, fs, 1.0, WindowKind::kHann);
+      const double bin = spec.bin_hz;
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      const double bands[][2] = {
+          {fs / 64, fs / 8},        // in band
+          {0.0, fs / 2},            // full range
+          {fs / 8, fs / 64},        // inverted
+          {bin / 3, bin * 5.5},     // lower edge below one bin
+          {-fs / 16, fs / 4},       // negative f_lo
+          {-fs / 16, -fs / 32},     // negative f_lo and f_hi
+          {fs / 64, kInf},          // unbounded: NaN first bucket edge
+      };
+      for (const auto& band : bands) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " draw=" << draw
+                                          << " band=[" << band[0] << ", "
+                                          << band[1] << "]");
+        const SlopeFit want = reference_noise_slope(spec, band[0], band[1]);
+        const SlopeFit got = fit_noise_slope(spec, band[0], band[1]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.db_per_decade),
+                  std::bit_cast<std::uint64_t>(want.db_per_decade));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.r_squared),
+                  std::bit_cast<std::uint64_t>(want.r_squared));
+      }
+    }
+  }
 }
 
 TEST(Spectrum, IdleToneDetectorFindsPlantedSpur) {
