@@ -1,15 +1,97 @@
 #include "core/datasheet.h"
 
+#include <atomic>
+#include <future>
 #include <limits>
 #include <sstream>
 
 #include "core/driver_impl.h"
 #include "core/flow.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "util/units.h"
 
 namespace vcoadc::core {
+
+namespace {
+
+/// The one process-wide thread that runs datasheets' early nominal runs,
+/// created on first use. A thread per datasheet would pay, per request,
+/// for a fresh malloc arena and fresh thread-local FFT plans and
+/// simulation scratch.
+util::ThreadPool& early_run_worker() {
+  static util::ThreadPool worker(1);
+  return worker;
+}
+
+/// A cold datasheet's nominal sim_run, started from the route stage's
+/// routing estimate (the wire load is all it needs from layout) so that it
+/// simulates beside the maze router. Whichever thread claims the run
+/// first executes it: the worker, or the datasheet itself when it needs
+/// the result before the worker got to it. A datasheet therefore never
+/// waits behind another request's queued run. The task touches the flow
+/// and the design only after a won claim, and a datasheet that lost the
+/// claim waits for the result before its frame ends.
+class EarlyNominalRun {
+ public:
+  EarlyNominalRun(Flow& flow, const AdcDesign& adc) : flow_(flow), adc_(adc) {}
+  EarlyNominalRun(const EarlyNominalRun&) = delete;
+  EarlyNominalRun& operator=(const EarlyNominalRun&) = delete;
+
+  /// A return path that never took the run still claims it, or waits for
+  /// the worker that claimed it first.
+  ~EarlyNominalRun() {
+    if (state_ != nullptr && state_->claimed.exchange(true)) {
+      state_->done.get_future().wait();
+    }
+  }
+
+  /// The route-stage callback: queues the run of `sim` on the worker, or
+  /// runs it here when the context is the serial reference (threads 1).
+  void start(const SimulationOptions& sim) {
+    sim_ = sim;
+    state_ = std::make_shared<State>();
+    auto task = [this, state = state_] {
+      if (state->claimed.exchange(true)) return;  // the datasheet took it
+      try {
+        state->done.set_value(run());
+      } catch (...) {
+        state->done.set_exception(std::current_exception());
+      }
+    };
+    if (flow_.ctx().threads == 1) {
+      task();
+    } else {
+      early_run_worker().submit(std::move(task));
+    }
+  }
+
+  bool started() const { return state_ != nullptr; }
+
+  /// The run's result, once started(): run here if the worker has not
+  /// claimed it, else the worker's result (or exception).
+  std::shared_ptr<const RunResult> take() {
+    const std::shared_ptr<State> state = std::move(state_);
+    if (!state->claimed.exchange(true)) return run();
+    return state->done.get_future().get();
+  }
+
+ private:
+  struct State {
+    std::atomic<bool> claimed{false};
+    std::promise<std::shared_ptr<const RunResult>> done;
+  };
+
+  std::shared_ptr<const RunResult> run() { return flow_.sim_run(adc_, sim_); }
+
+  Flow& flow_;
+  const AdcDesign& adc_;
+  SimulationOptions sim_;
+  std::shared_ptr<State> state_;
+};
+
+}  // namespace
 
 Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
                                  const DatasheetOptions& opts) {
@@ -20,9 +102,21 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
 
   AdcDesign adc(spec, ctx);
   if (!adc.ok()) return ds;  // spec rejected; flow already reported why
+  SimulationOptions sim;
+  sim.n_samples = opts.n_samples;
+  sim.fin_target_hz = spec.bandwidth_hz / 5.0;
+  // A cold route hands over its estimated wire load (the value
+  // synth_res->routing holds afterwards, so the run's key and bits are the
+  // same) before its maze route starts; a warm route never calls back.
+  EarlyNominalRun early(flow, adc);
   // The Route-stage artifact is shared, not cloned: the datasheet only
   // reads it, and a Flow::report() over the same spec reuses it for free.
-  auto synth_res = flow.synthesis(spec);
+  auto synth_res =
+      flow.synthesis(spec, {}, [&](const synth::RoutingEstimate& est) {
+        SimulationOptions with_wire = sim;
+        with_wire.wire_cap_f = est.wire_cap_f;
+        early.start(with_wire);
+      });
   if (synth_res == nullptr || synth_res->layout == nullptr) {
     emit_diag(ctx, util::Diagnostic{util::Severity::kError, "datasheet", "",
                                     "synthesis produced no layout; "
@@ -41,11 +135,8 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
   ds.timing = *timing;
   ds.power_grid = *power_grid;
 
-  SimulationOptions sim;
-  sim.n_samples = opts.n_samples;
-  sim.fin_target_hz = spec.bandwidth_hz / 5.0;
   sim.wire_cap_f = synth_res->routing.wire_cap_f;
-  const auto nominal = flow.sim_run(adc, sim);
+  const auto nominal = early.started() ? early.take() : flow.sim_run(adc, sim);
   if (nominal == nullptr) return ds;  // options rejected; already reported
   ds.nominal = *nominal;
 

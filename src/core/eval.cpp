@@ -1,9 +1,12 @@
 #include "core/eval.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/driver_impl.h"
+#include "util/strings.h"
 
 namespace vcoadc::core {
 
@@ -146,12 +149,38 @@ EvalResponse evaluate(const EvalRequest& req, const ExecContext& ctx) {
 
 namespace {
 
-void spec_from_json(const json::Value& v, AdcSpec* spec) {
+/// The one conversion of a wire number into an integer field: `obj[key]`,
+/// when it is a number, must be finite, integral and within [0, the
+/// field type's maximum]; anything else fails the parse with an error
+/// naming `section.key`. An absent object or key, or a non-number value,
+/// keeps *out.
+template <typename Int>
+bool read_count(const json::Value* obj, const char* section, const char* key,
+                Int* out, std::string* error) {
+  const json::Value* x = obj != nullptr ? obj->find(key) : nullptr;
+  if (x == nullptr || !x->is_number()) return true;
+  const double v = x->number;
+  // 2^digits is exact in a double and one past the type's maximum; NaN
+  // and the infinities fail the range test.
+  const double limit = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  if (!(v >= 0 && v < limit && std::trunc(v) == v)) {
+    const std::string max = std::to_string(std::numeric_limits<Int>::max());
+    *error = util::format("\"%s.%s\" must be an integer in [0, %s] (got %g)",
+                          section, key, max.c_str(), v);
+    return false;
+  }
+  *out = static_cast<Int>(v);
+  return true;
+}
+
+bool spec_from_json(const json::Value& v, AdcSpec* spec, std::string* error) {
+  if (!read_count(&v, "spec", "slices", &spec->num_slices, error) ||
+      !read_count(&v, "spec", "dac_fragments", &spec->dac_fragments, error) ||
+      !read_count(&v, "spec", "seed", &spec->seed, error)) {
+    return false;
+  }
   if (const json::Value* x = v.find("node")) {
     spec->node_nm = x->number_or(spec->node_nm);
-  }
-  if (const json::Value* x = v.find("slices")) {
-    spec->num_slices = static_cast<int>(x->number_or(spec->num_slices));
   }
   if (const json::Value* x = v.find("fs")) {
     spec->fs_hz = x->number_or(spec->fs_hz);
@@ -162,18 +191,11 @@ void spec_from_json(const json::Value& v, AdcSpec* spec) {
   if (const json::Value* x = v.find("loop_gain")) {
     spec->loop_gain = x->number_or(spec->loop_gain);
   }
-  if (const json::Value* x = v.find("dac_fragments")) {
-    spec->dac_fragments = static_cast<int>(x->number_or(spec->dac_fragments));
-  }
   if (const json::Value* x = v.find("vco_center_over_fs")) {
     spec->vco_center_over_fs = x->number_or(spec->vco_center_over_fs);
   }
   if (const json::Value* x = v.find("with_nonidealities")) {
     spec->with_nonidealities = x->bool_or(spec->with_nonidealities);
-  }
-  if (const json::Value* x = v.find("seed")) {
-    spec->seed = static_cast<std::uint64_t>(
-        x->number_or(static_cast<double>(spec->seed)));
   }
   if (const json::Value* pvt = v.find("pvt"); pvt != nullptr) {
     if (const json::Value* x = pvt->find("process")) {
@@ -186,6 +208,7 @@ void spec_from_json(const json::Value& v, AdcSpec* spec) {
       spec->pvt.temperature_k = x->number_or(spec->pvt.temperature_k);
     }
   }
+  return true;
 }
 
 double opt_number(const json::Value* obj, const char* key, double fallback) {
@@ -252,52 +275,46 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
       *error = "\"spec\" must be an object";
       return false;
     }
-    spec_from_json(*spec, &req.spec);
+    if (!spec_from_json(*spec, &req.spec, error)) return false;
   }
   const json::Value* o = v.find("options");
   if (o != nullptr && !o->is_object()) {
     *error = "\"options\" must be an object";
     return false;
   }
+  // Every integer option goes through read_count; `ok` stays false from
+  // the first field it refuses (which then holds the error).
+  bool ok = true;
+  const auto count = [&](const char* key, auto* field) {
+    ok = ok && read_count(o, "options", key, field, error);
+  };
   switch (req.kind) {
     case EvalKind::kDatasheet:
-      req.datasheet.n_samples = static_cast<std::size_t>(opt_number(
-          o, "n_samples", static_cast<double>(req.datasheet.n_samples)));
-      req.datasheet.mc_runs =
-          static_cast<int>(opt_number(o, "mc_runs", req.datasheet.mc_runs));
-      req.datasheet.amp_sweep_points = static_cast<int>(opt_number(
-          o, "amp_sweep_points", req.datasheet.amp_sweep_points));
-      req.datasheet.batch_width = static_cast<int>(
-          opt_number(o, "batch_width", req.datasheet.batch_width));
+      count("n_samples", &req.datasheet.n_samples);
+      count("mc_runs", &req.datasheet.mc_runs);
+      count("amp_sweep_points", &req.datasheet.amp_sweep_points);
+      count("batch_width", &req.datasheet.batch_width);
       break;
     case EvalKind::kMonteCarlo:
-      req.monte_carlo.runs =
-          static_cast<int>(opt_number(o, "runs", req.monte_carlo.runs));
-      req.monte_carlo.sim.n_samples = static_cast<std::size_t>(
-          opt_number(o, "n_samples",
-                     static_cast<double>(req.monte_carlo.sim.n_samples)));
+      count("runs", &req.monte_carlo.runs);
+      count("n_samples", &req.monte_carlo.sim.n_samples);
       req.monte_carlo.sim.fin_target_hz = opt_number(
           o, "fin", req.monte_carlo.sim.fin_target_hz);
       req.monte_carlo.sim.amplitude_dbfs = opt_number(
           o, "amplitude_dbfs", req.monte_carlo.sim.amplitude_dbfs);
-      req.monte_carlo.seed0 = static_cast<std::uint64_t>(opt_number(
-          o, "seed0", static_cast<double>(req.monte_carlo.seed0)));
-      req.monte_carlo.batch_width = static_cast<int>(
-          opt_number(o, "batch_width", req.monte_carlo.batch_width));
+      count("seed0", &req.monte_carlo.seed0);
+      count("batch_width", &req.monte_carlo.batch_width);
       break;
     case EvalKind::kCornerSweep:
-      req.corners.n_samples = static_cast<std::size_t>(opt_number(
-          o, "n_samples", static_cast<double>(req.corners.n_samples)));
-      req.corners.batch_width = static_cast<int>(
-          opt_number(o, "batch_width", req.corners.batch_width));
+      count("n_samples", &req.corners.n_samples);
+      count("batch_width", &req.corners.batch_width);
       break;
     case EvalKind::kSynthesize:
       req.synthesis.target_utilization = opt_number(
           o, "target_utilization", req.synthesis.target_utilization);
       req.synthesis.aspect_ratio =
           opt_number(o, "aspect_ratio", req.synthesis.aspect_ratio);
-      req.synthesis.seed = static_cast<std::uint64_t>(opt_number(
-          o, "seed", static_cast<double>(req.synthesis.seed)));
+      count("seed", &req.synthesis.seed);
       if (o != nullptr) {
         if (const json::Value* x = o->find("detailed_route")) {
           req.synthesis.detailed_route =
@@ -318,10 +335,8 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
           opt_number(o, "bandwidth_hz", req.optimize_target.bandwidth_hz);
       req.optimize_target.margin_db =
           opt_number(o, "margin_db", req.optimize_target.margin_db);
-      req.optimize.n_samples = static_cast<std::size_t>(opt_number(
-          o, "n_samples", static_cast<double>(req.optimize.n_samples)));
-      req.optimize.seed = static_cast<std::uint64_t>(
-          opt_number(o, "seed", static_cast<double>(req.optimize.seed)));
+      count("n_samples", &req.optimize.n_samples);
+      count("seed", &req.optimize.seed);
       break;
     case EvalKind::kHdlEmit:
       break;  // the stage has no options: the spec is the whole input
@@ -330,8 +345,8 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
   }
   // Gate-sim options apply both to the kGateSim kind and to any request
   // running under the gate-level backend, so they parse unconditionally.
-  req.gate_sim.sim.n_samples = static_cast<std::size_t>(opt_number(
-      o, "n_samples", static_cast<double>(req.gate_sim.sim.n_samples)));
+  count("n_samples", &req.gate_sim.sim.n_samples);
+  if (!ok) return false;
   req.gate_sim.ring_period_tol =
       opt_number(o, "ring_period_tol", req.gate_sim.ring_period_tol);
   if (o != nullptr) {

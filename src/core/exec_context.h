@@ -30,7 +30,10 @@ ArtifactCache& default_artifact_cache();
 struct ExecContext {
   /// Worker threads for batch fan-outs and the router's rip-up batches;
   /// 0 = one per hardware thread, 1 = serial reference. Any value yields
-  /// bit-identical results.
+  /// bit-identical results. Any value but 1 also lets a cold datasheet run
+  /// its nominal simulation on the one process-wide datasheet worker,
+  /// beside its maze route; at 1 the datasheet runs it on the calling
+  /// thread, before the maze route.
   int threads = 0;
   /// Root seed for stochastic stages that do not carry their own.
   std::uint64_t seed = 1;

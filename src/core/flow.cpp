@@ -770,13 +770,14 @@ std::shared_ptr<const synth::Placement> Flow::placement(
 }
 
 std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
-    const AdcSpec& spec, const synth::SynthesisOptions& opts) {
+    const AdcSpec& spec, const synth::SynthesisOptions& opts,
+    const synth::RoutingEstimateFn& on_estimate) {
   const synth::SynthesisOptions o = exec_opts(opts);
   return run_stage<synth::SynthesisResult>(
       ctx_, Stage::kRoute, synthesis_key(spec, opts), &approx_bytes_synthesis,
       &synthesis_codec(),
-      [this, &spec, &opts,
-       &o]() -> std::shared_ptr<const synth::SynthesisResult> {
+      [this, &spec, &opts, &o,
+       &on_estimate]() -> std::shared_ptr<const synth::SynthesisResult> {
         auto art = floorplan(spec, opts);
         if (art == nullptr) return nullptr;  // upstream already reported
         auto pl = placement(spec, opts);
@@ -791,7 +792,7 @@ std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
         }
         const synth::NetDb db(art->flat);
         return std::make_shared<const synth::SynthesisResult>(
-            synth::run_route_stage(*art, *pl, o, db));
+            synth::run_route_stage(*art, *pl, o, db, on_estimate));
       });
 }
 

@@ -1,10 +1,18 @@
 // The explicit stage graph of the end-to-end pipeline (the paper's Fig. 9
 // flow, made a first-class object):
 //
-//   TechLibrary --> Netlist --> Floorplan --> Placement --> Route --> Timing
-//         \                                                  |  \--> PowerGrid
-//          \--------------------> SimRun <-- (wire load) ----/
-//                                    \--> Report
+//   TechLibrary --> Netlist --> Floorplan --> Placement
+//        \                                      |
+//         \                  Route:   estimate <-/
+//          \                              |   \--> maze + DRC --> Timing
+//           \                             |                  \--> PowerGrid
+//            \--> SimRun <-- (wire load) -/
+//                    \--> Report
+//
+// SimRun needs only the route's wire-load estimate, which exists before
+// the maze router starts: Flow::synthesis hands it to an optional
+// callback on a cold build (a cold datasheet starts its nominal run
+// there).
 //
 // Each stage's inputs are content-hashed (see artifact_cache.h) into a key
 // for the shared ArtifactCache, so a Monte-Carlo batch, a corner sweep and
@@ -168,9 +176,12 @@ class Flow {
       const AdcSpec& spec, const synth::SynthesisOptions& opts = {});
 
   /// Route stage: routing estimate + detailed route + DRC, the full
-  /// SynthesisResult.
+  /// SynthesisResult. `on_estimate` goes to the route build
+  /// (synth::run_route_stage), so it fires only when this call builds the
+  /// artifact cold: a cache hit or a store load never calls it.
   std::shared_ptr<const synth::SynthesisResult> synthesis(
-      const AdcSpec& spec, const synth::SynthesisOptions& opts = {});
+      const AdcSpec& spec, const synth::SynthesisOptions& opts = {},
+      const synth::RoutingEstimateFn& on_estimate = {});
 
   /// Timing stage: static timing of the netlist against one clock period
   /// (1 / spec.fs_hz), wire loads from the Route artifact's placement.

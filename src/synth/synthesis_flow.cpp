@@ -103,7 +103,8 @@ Placement run_placement_stage(const FloorplanStageResult& art,
 SynthesisResult run_route_stage(const FloorplanStageResult& art,
                                 const Placement& pl,
                                 const SynthesisOptions& opts,
-                                const NetDb& db) {
+                                const NetDb& db,
+                                const RoutingEstimateFn& on_estimate) {
   SynthesisResult result;
   result.floorplan_spec = art.floorplan_spec;
   result.owner = art.owner;
@@ -111,6 +112,7 @@ SynthesisResult run_route_stage(const FloorplanStageResult& art,
     util::TraceSpan span(opts.trace, "route");
     RouterOptions ropts;
     result.routing = estimate_routing(art.flat, pl, art.fp.die, ropts, db);
+    if (on_estimate) on_estimate(result.routing);
     if (opts.detailed_route) {
       MazeRouterOptions mopts;
       mopts.threads = opts.threads;

@@ -21,6 +21,7 @@
 // for parsed/hand-edited netlists.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,13 +125,20 @@ FloorplanStageResult run_floorplan_stage(const netlist::Design& design,
 Placement run_placement_stage(const FloorplanStageResult& art,
                               const SynthesisOptions& opts, const NetDb& db);
 
+/// Receives a route stage's routing estimate before its maze route starts.
+using RoutingEstimateFn = std::function<void(const RoutingEstimate&)>;
+
 /// Routing estimate + optional detailed maze route + DRC, assembled into
 /// the final result (copies the floorplan artifact and placement into the
-/// owned Layout).
+/// owned Layout). `on_estimate`, when set, is called once with the
+/// estimate (the value the result's `routing` holds), right after
+/// estimate_routing and before maze_route, so work that needs only the
+/// estimated wire load can run beside the router.
 SynthesisResult run_route_stage(const FloorplanStageResult& art,
                                 const Placement& pl,
                                 const SynthesisOptions& opts,
-                                const NetDb& db);
+                                const NetDb& db,
+                                const RoutingEstimateFn& on_estimate = {});
 
 /// Runs floorplan + placement + routing + DRC. A design that fails
 /// validation yields a result with diagnostics and a null layout instead

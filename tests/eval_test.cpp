@@ -124,6 +124,72 @@ TEST(EvalRequestJsonTest, ParsesBackendAndGateSimOptions) {
   EXPECT_NE(err.find("backend"), std::string::npos);
 }
 
+/// Parses `line` as a request; on refusal returns the parse error, on
+/// success the empty string.
+std::string request_error(const char* line) {
+  json::ParseResult pr = json::parse(line);
+  EXPECT_TRUE(pr.ok) << pr.error;
+  core::EvalRequest req;
+  std::string err;
+  if (core::eval_request_from_json(pr.value, &req, &err)) return "";
+  EXPECT_FALSE(err.empty());
+  return err;
+}
+
+// Integer wire numbers go through one checked conversion: a negative,
+// fractional, non-finite or out-of-range value refuses the request with
+// an error naming the field, where a bare cast ran 0 runs or was undefined.
+
+TEST(EvalRequestJsonTest, NegativeRunsAreRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"monte_carlo","options":{"runs":-5}})")
+                .find("\"options.runs\""),
+            std::string::npos);
+}
+
+TEST(EvalRequestJsonTest, RunsBeyondIntAreRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"monte_carlo","options":{"runs":1e12}})")
+                .find("\"options.runs\""),
+            std::string::npos);
+}
+
+TEST(EvalRequestJsonTest, FractionalRunsAreRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"monte_carlo","options":{"runs":2.7}})")
+                .find("\"options.runs\""),
+            std::string::npos);
+}
+
+TEST(EvalRequestJsonTest, SlicesBeyondIntAreRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"datasheet","spec":{"slices":1e300}})")
+                .find("\"spec.slices\""),
+            std::string::npos);
+}
+
+TEST(EvalRequestJsonTest, WireCountsKeepEveryInRangeInteger) {
+  // The bounds are the field types': int tops out at 2^31 - 1, the 64-bit
+  // counts and seeds take every double below 2^64.
+  json::ParseResult pr = json::parse(
+      R"({"cmd":"monte_carlo","spec":{"seed":9007199254740992},)"
+      R"("options":{"runs":2147483647,"seed0":9223372036854775808}})");
+  ASSERT_TRUE(pr.ok) << pr.error;
+  core::EvalRequest req;
+  std::string err;
+  ASSERT_TRUE(core::eval_request_from_json(pr.value, &req, &err)) << err;
+  EXPECT_EQ(req.monte_carlo.runs, 2147483647);
+  EXPECT_EQ(req.monte_carlo.seed0, std::uint64_t{1} << 63);
+  EXPECT_EQ(req.spec.seed, std::uint64_t{1} << 53);
+  EXPECT_NE(request_error(
+                R"({"cmd":"monte_carlo","options":{"runs":2147483648}})")
+                .find("\"options.runs\""),
+            std::string::npos);
+  EXPECT_NE(request_error(R"({"cmd":"monte_carlo",)"
+                          R"("options":{"seed0":18446744073709551616}})")
+                .find("\"options.seed0\""),
+            std::string::npos);
+  EXPECT_NE(request_error(R"({"cmd":"datasheet","options":{"batch_width":-1}})")
+                .find("\"options.batch_width\""),
+            std::string::npos);
+}
+
 TEST(EvalTest, HdlEmitAndGateSimKindsRoundTripThroughEvaluate) {
   core::AdcSpec spec = small_spec();
   spec.num_slices = 4;

@@ -23,6 +23,7 @@
 #include "netlist/verilog_parser.h"
 #include "netlist/verilog_writer.h"
 #include "util/diag.h"
+#include "util/trace.h"
 
 namespace {
 
@@ -419,16 +420,84 @@ TEST(FaultInjection, DatasheetIncompleteOnInvalidSpec) {
   EXPECT_FALSE(ds.render().empty());
 }
 
-TEST(FaultInjection, DatasheetIncompleteWhenSynthesisIsFaulted) {
-  Harness h;
-  h.plan.arm("route", 1);
+/// A datasheet request over small_spec() with a `n_samples` capture.
+core::EvalRequest datasheet_request(std::size_t n_samples) {
   core::EvalRequest req;
   req.kind = core::EvalKind::kDatasheet;
   req.spec = small_spec();
-  req.datasheet.n_samples = 1 << 10;
+  req.datasheet.n_samples = n_samples;
+  return req;
+}
+
+TEST(FaultInjection, DatasheetIncompleteWhenSynthesisIsFaulted) {
+  // The route refuses at entry, before its estimate exists, so the
+  // datasheet never starts its early nominal run: no sim_run is built.
+  Harness h;
+  h.ctx.threads = 2;
+  h.plan.arm("route", 1);
+  const core::EvalRequest req = datasheet_request(1 << 10);
   const core::Datasheet ds = core::evaluate(req, h.ctx).datasheet;
   EXPECT_FALSE(ds.complete);
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
+
+  // The nominal run's key, with the wire load a clean route estimates.
+  core::ArtifactCache clean(64);
+  ExecContext clean_ctx;
+  clean_ctx.cache = &clean;
+  const auto syn = Flow(clean_ctx).synthesis(req.spec);
+  ASSERT_NE(syn, nullptr);
+  SimulationOptions sim;
+  sim.n_samples = req.datasheet.n_samples;
+  sim.fin_target_hz = req.spec.bandwidth_hz / 5.0;
+  sim.wire_cap_f = syn->routing.wire_cap_f;
+  bool hit = true;
+  const auto probe = h.cache.get_or_build<core::RunResult>(
+      core::sim_run_key(req.spec, sim),
+      []() { return std::shared_ptr<const core::RunResult>(); }, {}, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(probe, nullptr);
+}
+
+TEST(FaultInjection, DatasheetEarlyReturnsSettleTheEarlyNominalRun) {
+  // A cold datasheet starts its nominal run on the datasheet worker as
+  // soon as the route has its estimate. A capture long enough to outlast
+  // the small spec's maze route keeps that run going when timing or the
+  // power grid refuses, and the datasheet returns early: it must first
+  // claim the run or wait for it, since the run reads the datasheet's
+  // flow and design (ASan watches the frame).
+  for (const char* stage : {"timing", "power_grid"}) {
+    SCOPED_TRACE(stage);
+    Harness h;
+    util::Trace trace;
+    h.ctx.threads = 2;
+    h.ctx.trace = &trace;
+    h.plan.arm(stage, 1);
+    const core::Datasheet ds =
+        core::evaluate(datasheet_request(1 << 14), h.ctx).datasheet;
+    EXPECT_FALSE(ds.complete);
+    EXPECT_EQ(h.sink.error_count(), 1u) << h.sink.render();
+    // Claimed by the datasheet (never run) or finished by the worker:
+    // either way no sim_run span is still open.
+    for (const util::TraceEvent& e : trace.events()) {
+      if (e.name == "sim_run") {
+        EXPECT_GT(e.dur_s, 0.0);
+      }
+    }
+  }
+}
+
+TEST(FaultInjection, DatasheetIncompleteWhenItsEarlyNominalRunIsFaulted) {
+  // The early run consumes the sim_run fault on whichever thread claims
+  // it; the datasheet takes the refusal and never simulates again.
+  Harness h;
+  h.ctx.threads = 2;
+  h.plan.arm("sim_run", 1);
+  const core::Datasheet ds =
+      core::evaluate(datasheet_request(1 << 10), h.ctx).datasheet;
+  EXPECT_FALSE(ds.complete);
+  EXPECT_EQ(h.plan.injected(), 1u);
+  ASSERT_EQ(h.sink.error_count(), 1u) << h.sink.render();
+  EXPECT_NE(h.sink.render().find("injected fault"), std::string::npos);
 }
 
 TEST(FaultInjection, OptimizerRejectsMalformedTargetAndGrid) {
