@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 
 #include "util/thread_pool.h"
 
@@ -124,26 +125,56 @@ std::vector<GridPoint> astar_search(const RouteGrid& g, SearchScratch& s,
     return static_cast<double>(dx + dy) + via_cost * vias_lb;
   };
 
+  // Two-level open list. A grid step toward the target costs 1 and lowers
+  // h by 1, so most relaxations keep f. Those entries go to `level`, a
+  // min-heap of ids whose f all equal `level_f`; every other entry goes to
+  // `heap`, ordered by (f, id). A pop takes the smaller of the two tops, so
+  // the pop sequence is exactly a single (f, id) heap's, for any edge and
+  // via costs. `level_f` only changes while the level is empty, which is
+  // what keeps every level entry at f == level_f.
   using QE = std::pair<double, int>;  // (f = g + h, node id)
   s.heap.clear();
+  s.level.clear();
+  double level_f = -1.0;  // no entry takes it: f = g + h >= 0
+  auto push = [&](double f, int id) {
+    if (f == level_f) {
+      s.level.push_back(id);
+      std::push_heap(s.level.begin(), s.level.end(), std::greater<int>());
+    } else {
+      s.heap.push_back({f, id});
+      std::push_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
+    }
+  };
+  auto pop = [&]() -> QE {
+    if (!s.level.empty() &&
+        (s.heap.empty() || QE{level_f, s.level.front()} < s.heap.front())) {
+      std::pop_heap(s.level.begin(), s.level.end(), std::greater<int>());
+      const int id = s.level.back();
+      s.level.pop_back();
+      return {level_f, id};
+    }
+    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
+    const QE top = s.heap.back();
+    s.heap.pop_back();
+    if (s.level.empty()) level_f = top.first;
+    return top;
+  };
+
   for (int id : s.tree_nodes) {
     const auto u = static_cast<std::size_t>(id);
     s.dist[u] = 0;
     s.prev[u] = -1;
     s.stamp[u] = s.epoch;
     const GridPoint p = g.from_id(id);
-    s.heap.push_back({heuristic(p.x, p.y, p.layer), id});
+    push(heuristic(p.x, p.y, p.layer), id);
   }
-  std::make_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
 
   const int target_id0 = g.node_id({tx, ty, 0});
   GridPoint t1{tx, ty, 1};
   const int target_id1 = g.node_id(t1);
 
-  while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
-    const auto [f, u] = s.heap.back();
-    s.heap.pop_back();
+  while (!s.heap.empty() || !s.level.empty()) {
+    const auto [f, u] = pop();
     const auto ui = static_cast<std::size_t>(u);
     const GridPoint p = g.from_id(u);
     if (f > s.dist[ui] + heuristic(p.x, p.y, p.layer)) continue;  // stale
@@ -165,8 +196,7 @@ std::vector<GridPoint> astar_search(const RouteGrid& g, SearchScratch& s,
         s.dist[vi] = nd;
         s.prev[vi] = u;
         s.stamp[vi] = s.epoch;
-        s.heap.push_back({nd + heuristic(q.x, q.y, q.layer), v});
-        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
+        push(nd + heuristic(q.x, q.y, q.layer), v);
       }
     };
     if (p.layer == 0) {
@@ -312,8 +342,9 @@ MazeRouteResult route_nets(RouteGrid& g, std::vector<NetPins> nets,
     wins[i] = window_of(g, nets[i].pins, opts.window_margin);
   }
 
-  util::ThreadPool pool(
-      static_cast<std::size_t>(std::max(0, opts.threads)));
+  // Built at the first rip-up group of two or more nets; a group of one
+  // routes inline, so most routes never start a worker.
+  std::optional<util::ThreadPool> pool;
 
   auto overflowed = [&](const std::vector<GridPoint>& path) {
     for (std::size_t k = 1; k < path.size(); ++k) {
@@ -427,11 +458,19 @@ MazeRouteResult route_nets(RouteGrid& g, std::vector<NetPins> nets,
     for (const auto& grp : groups) {
       // Batch phase: fixed windows, no escalation (escalation could leave
       // the window and race another net in the group).
-      util::parallel_for_each(pool, grp.size(), [&](std::size_t k) {
+      auto route_in_window = [&](std::size_t k) {
         const std::size_t i = grp[k];
         route_net(g, thread_scratch(), nets[i], result.nets[i], opts,
                   pressure, wins[i], /*allow_escalate=*/false);
-      });
+      };
+      if (grp.size() == 1) {
+        route_in_window(0);
+      } else {
+        if (!pool) {
+          pool.emplace(static_cast<std::size_t>(std::max(0, opts.threads)));
+        }
+        util::parallel_for_each(*pool, grp.size(), route_in_window);
+      }
       // Serial retries for in-window failures, in net order, with
       // escalation — still deterministic: the grid state after the batch
       // does not depend on the thread count.

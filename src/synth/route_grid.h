@@ -6,14 +6,17 @@
 // reroute). What lives here is the fast path:
 //
 //   * windowed A* search with an admissible Manhattan + via-lower-bound
-//     heuristic instead of full-grid Dijkstra;
+//     heuristic instead of full-grid Dijkstra, over a two-level open list
+//     (entries at the current f level in an id heap, the rest in an
+//     (f, id) heap) that pops exactly in (f, id) order;
 //   * epoch-stamped dist/prev/tree scratch arrays reused across searches
 //     (no O(grid) allocation or clearing per pin);
 //   * Prim-style multi-pin decomposition (always connect the pin nearest to
 //     the *growing tree* next);
 //   * rip-up batches whose search windows are pairwise disjoint routed in
 //     parallel on a util::ThreadPool — disjoint windows cannot share a grid
-//     edge or node, so the parallel result is bit-identical to serial.
+//     edge or node, so the parallel result is bit-identical to serial. A
+//     batch of one net routes inline.
 //
 // This header is independent of the netlist layer so the parallel-router
 // tests (including the TSan variant) can drive it with synthetic nets; the
@@ -137,7 +140,7 @@ inline double route_edge_cost(int use, double hist, int cap,
 /// Per-thread search scratch: dist/prev arrays validated by an epoch stamp
 /// (so a new search is O(touched) instead of O(grid) to reset), the current
 /// net's route tree as an epoch-stamped mask + node list, and the reusable
-/// A* heap storage.
+/// storage of the A* open list's two levels.
 struct SearchScratch {
   std::vector<double> dist;
   std::vector<int> prev;
@@ -146,7 +149,8 @@ struct SearchScratch {
   std::uint32_t epoch = 0;
   std::uint32_t tree_epoch = 0;
   std::vector<int> tree_nodes;                 ///< current tree, add order
-  std::vector<std::pair<double, int>> heap;    ///< A* open list storage
+  std::vector<std::pair<double, int>> heap;    ///< open (f, id) min-heap
+  std::vector<int> level;  ///< open ids at f == the level value, min-heap
 
   /// Ensures capacity for `n_nodes`; keeps stamps valid when shrinking.
   void bind(int n_nodes);
@@ -176,7 +180,8 @@ RouteWindow window_of(const RouteGrid& g, const std::vector<GridPoint>& pins,
 
 /// A* from the scratch's current tree (multi-source) to `target` (either
 /// layer), restricted to `win`. Returns the path in source..target order,
-/// or empty when unreachable inside the window.
+/// or empty when unreachable inside the window. Open entries pop in
+/// (f, node id) order; ties therefore break toward the lower node id.
 std::vector<GridPoint> astar_search(const RouteGrid& g, SearchScratch& s,
                                     const GridPoint& target, double via_cost,
                                     int cap, double pressure,
@@ -192,7 +197,8 @@ bool route_net(RouteGrid& g, SearchScratch& s, const NetPins& net,
 
 /// Full negotiated-congestion routing of `nets` on `g`: initial serial pass
 /// in (hpwl, name) order, then rip-up-and-reroute iterations whose batches
-/// run on `opts.threads` workers. Output is independent of `opts.threads`.
+/// of two or more nets run on `opts.threads` workers (the pool starts at
+/// the first such batch). Output is independent of `opts.threads`.
 MazeRouteResult route_nets(RouteGrid& g, std::vector<NetPins> nets,
                            const MazeRouterOptions& opts);
 

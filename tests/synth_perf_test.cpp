@@ -341,6 +341,71 @@ TEST(ParallelRoute, BitIdenticalToSerialOnFullAdc) {
   }
 }
 
+/// FNV-1a-64 over every net's name and every path of it, in result order:
+/// each path hashes its length and then x, y, layer of every GridPoint, as
+/// little-endian 32-bit words, so moving a path boundary changes the hash.
+std::uint64_t route_fingerprint(const MazeRouteResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto byte = [&](std::uint32_t b) {
+    h ^= b & 0xffu;
+    h *= 1099511628211ULL;
+  };
+  auto word = [&](std::size_t v) {
+    for (int k = 0; k < 4; ++k) byte(static_cast<std::uint32_t>(v >> (8 * k)));
+  };
+  for (const RoutedNet& net : r.nets) {
+    for (char c : net.name) byte(static_cast<unsigned char>(c));
+    word(net.paths.size());
+    for (const auto& path : net.paths) {
+      word(path.size());
+      for (const GridPoint& p : path) {
+        word(static_cast<std::uint32_t>(p.x));
+        word(static_cast<std::uint32_t>(p.y));
+        word(static_cast<std::uint32_t>(p.layer));
+      }
+    }
+  }
+  return h;
+}
+
+// Golden pin of the maze route itself. The datasheet JSON carries no
+// maze-route field (the power model reads the estimate's wire_cap_f), so no
+// result fingerprint sees a path: this test is what fails when the A*
+// pop order, and with it any path, via or edge usage, changes. All three
+// routes run rip-up rounds: the paper specs two each, and the paper 180 nm
+// spec with one DAC fragment three, with 15 rip-up groups of one net.
+TEST(MazeRouteGolden, PathsPinnedOnPaperAndRipUpSpecs) {
+  struct Case {
+    const char* name;
+    core::AdcSpec spec;
+    double wirelength_m;
+    int vias;
+    std::uint64_t fingerprint;
+  };
+  core::AdcSpec one_fragment = core::AdcSpec::paper_180nm();
+  one_fragment.dac_fragments = 1;
+  const Case cases[] = {
+      {"paper 40 nm", core::AdcSpec::paper_40nm(), 0x1.687b9475ee43ap-6, 407,
+       0x5f014cf1ef4d7300ULL},
+      {"paper 180 nm", core::AdcSpec::paper_180nm(), 0x1.f39a009cb2fe7p-5,
+       409, 0xc7d40ee6eae5e11cULL},
+      {"180 nm, 1 fragment", one_fragment, 0x1.aa5a2108b9372p-5, 333,
+       0x175484c7bd243866ULL},
+  };
+  for (const Case& c : cases) {
+    const auto res = route_fresh(c.spec, 2);
+    ASSERT_NE(res, nullptr) << c.name;
+    const MazeRouteResult& r = res->detailed_routing;
+    EXPECT_EQ(r.total_wirelength_m, c.wirelength_m)
+        << c.name << ": " << std::hexfloat << r.total_wirelength_m;
+    EXPECT_EQ(r.total_vias, c.vias) << c.name;
+    EXPECT_EQ(route_fingerprint(r), c.fingerprint)
+        << c.name << ": 0x" << std::hex << route_fingerprint(r);
+    EXPECT_EQ(r.failed_nets, 0) << c.name;
+    EXPECT_EQ(r.overflowed_edges, 0) << c.name;
+  }
+}
+
 // Off-row-grid cells are reported once and excluded from the row-bucket
 // overlap pass: rounding them into a row used to fabricate overlap pairs
 // against cells they do not abut.
