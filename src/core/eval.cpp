@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/driver_impl.h"
@@ -149,72 +151,74 @@ EvalResponse evaluate(const EvalRequest& req, const ExecContext& ctx) {
 
 namespace {
 
-/// The one conversion of a wire number into an integer field: `obj[key]`,
-/// when it is a number, must be finite, integral and within [0, the
-/// field type's maximum]; anything else fails the parse with an error
-/// naming `section.key`. An absent object or key, or a non-number value,
-/// keeps *out.
-template <typename Int>
-bool read_count(const json::Value* obj, const char* section, const char* key,
-                Int* out, std::string* error) {
+/// The one reader of a wire field: `obj[key]`, when present, must have
+/// the field's JSON type (a boolean, a string or a number), and a number
+/// read into an integer field must also be finite, integral and within
+/// [0, the field type's maximum]; anything else fails the parse with an
+/// error naming `section.key`. An absent object or key keeps *out.
+template <typename T>
+bool read_field(const json::Value* obj, const char* section, const char* key,
+                T* out, std::string* error) {
   const json::Value* x = obj != nullptr ? obj->find(key) : nullptr;
-  if (x == nullptr || !x->is_number()) return true;
-  const double v = x->number;
-  // 2^digits is exact in a double and one past the type's maximum; NaN
-  // and the infinities fail the range test.
-  const double limit = std::ldexp(1.0, std::numeric_limits<Int>::digits);
-  if (!(v >= 0 && v < limit && std::trunc(v) == v)) {
-    const std::string max = std::to_string(std::numeric_limits<Int>::max());
-    *error = util::format("\"%s.%s\" must be an integer in [0, %s] (got %g)",
-                          section, key, max.c_str(), v);
-    return false;
+  if (x == nullptr) return true;
+  std::string want;
+  if constexpr (std::is_same_v<T, bool>) {
+    if (x->is_bool()) {
+      *out = x->boolean;
+      return true;
+    }
+    want = "a boolean";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (x->is_string()) {
+      *out = x->string;
+      return true;
+    }
+    want = "a string";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (x->is_number()) {
+      *out = x->number;
+      return true;
+    }
+    want = "a number";
+  } else {
+    // 2^digits is exact in a double and one past the type's maximum; NaN,
+    // the infinities and non-numbers fail the range test.
+    const double v = x->is_number() ? x->number : std::nan("");
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (v >= 0 && v < limit && std::trunc(v) == v) {
+      *out = static_cast<T>(v);
+      return true;
+    }
+    want = "an integer in [0, " +
+           std::to_string(std::numeric_limits<T>::max()) + "]";
   }
-  *out = static_cast<Int>(v);
-  return true;
+  *error = util::format("\"%s.%s\" must be %s (got %s)", section, key,
+                        want.c_str(), json::dump(*x).c_str());
+  return false;
 }
 
 bool spec_from_json(const json::Value& v, AdcSpec* spec, std::string* error) {
-  if (!read_count(&v, "spec", "slices", &spec->num_slices, error) ||
-      !read_count(&v, "spec", "dac_fragments", &spec->dac_fragments, error) ||
-      !read_count(&v, "spec", "seed", &spec->seed, error)) {
+  const json::Value* pvt = v.find("pvt");
+  if (pvt != nullptr && !pvt->is_object()) {
+    *error = "\"spec.pvt\" must be an object";
     return false;
   }
-  if (const json::Value* x = v.find("node")) {
-    spec->node_nm = x->number_or(spec->node_nm);
-  }
-  if (const json::Value* x = v.find("fs")) {
-    spec->fs_hz = x->number_or(spec->fs_hz);
-  }
-  if (const json::Value* x = v.find("bw")) {
-    spec->bandwidth_hz = x->number_or(spec->bandwidth_hz);
-  }
-  if (const json::Value* x = v.find("loop_gain")) {
-    spec->loop_gain = x->number_or(spec->loop_gain);
-  }
-  if (const json::Value* x = v.find("vco_center_over_fs")) {
-    spec->vco_center_over_fs = x->number_or(spec->vco_center_over_fs);
-  }
-  if (const json::Value* x = v.find("with_nonidealities")) {
-    spec->with_nonidealities = x->bool_or(spec->with_nonidealities);
-  }
-  if (const json::Value* pvt = v.find("pvt"); pvt != nullptr) {
-    if (const json::Value* x = pvt->find("process")) {
-      spec->pvt.process = x->number_or(spec->pvt.process);
-    }
-    if (const json::Value* x = pvt->find("voltage")) {
-      spec->pvt.voltage = x->number_or(spec->pvt.voltage);
-    }
-    if (const json::Value* x = pvt->find("temperature_k")) {
-      spec->pvt.temperature_k = x->number_or(spec->pvt.temperature_k);
-    }
-  }
-  return true;
-}
-
-double opt_number(const json::Value* obj, const char* key, double fallback) {
-  if (obj == nullptr) return fallback;
-  const json::Value* x = obj->find(key);
-  return x != nullptr ? x->number_or(fallback) : fallback;
+  const auto field = [&](const char* key, auto* out) {
+    return read_field(&v, "spec", key, out, error);
+  };
+  const auto pvt_field = [&](const char* key, double* out) {
+    return read_field(pvt, "spec.pvt", key, out, error);
+  };
+  return field("slices", &spec->num_slices) &&
+         field("dac_fragments", &spec->dac_fragments) &&
+         field("seed", &spec->seed) && field("node", &spec->node_nm) &&
+         field("fs", &spec->fs_hz) && field("bw", &spec->bandwidth_hz) &&
+         field("loop_gain", &spec->loop_gain) &&
+         field("vco_center_over_fs", &spec->vco_center_over_fs) &&
+         field("with_nonidealities", &spec->with_nonidealities) &&
+         pvt_field("process", &spec->pvt.process) &&
+         pvt_field("voltage", &spec->pvt.voltage) &&
+         pvt_field("temperature_k", &spec->pvt.temperature_k);
 }
 
 json::Value spec_to_json(const AdcSpec& spec) {
@@ -282,61 +286,47 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
     *error = "\"options\" must be an object";
     return false;
   }
-  // Every integer option goes through read_count; `ok` stays false from
-  // the first field it refuses (which then holds the error).
+  // Every option goes through read_field; `ok` stays false from the first
+  // field it refuses (which then holds the error).
   bool ok = true;
-  const auto count = [&](const char* key, auto* field) {
-    ok = ok && read_count(o, "options", key, field, error);
+  const auto field = [&](const char* key, auto* out) {
+    ok = ok && read_field(o, "options", key, out, error);
   };
   switch (req.kind) {
     case EvalKind::kDatasheet:
-      count("n_samples", &req.datasheet.n_samples);
-      count("mc_runs", &req.datasheet.mc_runs);
-      count("amp_sweep_points", &req.datasheet.amp_sweep_points);
-      count("batch_width", &req.datasheet.batch_width);
+      field("n_samples", &req.datasheet.n_samples);
+      field("mc_runs", &req.datasheet.mc_runs);
+      field("amp_sweep_points", &req.datasheet.amp_sweep_points);
+      field("batch_width", &req.datasheet.batch_width);
       break;
     case EvalKind::kMonteCarlo:
-      count("runs", &req.monte_carlo.runs);
-      count("n_samples", &req.monte_carlo.sim.n_samples);
-      req.monte_carlo.sim.fin_target_hz = opt_number(
-          o, "fin", req.monte_carlo.sim.fin_target_hz);
-      req.monte_carlo.sim.amplitude_dbfs = opt_number(
-          o, "amplitude_dbfs", req.monte_carlo.sim.amplitude_dbfs);
-      count("seed0", &req.monte_carlo.seed0);
-      count("batch_width", &req.monte_carlo.batch_width);
+      field("runs", &req.monte_carlo.runs);
+      field("n_samples", &req.monte_carlo.sim.n_samples);
+      field("fin", &req.monte_carlo.sim.fin_target_hz);
+      field("amplitude_dbfs", &req.monte_carlo.sim.amplitude_dbfs);
+      field("seed0", &req.monte_carlo.seed0);
+      field("batch_width", &req.monte_carlo.batch_width);
       break;
     case EvalKind::kCornerSweep:
-      count("n_samples", &req.corners.n_samples);
-      count("batch_width", &req.corners.batch_width);
+      field("n_samples", &req.corners.n_samples);
+      field("batch_width", &req.corners.batch_width);
       break;
     case EvalKind::kSynthesize:
-      req.synthesis.target_utilization = opt_number(
-          o, "target_utilization", req.synthesis.target_utilization);
-      req.synthesis.aspect_ratio =
-          opt_number(o, "aspect_ratio", req.synthesis.aspect_ratio);
-      count("seed", &req.synthesis.seed);
-      if (o != nullptr) {
-        if (const json::Value* x = o->find("detailed_route")) {
-          req.synthesis.detailed_route =
-              x->bool_or(req.synthesis.detailed_route);
-        }
-      }
+      field("target_utilization", &req.synthesis.target_utilization);
+      field("aspect_ratio", &req.synthesis.aspect_ratio);
+      field("seed", &req.synthesis.seed);
+      field("detailed_route", &req.synthesis.detailed_route);
       break;
     case EvalKind::kMigrate:
-      req.migrate_target_node_nm =
-          opt_number(o, "target_node", req.migrate_target_node_nm);
+      field("target_node", &req.migrate_target_node_nm);
       break;
     case EvalKind::kOptimize:
-      req.optimize_target.node_nm =
-          opt_number(o, "node", req.optimize_target.node_nm);
-      req.optimize_target.min_sndr_db =
-          opt_number(o, "min_sndr_db", req.optimize_target.min_sndr_db);
-      req.optimize_target.bandwidth_hz =
-          opt_number(o, "bandwidth_hz", req.optimize_target.bandwidth_hz);
-      req.optimize_target.margin_db =
-          opt_number(o, "margin_db", req.optimize_target.margin_db);
-      count("n_samples", &req.optimize.n_samples);
-      count("seed", &req.optimize.seed);
+      field("node", &req.optimize_target.node_nm);
+      field("min_sndr_db", &req.optimize_target.min_sndr_db);
+      field("bandwidth_hz", &req.optimize_target.bandwidth_hz);
+      field("margin_db", &req.optimize_target.margin_db);
+      field("n_samples", &req.optimize.n_samples);
+      field("seed", &req.optimize.seed);
       break;
     case EvalKind::kHdlEmit:
       break;  // the stage has no options: the spec is the whole input
@@ -345,15 +335,10 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
   }
   // Gate-sim options apply both to the kGateSim kind and to any request
   // running under the gate-level backend, so they parse unconditionally.
-  count("n_samples", &req.gate_sim.sim.n_samples);
+  field("n_samples", &req.gate_sim.sim.n_samples);
+  field("ring_period_tol", &req.gate_sim.ring_period_tol);
+  field("top", &req.gate_sim.top);
   if (!ok) return false;
-  req.gate_sim.ring_period_tol =
-      opt_number(o, "ring_period_tol", req.gate_sim.ring_period_tol);
-  if (o != nullptr) {
-    if (const json::Value* x = o->find("top"); x != nullptr && x->is_string()) {
-      req.gate_sim.top = x->string;
-    }
-  }
   *out = std::move(req);
   return true;
 }

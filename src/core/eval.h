@@ -121,8 +121,10 @@ EvalResponse evaluate(const EvalRequest& req, const ExecContext& ctx);
 
 /// Parses a request object: {"cmd": <kind name>, "id": ..., "spec":
 /// {node,slices,fs,bw,...}, "options": {...}}. Unknown keys are ignored
-/// (forward compatibility); a missing/unknown "cmd" or a non-object is an
-/// error. False on error with a human-readable reason in `*error`.
+/// (forward compatibility) and absent ones keep their defaults; a
+/// missing/unknown "cmd", a non-object, or a known key of the wrong JSON
+/// type or out of its integer range is an error naming `<section>.<key>`.
+/// False on error with a human-readable reason in `*error`.
 bool eval_request_from_json(const util::json::Value& v, EvalRequest* out,
                             std::string* error);
 

@@ -190,6 +190,64 @@ TEST(EvalRequestJsonTest, WireCountsKeepEveryInRangeInteger) {
             std::string::npos);
 }
 
+// A known key of the wrong JSON type refuses the request with an error
+// naming it: keeping the default would silently run a different request
+// than the one sent (`"runs":"5"` would run the default run count).
+
+TEST(EvalRequestJsonTest, NonNumberCountIsRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"monte_carlo","options":{"runs":"5"}})")
+                .find("\"options.runs\""),
+            std::string::npos);
+  EXPECT_NE(request_error(R"({"cmd":"datasheet","spec":{"slices":true}})")
+                .find("\"spec.slices\""),
+            std::string::npos);
+}
+
+TEST(EvalRequestJsonTest, NonNumberRealIsRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"datasheet","spec":{"fs":"4e8"}})")
+                .find("\"spec.fs\""),
+            std::string::npos);
+  EXPECT_NE(request_error(R"({"cmd":"monte_carlo","options":{"fin":null}})")
+                .find("\"options.fin\""),
+            std::string::npos);
+}
+
+TEST(EvalRequestJsonTest, NonBooleanFlagIsRefused) {
+  EXPECT_NE(request_error(
+                R"({"cmd":"datasheet","spec":{"with_nonidealities":0}})")
+                .find("\"spec.with_nonidealities\""),
+            std::string::npos);
+  EXPECT_NE(request_error(
+                R"({"cmd":"synthesize","options":{"detailed_route":"no"}})")
+                .find("\"options.detailed_route\""),
+            std::string::npos);
+  json::ParseResult pr = json::parse(
+      R"({"cmd":"synthesize","spec":{"with_nonidealities":false},)"
+      R"("options":{"detailed_route":false}})");
+  ASSERT_TRUE(pr.ok) << pr.error;
+  core::EvalRequest req;
+  std::string err;
+  ASSERT_TRUE(core::eval_request_from_json(pr.value, &req, &err)) << err;
+  EXPECT_FALSE(req.spec.with_nonidealities);
+  EXPECT_FALSE(req.synthesis.detailed_route);
+}
+
+TEST(EvalRequestJsonTest, NonStringTopIsRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"gate_sim","options":{"top":7}})")
+                .find("\"options.top\""),
+            std::string::npos);
+}
+
+TEST(EvalRequestJsonTest, NonObjectPvtIsRefused) {
+  EXPECT_NE(request_error(R"({"cmd":"datasheet","spec":{"pvt":[1.1]}})")
+                .find("\"spec.pvt\""),
+            std::string::npos);
+  EXPECT_NE(request_error(
+                R"({"cmd":"datasheet","spec":{"pvt":{"voltage":"1.1"}}})")
+                .find("\"spec.pvt.voltage\""),
+            std::string::npos);
+}
+
 TEST(EvalTest, HdlEmitAndGateSimKindsRoundTripThroughEvaluate) {
   core::AdcSpec spec = small_spec();
   spec.num_slices = 4;
