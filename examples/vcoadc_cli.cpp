@@ -130,7 +130,7 @@ void print_flow_stats(const util::ArgParser& args, const util::Trace& trace,
     std::printf(
         "-- artifact cache --\n"
         "  hits %llu | misses %llu | hit rate %.1f%% | evictions %llu\n"
-        "  resident %zu entries, ~%.1f KiB\n",
+        "  resident %zu entries, %.1f KiB of codec payload\n",
         static_cast<unsigned long long>(st.hits),
         static_cast<unsigned long long>(st.misses), st.hit_rate() * 100.0,
         static_cast<unsigned long long>(st.evictions), st.entries,

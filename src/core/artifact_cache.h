@@ -87,7 +87,9 @@ struct ArtifactCacheStats {
   std::uint64_t misses = 0;      ///< lookups that had to build
   std::uint64_t evictions = 0;
   std::size_t entries = 0;       ///< ready entries currently resident
-  std::size_t bytes = 0;         ///< approximate resident artifact bytes
+  /// Resident bytes as the entries were sized at insert; a flow stage
+  /// sizes its artifact by its codec payload, not its heap footprint.
+  std::size_t bytes = 0;
   double hit_rate() const {
     const double n = static_cast<double>(hits + misses);
     return n > 0 ? static_cast<double>(hits) / n : 0.0;
@@ -101,7 +103,7 @@ class ArtifactCache {
 
   /// Returns the cached artifact for `key`, building it with `build` on a
   /// miss. Concurrent callers with the same key share one build. `build`
-  /// returns shared_ptr<const T>; `approx_bytes` (optional; sizeof(T)
+  /// returns shared_ptr<const T>; `entry_bytes` (optional; sizeof(T)
   /// without one) sizes the entry once, when it is stored, and
   /// `out_bytes` receives that stored size on every later hit as on the
   /// building miss, so a cached artifact is never measured twice. A key
@@ -114,10 +116,10 @@ class ArtifactCache {
   template <typename T, typename BuildFn>
   std::shared_ptr<const T> get_or_build(
       const CacheKey& key, BuildFn&& build,
-      std::function<std::size_t(const T&)> approx_bytes = {},
+      std::function<std::size_t(const T&)> entry_bytes = {},
       bool* out_hit = nullptr, std::size_t* out_bytes = nullptr) {
-    auto size_of = [&approx_bytes](const std::shared_ptr<const T>& v) {
-      return (approx_bytes && v) ? approx_bytes(*v) : sizeof(T);
+    auto size_of = [&entry_bytes](const std::shared_ptr<const T>& v) {
+      return (entry_bytes && v) ? entry_bytes(*v) : sizeof(T);
     };
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = map_.find(key);

@@ -1,5 +1,8 @@
 #include "core/artifact_serde.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <set>
 #include <utility>
 
@@ -538,13 +541,88 @@ std::shared_ptr<const synth::SynthesisResult> decode_synthesis_artifact(
   return s;
 }
 
+// run_result v2 stores three per-sample arrays compactly when the rest of
+// the record rebuilds them bit for bit, and explicitly (as v1 did)
+// otherwise, so the codec stays lossless for any RunResult. A byte ahead
+// of each array says which: a flag for `counts` and `freq_hz`, the slice
+// count (0 = written out) for `output`.
+
+/// The slice counts a derived `output` may name (one SliceBits word).
+constexpr int kMaxDerivedSlices = 64;
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The modulator's output sample for `count` set slice bits of
+/// `n_slices`: the expression of modulator.cpp and batched_lockstep.h.
+/// The encoder checks every sample against it, so a modulator that
+/// computed it differently would only cost the compact form.
+double output_sample(int count, int n_slices) {
+  return (2.0 * count - n_slices) / static_cast<double>(n_slices);
+}
+
+/// output_sample for every count a byte holds.
+std::array<double, 256> output_table(int n_slices) {
+  std::array<double, 256> t{};
+  for (int c = 0; c < 256; ++c) t[c] = output_sample(c, n_slices);
+  return t;
+}
+
+/// The slice count N in 1..64 for which every `output` sample is
+/// output_sample(count, N) bit for bit; 0 when there is none. Counts must
+/// fit a byte.
+int derived_slices(const msim::ModulatorResult& mod) {
+  const std::vector<int>& counts = mod.counts;
+  if (mod.output.size() != counts.size()) return 0;
+  // Count 0 maps to -1 under every N, so the first other count pins the
+  // only candidate (N = 1 serves when there is none).
+  std::size_t i = 0;
+  while (i < counts.size() && counts[i] == 0) ++i;
+  int n_slices = 1;
+  if (i < counts.size()) {
+    while (n_slices <= kMaxDerivedSlices &&
+           !same_bits(mod.output[i], output_sample(counts[i], n_slices))) {
+      ++n_slices;
+    }
+    if (n_slices > kMaxDerivedSlices) return 0;
+  }
+  const std::array<double, 256> table = output_table(n_slices);
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    if (!same_bits(mod.output[k], table[counts[k]])) return 0;
+  }
+  return n_slices;
+}
+
+/// True when every frequency bin is bin_hz * k bit for bit
+/// (dsp::compute_spectrum) and there is one per power bin.
+bool freq_is_derived(const dsp::Spectrum& s) {
+  if (s.freq_hz.size() != s.power.size()) return false;
+  for (std::size_t k = 0; k < s.freq_hz.size(); ++k) {
+    if (!same_bits(s.freq_hz[k], s.bin_hz * static_cast<double>(k))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void encode_run_result(const RunResult& res, serde::Writer& w) {
   w.f64(res.fin_hz);
   w.f64(res.amplitude_v);
   w.f64(res.full_scale_v);
-  w.f64s(res.mod.output);
-  w.size(res.mod.counts.size());
-  for (const int v : res.mod.counts) w.i64(v);
+  const bool byte_counts =
+      std::all_of(res.mod.counts.begin(), res.mod.counts.end(),
+                  [](int c) { return c >= 0 && c <= 255; });
+  w.boolean(byte_counts);
+  if (byte_counts) {
+    w.u8s(res.mod.counts);
+  } else {
+    w.size(res.mod.counts.size());
+    for (const int v : res.mod.counts) w.i64(v);
+  }
+  const int n_slices = byte_counts ? derived_slices(res.mod) : 0;
+  w.u8(static_cast<std::uint8_t>(n_slices));
+  if (n_slices == 0) w.f64s(res.mod.output);
   w.size(res.mod.slice_bits.size());
   for (const auto& bits : res.mod.slice_bits) {
     w.size(bits.size());
@@ -565,13 +643,15 @@ void encode_run_result(const RunResult& res, serde::Writer& w) {
   w.f64(res.mod.mean_freq1_hz);
   w.f64(res.mod.mean_freq2_hz);
   w.f64(res.mod.bit_toggle_rate);
-  w.f64s(res.spectrum.freq_hz);
   w.f64s(res.spectrum.power);
   w.f64s(res.spectrum.dbfs);
   w.f64(res.spectrum.fs_hz);
   w.f64(res.spectrum.bin_hz);
   w.f64(res.spectrum.enbw_bins);
   w.u8(static_cast<std::uint8_t>(res.spectrum.window));
+  const bool derived_freq = freq_is_derived(res.spectrum);
+  w.boolean(derived_freq);
+  if (!derived_freq) w.f64s(res.spectrum.freq_hz);
   w.f64(res.sndr.fundamental_hz);
   w.f64(res.sndr.fundamental_dbfs);
   w.f64(res.sndr.signal_power);
@@ -607,12 +687,26 @@ std::shared_ptr<const RunResult> decode_run_result(serde::Reader& r) {
   res->fin_hz = r.f64();
   res->amplitude_v = r.f64();
   res->full_scale_v = r.f64();
-  r.f64s(res->mod.output);
-  {
+  const bool byte_counts = r.boolean();
+  if (byte_counts) {
+    r.u8s(res->mod.counts);
+  } else {
     const std::size_t n = r.size();
     res->mod.counts.reserve(n);
     for (std::size_t i = 0; i < n && r.ok(); ++i) {
       res->mod.counts.push_back(static_cast<int>(r.i64()));
+    }
+  }
+  const int n_slices = r.u8();
+  if (n_slices == 0) {
+    r.f64s(res->mod.output);
+  } else {
+    if (!byte_counts || n_slices > kMaxDerivedSlices) return nullptr;
+    const std::array<double, 256> table = output_table(n_slices);
+    const std::vector<int>& counts = res->mod.counts;
+    res->mod.output.resize(counts.size());
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      res->mod.output[i] = table[static_cast<std::size_t>(counts[i])];
     }
   }
   {
@@ -635,13 +729,21 @@ std::shared_ptr<const RunResult> decode_run_result(serde::Reader& r) {
   res->mod.mean_freq1_hz = r.f64();
   res->mod.mean_freq2_hz = r.f64();
   res->mod.bit_toggle_rate = r.f64();
-  r.f64s(res->spectrum.freq_hz);
   r.f64s(res->spectrum.power);
   r.f64s(res->spectrum.dbfs);
   res->spectrum.fs_hz = r.f64();
   res->spectrum.bin_hz = r.f64();
   res->spectrum.enbw_bins = r.f64();
   res->spectrum.window = static_cast<dsp::WindowKind>(r.u8());
+  if (r.boolean()) {
+    std::vector<double>& freq = res->spectrum.freq_hz;
+    freq.resize(res->spectrum.power.size());
+    for (std::size_t k = 0; k < freq.size(); ++k) {
+      freq[k] = res->spectrum.bin_hz * static_cast<double>(k);
+    }
+  } else {
+    r.f64s(res->spectrum.freq_hz);
+  }
   res->sndr.fundamental_hz = r.f64();
   res->sndr.fundamental_dbfs = r.f64();
   res->sndr.signal_power = r.f64();
@@ -840,7 +942,7 @@ const ArtifactCodec<synth::SynthesisResult>& synthesis_codec() {
 
 const ArtifactCodec<RunResult>& run_result_codec() {
   static const ArtifactCodec<RunResult> codec{
-      "run_result", 1, &encode_run_result, &decode_run_result};
+      "run_result", 2, &encode_run_result, &decode_run_result};
   return codec;
 }
 

@@ -44,6 +44,10 @@ const ArtifactCodec<DesignBundle>& design_bundle_codec();
 const ArtifactCodec<synth::FloorplanStageResult>& floorplan_codec();
 const ArtifactCodec<synth::Placement>& placement_codec();
 const ArtifactCodec<synth::SynthesisResult>& synthesis_codec();
+/// The RunResult codec (v2) stores `mod.counts` one byte per sample and
+/// leaves out `mod.output` and `spectrum.freq_hz` whenever the decoder
+/// rebuilds them bit for bit (from the counts and the slice count, and
+/// from `bin_hz`); any other run is written out in full.
 const ArtifactCodec<RunResult>& run_result_codec();
 /// The HdlEmit artifact stores the emitted Verilog *text* plus the library
 /// it elaborates against; the parsed view is reconstructed by re-parsing

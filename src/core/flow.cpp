@@ -115,92 +115,6 @@ synth::TimingOptions timing_options(const AdcSpec& spec) {
 constexpr synth::PowerGridOptions kPowerGridOptions{};
 constexpr double kCellCurrentA = 10e-6;
 
-// --- Approximate resident sizes for the cache stats. Estimates only; the
-// cache bounds by entry count, these just make `--cache-stats` readable.
-
-std::size_t approx_bytes_library(const netlist::CellLibrary& lib) {
-  return sizeof(lib) + lib.cells().size() * 256;
-}
-
-std::size_t approx_bytes_bundle(const DesignBundle& b) {
-  std::size_t n = sizeof(b);
-  if (b.lib) n += approx_bytes_library(*b.lib);
-  if (b.design) {
-    const auto st = b.design->stats();
-    n += static_cast<std::size_t>(st.total_instances) * 200;
-  }
-  return n;
-}
-
-std::size_t approx_bytes_flat(const std::vector<netlist::FlatInstance>& flat) {
-  return flat.size() * 256;
-}
-
-std::size_t approx_bytes_floorplan(const synth::FloorplanStageResult& a) {
-  return sizeof(a) + approx_bytes_flat(a.flat) +
-         a.fp.regions.size() * sizeof(synth::PlacedRegion) +
-         a.floorplan_spec.size();
-}
-
-std::size_t approx_bytes_placement(const synth::Placement& pl) {
-  return sizeof(pl) + pl.cells.size() * sizeof(synth::PlacedCell);
-}
-
-std::size_t approx_bytes_synthesis(const synth::SynthesisResult& s) {
-  std::size_t n = sizeof(s) + s.floorplan_spec.size();
-  if (s.layout) {
-    n += approx_bytes_flat(s.layout->flat()) +
-         approx_bytes_placement(s.layout->placement());
-  }
-  n += s.routing.nets.size() * sizeof(synth::NetRoute);
-  for (const auto& net : s.detailed_routing.nets) {
-    n += sizeof(net);
-    for (const auto& path : net.paths)
-      n += path.size() * sizeof(synth::GridPoint);
-  }
-  n += s.drc.violations.size() * 128;
-  return n;
-}
-
-std::size_t approx_bytes_hdl(const HdlEmitResult& a) {
-  std::size_t n = sizeof(a) + a.verilog.size();
-  if (a.lib) n += approx_bytes_library(*a.lib);
-  if (a.parsed) {
-    for (const netlist::Module& m : a.parsed->modules()) {
-      n += m.instances().size() * 200;
-    }
-  }
-  return n;
-}
-
-std::size_t approx_bytes_gate(const GateSimResult& g) {
-  return sizeof(g) + (g.decoded.size() + g.decimated.size()) * sizeof(double);
-}
-
-std::size_t approx_bytes_timing(const synth::TimingReport& t) {
-  std::size_t n = sizeof(t);
-  for (const synth::TimingPathStep& s : t.critical_path) {
-    n += sizeof(s) + s.through_gate.size() + s.to_net.size();
-  }
-  return n;
-}
-
-std::size_t approx_bytes_power_grid(const synth::PowerGridCheck& c) {
-  std::size_t n = sizeof(c) + c.worst_rail.size();
-  for (const std::string& p : c.problems) n += sizeof(p) + p.size();
-  return n;
-}
-
-std::size_t approx_bytes_run(const RunResult& r) {
-  std::size_t n = sizeof(r);
-  n += r.mod.output.size() * sizeof(double);
-  n += r.mod.counts.size() * sizeof(int);
-  for (const auto& bits : r.mod.slice_bits) n += bits.size() / 8;
-  n += r.spectrum.freq_hz.size() * 3 * sizeof(double);
-  n += r.idle_tones.size() * sizeof(dsp::IdleTone);
-  return n;
-}
-
 /// Reports boundary diagnostics through the context: errors always land
 /// (sink or stderr), warnings only when a sink is attached — a warning on
 /// a healthy run must not spam stderr.
@@ -225,45 +139,52 @@ bool fault_injected(const ExecContext& ctx, const char* stage) {
 }
 
 /// Runs one memoized stage: wraps the lookup/build in a trace span and
-/// falls back to a direct build when the context has no cache. `bytes_of`
-/// sizes an artifact once, when it is built or loaded. When the
-/// context carries an ArtifactStore and the stage a codec, a cache miss
-/// first tries the disk tier (decode failures demote to a rebuild with a
-/// warning), and a real build persists its canonical bytes — both happen
-/// inside the cache's single-flight, so one process writes each record
-/// once and waiters share the in-memory artifact. A stage its fault plan
-/// fires for returns null here, so a faulted run neither reads nor
-/// populates the cache or store.
+/// falls back to a direct build when the context has no cache. When the
+/// context carries an ArtifactStore, a cache miss first tries the disk
+/// tier (decode failures demote to a rebuild with a warning), and a real
+/// build persists its canonical bytes — both happen inside the cache's
+/// single-flight, so one process writes each record once and waiters
+/// share the in-memory artifact. An artifact is sized once, by its codec
+/// payload: the bytes a load decoded or a build encoded. A build encodes
+/// only for the store, or for the size when a cache or trace reports it.
+/// A stage its fault plan fires for returns null here, so a faulted run
+/// neither reads nor populates the cache or store.
 template <typename T, typename BuildFn>
 std::shared_ptr<const T> run_stage(const ExecContext& ctx, Stage stage,
                                    const CacheKey& key,
-                                   std::size_t (*bytes_of)(const T&),
-                                   const ArtifactCodec<T>* codec,
+                                   const ArtifactCodec<T>& codec,
                                    BuildFn&& build) {
   if (fault_injected(ctx, stage_name(stage))) return nullptr;
   util::TraceSpan span(ctx.trace, stage_name(stage));
   bool from_store = false;
+  std::size_t payload_bytes = 0;
   auto build_or_load = [&]() -> std::shared_ptr<const T> {
-    if (ctx.store != nullptr && codec != nullptr) {
+    if (ctx.store != nullptr) {
       std::vector<std::uint8_t> payload;
       std::uint64_t record_bytes = 0;
-      if (ctx.store->load(key, codec->type_tag, codec->type_version,
-                          &payload, ctx.diag, &record_bytes)) {
+      if (ctx.store->load(key, codec.type_tag, codec.type_version, &payload,
+                          ctx.diag, &record_bytes)) {
         serde::Reader r(payload);
-        if (std::shared_ptr<const T> loaded = codec->decode(r)) {
+        if (std::shared_ptr<const T> loaded = codec.decode(r)) {
           from_store = true;
+          payload_bytes = payload.size();
           return loaded;
         }
-        ctx.store->note_decode_failure(key, codec->type_tag, ctx.diag,
+        ctx.store->note_decode_failure(key, codec.type_tag, ctx.diag,
                                        record_bytes);
       }
     }
     std::shared_ptr<const T> built = build();
-    if (built != nullptr && ctx.store != nullptr && codec != nullptr) {
+    if (built != nullptr &&
+        (ctx.store != nullptr || ctx.cache != nullptr ||
+         ctx.trace != nullptr)) {
       serde::Writer w;
-      codec->encode(*built, w);
-      ctx.store->save(key, codec->type_tag, codec->type_version, w.bytes(),
-                      ctx.diag);
+      codec.encode(*built, w);
+      payload_bytes = w.bytes().size();
+      if (ctx.store != nullptr) {
+        ctx.store->save(key, codec.type_tag, codec.type_version, w.bytes(),
+                        ctx.diag);
+      }
     }
     return built;
   };
@@ -273,11 +194,12 @@ std::shared_ptr<const T> run_stage(const ExecContext& ctx, Stage stage,
   if (ctx.cache) {
     // A hit reports the size the entry was stored with; nothing is
     // re-measured per lookup.
-    value = ctx.cache->get_or_build<T>(key, build_or_load, bytes_of, &hit,
-                                       &bytes);
+    value = ctx.cache->get_or_build<T>(
+        key, build_or_load,
+        [&payload_bytes](const T&) { return payload_bytes; }, &hit, &bytes);
   } else {
     value = build_or_load();
-    if (value) bytes = bytes_of(*value);
+    bytes = payload_bytes;
   }
   if (value) span.cache(hit, bytes);
   span.note("key=" + key.hex() + (from_store ? " src=store" : ""));
@@ -635,8 +557,8 @@ std::shared_ptr<const netlist::CellLibrary> Flow::tech_library(
   report_diags(ctx_, diags);
   if (has_errors(diags)) return nullptr;
   return run_stage<netlist::CellLibrary>(
-      ctx_, Stage::kTechLibrary, tech_library_key(spec), &approx_bytes_library,
-      &cell_library_codec(), [&spec]() {
+      ctx_, Stage::kTechLibrary, tech_library_key(spec), cell_library_codec(),
+      [&spec]() {
         const tech::TechNode node = spec.tech_node();
         auto lib = std::make_shared<netlist::CellLibrary>(
             netlist::make_standard_library(node));
@@ -650,8 +572,7 @@ DesignBundle Flow::netlist(const AdcSpec& spec) {
   report_diags(ctx_, spec_diags);
   if (has_errors(spec_diags)) return {};
   auto bundle = run_stage<DesignBundle>(
-      ctx_, Stage::kNetlist, netlist_key(spec), &approx_bytes_bundle,
-      &design_bundle_codec(),
+      ctx_, Stage::kNetlist, netlist_key(spec), design_bundle_codec(),
       [this, &spec]() -> std::shared_ptr<const DesignBundle> {
         DesignBundle b;
         b.lib = tech_library(spec);
@@ -676,8 +597,7 @@ std::shared_ptr<const synth::FloorplanStageResult> Flow::floorplan(
   if (has_errors(opt_diags)) return nullptr;
   const synth::SynthesisOptions o = exec_opts(opts);
   auto art = run_stage<synth::FloorplanStageResult>(
-      ctx_, Stage::kFloorplan, floorplan_key(spec, opts),
-      &approx_bytes_floorplan, &floorplan_codec(),
+      ctx_, Stage::kFloorplan, floorplan_key(spec, opts), floorplan_codec(),
       [this, &spec,
        &o]() -> std::shared_ptr<const synth::FloorplanStageResult> {
         const DesignBundle bundle = netlist(spec);
@@ -729,8 +649,7 @@ std::shared_ptr<const synth::Placement> Flow::placement(
     const AdcSpec& spec, const synth::SynthesisOptions& opts) {
   const synth::SynthesisOptions o = exec_opts(opts);
   return run_stage<synth::Placement>(
-      ctx_, Stage::kPlacement, placement_key(spec, opts),
-      &approx_bytes_placement, &placement_codec(),
+      ctx_, Stage::kPlacement, placement_key(spec, opts), placement_codec(),
       [this, &spec, &opts, &o]() -> std::shared_ptr<const synth::Placement> {
         auto art = floorplan(spec, opts);
         if (art == nullptr) return nullptr;  // upstream already reported
@@ -774,8 +693,7 @@ std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
     const synth::RoutingEstimateFn& on_estimate) {
   const synth::SynthesisOptions o = exec_opts(opts);
   return run_stage<synth::SynthesisResult>(
-      ctx_, Stage::kRoute, synthesis_key(spec, opts), &approx_bytes_synthesis,
-      &synthesis_codec(),
+      ctx_, Stage::kRoute, synthesis_key(spec, opts), synthesis_codec(),
       [this, &spec, &opts, &o,
        &on_estimate]() -> std::shared_ptr<const synth::SynthesisResult> {
         auto art = floorplan(spec, opts);
@@ -799,8 +717,7 @@ std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
 std::shared_ptr<const synth::TimingReport> Flow::timing(
     const AdcSpec& spec, const synth::SynthesisOptions& opts) {
   return run_stage<synth::TimingReport>(
-      ctx_, Stage::kTiming, timing_key(spec, opts), &approx_bytes_timing,
-      &timing_codec(),
+      ctx_, Stage::kTiming, timing_key(spec, opts), timing_codec(),
       [this, &spec, &opts]() -> std::shared_ptr<const synth::TimingReport> {
         const auto syn = synthesis(spec, opts);
         if (syn == nullptr) return nullptr;  // upstream already reported
@@ -816,8 +733,7 @@ std::shared_ptr<const synth::TimingReport> Flow::timing(
 std::shared_ptr<const synth::PowerGridCheck> Flow::power_grid(
     const AdcSpec& spec, const synth::SynthesisOptions& opts) {
   return run_stage<synth::PowerGridCheck>(
-      ctx_, Stage::kPowerGrid, power_grid_key(spec, opts),
-      &approx_bytes_power_grid, &power_grid_codec(),
+      ctx_, Stage::kPowerGrid, power_grid_key(spec, opts), power_grid_codec(),
       [this, &spec,
        &opts]() -> std::shared_ptr<const synth::PowerGridCheck> {
         const auto syn = synthesis(spec, opts);
@@ -840,8 +756,7 @@ std::shared_ptr<const RunResult> Flow::sim_run(const AdcSpec& spec,
   report_diags(ctx_, diags);
   if (has_errors(diags)) return nullptr;
   return run_stage<RunResult>(
-      ctx_, Stage::kSimRun, sim_run_key(spec, opts), &approx_bytes_run,
-      &run_result_codec(),
+      ctx_, Stage::kSimRun, sim_run_key(spec, opts), run_result_codec(),
       [this, &spec, &opts]() -> std::shared_ptr<const RunResult> {
         const AdcDesign design(spec, ctx_);
         if (!design.ok()) return nullptr;  // ctor already reported
@@ -876,7 +791,7 @@ std::vector<std::shared_ptr<const RunResult>> Flow::sim_run_group(
   for (std::size_t k = 0; k < sims.size(); ++k) {
     out[k] = run_stage<RunResult>(
         ctx_, Stage::kSimRun, sim_run_key(design.spec(), sims[k]),
-        &approx_bytes_run, &run_result_codec(), [&design, &sims, &lanes, k]() {
+        run_result_codec(), [&design, &sims, &lanes, k]() {
           if (lanes.empty()) {
             static thread_local msim::BatchedWorkspace ws;
             lanes = design.simulate_batch(sims, ws);
@@ -944,8 +859,7 @@ std::shared_ptr<const HdlEmitResult> Flow::hdl_emit(const AdcSpec& spec) {
   report_diags(ctx_, spec_diags);
   if (has_errors(spec_diags)) return nullptr;
   return run_stage<HdlEmitResult>(
-      ctx_, Stage::kHdlEmit, hdl_emit_key(spec), &approx_bytes_hdl,
-      &hdl_emit_codec(),
+      ctx_, Stage::kHdlEmit, hdl_emit_key(spec), hdl_emit_codec(),
       [this, &spec]() -> std::shared_ptr<const HdlEmitResult> {
         const DesignBundle bundle = netlist(spec);
         if (bundle.design == nullptr) return nullptr;  // already reported
@@ -978,8 +892,7 @@ std::shared_ptr<const GateSimResult> Flow::gate_sim(
     return nullptr;  // before the cache lookup: a bad top never probes it
   }
   return run_stage<GateSimResult>(
-      ctx_, Stage::kGateSim, gate_sim_key(spec, o), &approx_bytes_gate,
-      &gate_sim_codec(),
+      ctx_, Stage::kGateSim, gate_sim_key(spec, o), gate_sim_codec(),
       [this, &spec, &o, &hdl]() -> std::shared_ptr<const GateSimResult> {
         auto behavioral = sim_run(spec, o.sim);
         if (behavioral == nullptr) return nullptr;

@@ -85,6 +85,18 @@ class Writer {
     }
   }
 
+  /// Length-prefixed byte array: the count, then one byte per element.
+  /// Every element must lie in [0, 255]; the caller checks.
+  template <typename Int>
+  void u8s(const std::vector<Int>& v) {
+    size(v.size());
+    const std::size_t at = buf_.size();
+    buf_.resize(at + v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      buf_[at + i] = static_cast<std::uint8_t>(v[i]);
+    }
+  }
+
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -185,6 +197,23 @@ class Reader {
     } else {
       for (double& d : out) d = f64();
     }
+  }
+
+  /// Reads a Writer::u8s array into `out`, one element per byte. Checked
+  /// like f64s: a count past the bytes left latches !ok() before anything
+  /// is allocated and leaves `out` empty.
+  template <typename Int>
+  void u8s(std::vector<Int>& out) {
+    out.clear();
+    const std::uint64_t n = u64();
+    if (!ok_ || n > remaining()) {
+      ok_ = false;
+      return;
+    }
+    const std::size_t count = static_cast<std::size_t>(n);
+    out.resize(count);
+    for (std::size_t i = 0; i < count; ++i) out[i] = p_[pos_ + i];
+    pos_ += count;
   }
 
  private:

@@ -119,7 +119,10 @@ class Rng {
     const std::uint64_t rabs = u >> 12;  // 52 uniform bits
     if (rabs < detail::kZig.k[idx]) [[likely]] {
       const double x = static_cast<double>(rabs) * detail::kZig.w[idx];
-      return (u & 256u) ? -x : x;
+      // Branch-free sign: x >= 0 here, so flipping the sign bit is exactly
+      // `(u & 256u) ? -x : x`, without a 50/50 data-dependent branch.
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                                   ((u & 256u) << 55));
     }
     return gaussian_slow_(u);
   }
@@ -272,8 +275,8 @@ class LaneRng {
       const std::uint64_t rabs = u[w] >> 12;
       if (rabs < detail::kZig.k[idx]) [[likely]] {
         const double x = static_cast<double>(rabs) * detail::kZig.w[idx];
-        // Branchless sign: x >= 0 here, so flipping the sign bit is exactly
-        // Rng::gaussian's `(u & 256u) ? -x : x` — but without a 50/50
+        // Branchless sign, as in Rng::gaussian: x >= 0 here, so flipping
+        // the sign bit is exactly `(u & 256u) ? -x : x`, without a 50/50
         // data-dependent branch per lane per draw.
         out[w] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
                                        ((u[w] & 256u) << 55));

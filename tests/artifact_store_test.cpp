@@ -11,15 +11,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "core/adc.h"
 #include "core/artifact_serde.h"
 #include "core/eval.h"
 #include "core/flow.h"
@@ -703,71 +707,359 @@ EncodedArtifact encoded(const core::ArtifactCodec<T>& codec,
   return e;
 }
 
-/// Every stage codec, each over a real artifact of a 4-slice design.
-std::vector<EncodedArtifact> every_codec_payload() {
+/// One codec's payload over a real artifact of a 4-slice design. Only the
+/// stages that artifact needs are built.
+EncodedArtifact codec_payload(const std::string& tag) {
   core::AdcSpec spec = small_spec();
   spec.num_slices = 4;
   core::ExecContext ctx;
   core::Flow flow(ctx);
-  core::SimulationOptions sim;
-  sim.n_samples = 64;
-  core::GateSimOptions gopts;
-  gopts.sim.n_samples = 64;
-  const core::DesignBundle bundle = flow.netlist(spec);
-  return {
-      encoded(core::cell_library_codec(), flow.tech_library(spec).get()),
-      encoded(core::design_bundle_codec(),
-              bundle.design != nullptr ? &bundle : nullptr),
-      encoded(core::floorplan_codec(), flow.floorplan(spec).get()),
-      encoded(core::placement_codec(), flow.placement(spec).get()),
-      encoded(core::synthesis_codec(), flow.synthesis(spec).get()),
-      encoded(core::run_result_codec(), flow.sim_run(spec, sim).get()),
-      encoded(core::hdl_emit_codec(), flow.hdl_emit(spec).get()),
-      encoded(core::gate_sim_codec(), flow.gate_sim(spec, gopts).get()),
-      encoded(core::timing_codec(), flow.timing(spec).get()),
-      encoded(core::power_grid_codec(), flow.power_grid(spec).get()),
-  };
+  if (tag == "cell_library") {
+    return encoded(core::cell_library_codec(), flow.tech_library(spec).get());
+  }
+  if (tag == "design_bundle") {
+    const core::DesignBundle bundle = flow.netlist(spec);
+    return encoded(core::design_bundle_codec(),
+                   bundle.design != nullptr ? &bundle : nullptr);
+  }
+  if (tag == "floorplan") {
+    return encoded(core::floorplan_codec(), flow.floorplan(spec).get());
+  }
+  if (tag == "placement") {
+    return encoded(core::placement_codec(), flow.placement(spec).get());
+  }
+  if (tag == "synthesis") {
+    return encoded(core::synthesis_codec(), flow.synthesis(spec).get());
+  }
+  if (tag == "run_result") {
+    core::SimulationOptions sim;
+    sim.n_samples = 64;
+    return encoded(core::run_result_codec(), flow.sim_run(spec, sim).get());
+  }
+  if (tag == "hdl_emit") {
+    return encoded(core::hdl_emit_codec(), flow.hdl_emit(spec).get());
+  }
+  if (tag == "gate_sim") {
+    core::GateSimOptions gopts;
+    gopts.sim.n_samples = 64;
+    return encoded(core::gate_sim_codec(), flow.gate_sim(spec, gopts).get());
+  }
+  if (tag == "timing") {
+    return encoded(core::timing_codec(), flow.timing(spec).get());
+  }
+  if (tag == "power_grid") {
+    return encoded(core::power_grid_codec(), flow.power_grid(spec).get());
+  }
+  ADD_FAILURE() << "no artifact for codec " << tag;
+  return {};
 }
 
-TEST(ArtifactSerdeTest, DecoderRejectsTruncatedPayload) {
-  // Every codec, with its payload cut at every 8-byte boundary short of
-  // the whole: each prefix decodes to null, never UB, never an artifact.
-  // The codecs that carry f64 arrays also get a first array whose count
-  // claims more than the payload holds (one element past the end, 2^61,
-  // 2^64 - 1): null with the reader latched !ok(). That count sits at
-  // byte 24 of a run_result payload (after fin, amplitude and full scale)
-  // and at byte 34 of a gate_sim payload (after two bools, two f64s,
-  // n_samples and num_slices).
-  const std::map<std::string, std::size_t> f64s_count_at = {
-      {"run_result", 24}, {"gate_sim", 34}};
-  for (const EncodedArtifact& e : every_codec_payload()) {
-    SCOPED_TRACE(e.type_tag);
-    ASSERT_FALSE(e.bytes.empty()) << "stage refused its input";
-    core::serde::Reader whole(e.bytes);
-    ASSERT_TRUE(e.decodes(whole));
-    for (std::size_t cut = 0; cut < e.bytes.size(); cut += 8) {
-      core::serde::Reader r(e.bytes.data(), cut);
-      ASSERT_FALSE(e.decodes(r)) << "prefix of " << cut << " of "
-                                 << e.bytes.size() << " bytes decoded";
-    }
+/// An array count inside a codec payload: its byte offset and the bytes
+/// each element takes.
+struct CountAt {
+  std::size_t at;
+  std::size_t elem_bytes;
+};
 
-    const auto it = f64s_count_at.find(e.type_tag);
-    if (it == f64s_count_at.end()) continue;
-    const std::size_t at = it->second;
-    ASSERT_GT(e.bytes.size(), at + 8);
-    const std::uint64_t remaining = e.bytes.size() - at - 8;
-    for (const std::uint64_t count :
-         {remaining / 8 + 1, std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+struct CodecCase {
+  const char* tag;
+  std::vector<CountAt> counts;  ///< counts the crafted-payload probe hits
+};
+
+/// Names the case by its tag: gtest would otherwise print the struct's raw
+/// bytes (pointers included) into the test listing.
+void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.tag; }
+
+// The run_result payload is of 64 samples, every array in compact form:
+// the counts' u8s count sits at byte 25 (after fin, amplitude, full scale
+// and the counts' flag), spectrum.power's f64s count at byte 146 (after
+// the 64 count bytes, the output's slice-count byte, the empty slice_bits
+// count and the five modulator means). The gate_sim
+// payload's `decoded` count sits at byte 34 (after two bools, two f64s,
+// n_samples and num_slices).
+const std::vector<CodecCase> kCodecCases = {
+    {"cell_library", {}},
+    {"design_bundle", {}},
+    {"floorplan", {}},
+    {"placement", {}},
+    {"synthesis", {}},
+    {"run_result", {{25, 1}, {25 + 8 + 64 + 1 + 8 + 5 * 8, 8}}},
+    {"hdl_emit", {}},
+    {"gate_sim", {{34, 8}}},
+    {"timing", {}},
+    {"power_grid", {}},
+};
+
+class ArtifactSerdeCodec : public ::testing::TestWithParam<CodecCase> {};
+
+TEST_P(ArtifactSerdeCodec, DecoderRejectsTruncatedPayload) {
+  // The codec's payload cut at every 8-byte boundary short of the whole:
+  // each prefix decodes to null, never UB, never an artifact. Each probed
+  // array count is then overwritten with counts that claim more than the
+  // payload holds (one element past the end, 2^61, 2^64 - 1): null with
+  // the reader latched !ok().
+  const CodecCase& c = GetParam();
+  const EncodedArtifact e = codec_payload(c.tag);
+  ASSERT_EQ(e.type_tag, c.tag);
+  ASSERT_FALSE(e.bytes.empty()) << "stage refused its input";
+  core::serde::Reader whole(e.bytes);
+  ASSERT_TRUE(e.decodes(whole));
+  for (std::size_t cut = 0; cut < e.bytes.size(); cut += 8) {
+    core::serde::Reader r(e.bytes.data(), cut);
+    ASSERT_FALSE(e.decodes(r)) << "prefix of " << cut << " of "
+                               << e.bytes.size() << " bytes decoded";
+  }
+
+  for (const CountAt& probe : c.counts) {
+    SCOPED_TRACE(probe.at);
+    ASSERT_GT(e.bytes.size(), probe.at + 8);
+    const std::uint64_t remaining = e.bytes.size() - probe.at - 8;
+    // The probe sits on a real count: non-zero, and its elements fit.
+    const std::uint64_t stored =
+        core::serde::load_le<std::uint64_t>(e.bytes.data() + probe.at);
+    ASSERT_GT(stored, 0u);
+    ASSERT_LE(stored, remaining / probe.elem_bytes);
+    for (const std::uint64_t count : {remaining / probe.elem_bytes + 1,
+                                      std::uint64_t{1} << 61,
+                                      ~std::uint64_t{0}}) {
       SCOPED_TRACE(count);
       std::vector<std::uint8_t> crafted = e.bytes;
       for (int b = 0; b < 8; ++b) {
-        crafted[at + b] = static_cast<std::uint8_t>(count >> (8 * b));
+        crafted[probe.at + b] = static_cast<std::uint8_t>(count >> (8 * b));
       }
       core::serde::Reader r(crafted);
       EXPECT_FALSE(e.decodes(r));
       EXPECT_FALSE(r.ok());
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryCodec, ArtifactSerdeCodec, ::testing::ValuesIn(kCodecCases),
+    [](const ::testing::TestParamInfo<CodecCase>& info) {
+      return std::string(info.param.tag);
+    });
+
+// --- run_result v2: lean records -----------------------------------------
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double d : v) out.push_back(bits(d));
+  return out;
+}
+
+/// Every field of two runs, doubles by bit pattern (a NaN or a signed zero
+/// counts too).
+void expect_same_run(const core::RunResult& a, const core::RunResult& b) {
+  EXPECT_EQ(bits(a.fin_hz), bits(b.fin_hz));
+  EXPECT_EQ(bits(a.amplitude_v), bits(b.amplitude_v));
+  EXPECT_EQ(bits(a.full_scale_v), bits(b.full_scale_v));
+  EXPECT_EQ(bits(a.mod.output), bits(b.mod.output));
+  EXPECT_EQ(a.mod.counts, b.mod.counts);
+  EXPECT_EQ(a.mod.slice_bits, b.mod.slice_bits);
+  EXPECT_EQ(bits(a.mod.mean_vctrlp), bits(b.mod.mean_vctrlp));
+  EXPECT_EQ(bits(a.mod.mean_vctrln), bits(b.mod.mean_vctrln));
+  EXPECT_EQ(bits(a.mod.mean_freq1_hz), bits(b.mod.mean_freq1_hz));
+  EXPECT_EQ(bits(a.mod.mean_freq2_hz), bits(b.mod.mean_freq2_hz));
+  EXPECT_EQ(bits(a.mod.bit_toggle_rate), bits(b.mod.bit_toggle_rate));
+  EXPECT_EQ(bits(a.spectrum.freq_hz), bits(b.spectrum.freq_hz));
+  EXPECT_EQ(bits(a.spectrum.power), bits(b.spectrum.power));
+  EXPECT_EQ(bits(a.spectrum.dbfs), bits(b.spectrum.dbfs));
+  EXPECT_EQ(bits(a.spectrum.fs_hz), bits(b.spectrum.fs_hz));
+  EXPECT_EQ(bits(a.spectrum.bin_hz), bits(b.spectrum.bin_hz));
+  EXPECT_EQ(bits(a.spectrum.enbw_bins), bits(b.spectrum.enbw_bins));
+  EXPECT_EQ(a.spectrum.window, b.spectrum.window);
+  EXPECT_EQ(bits(a.sndr.fundamental_hz), bits(b.sndr.fundamental_hz));
+  EXPECT_EQ(bits(a.sndr.fundamental_dbfs), bits(b.sndr.fundamental_dbfs));
+  EXPECT_EQ(bits(a.sndr.signal_power), bits(b.sndr.signal_power));
+  EXPECT_EQ(bits(a.sndr.nad_power), bits(b.sndr.nad_power));
+  EXPECT_EQ(bits(a.sndr.noise_power), bits(b.sndr.noise_power));
+  EXPECT_EQ(bits(a.sndr.distortion_power), bits(b.sndr.distortion_power));
+  EXPECT_EQ(bits(a.sndr.sndr_db), bits(b.sndr.sndr_db));
+  EXPECT_EQ(bits(a.sndr.snr_db), bits(b.sndr.snr_db));
+  EXPECT_EQ(bits(a.sndr.thd_db), bits(b.sndr.thd_db));
+  EXPECT_EQ(bits(a.sndr.sfdr_db), bits(b.sndr.sfdr_db));
+  EXPECT_EQ(bits(a.sndr.enob), bits(b.sndr.enob));
+  EXPECT_EQ(bits(a.shaping.db_per_decade), bits(b.shaping.db_per_decade));
+  EXPECT_EQ(bits(a.shaping.r_squared), bits(b.shaping.r_squared));
+  ASSERT_EQ(a.idle_tones.size(), b.idle_tones.size());
+  for (std::size_t i = 0; i < a.idle_tones.size(); ++i) {
+    EXPECT_EQ(bits(a.idle_tones[i].freq_hz), bits(b.idle_tones[i].freq_hz));
+    EXPECT_EQ(bits(a.idle_tones[i].dbfs), bits(b.idle_tones[i].dbfs));
+    EXPECT_EQ(bits(a.idle_tones[i].above_floor_db),
+              bits(b.idle_tones[i].above_floor_db));
+  }
+  EXPECT_EQ(bits(a.power.vco_w), bits(b.power.vco_w));
+  EXPECT_EQ(bits(a.power.sampling_w), bits(b.power.sampling_w));
+  EXPECT_EQ(bits(a.power.dac_drive_w), bits(b.power.dac_drive_w));
+  EXPECT_EQ(bits(a.power.buffer_sw_w), bits(b.power.buffer_sw_w));
+  EXPECT_EQ(bits(a.power.wire_w), bits(b.power.wire_w));
+  EXPECT_EQ(bits(a.power.leakage_w), bits(b.power.leakage_w));
+  EXPECT_EQ(bits(a.power.dac_static_w), bits(b.power.dac_static_w));
+  EXPECT_EQ(bits(a.power.buffer_bias_w), bits(b.power.buffer_bias_w));
+  EXPECT_EQ(bits(a.fom_fj), bits(b.fom_fj));
+}
+
+/// Encodes `run`, checks that the decoded run equals it field for field
+/// and re-encodes to the same bytes, and returns the payload size.
+std::size_t expect_round_trip(const core::RunResult& run) {
+  const auto& codec = core::run_result_codec();
+  core::serde::Writer w;
+  codec.encode(run, w);
+  core::serde::Reader r(w.bytes());
+  const auto back = codec.decode(r);
+  EXPECT_NE(back, nullptr);
+  if (back == nullptr) return 0;
+  expect_same_run(*back, run);
+  core::serde::Writer w2;
+  codec.encode(*back, w2);
+  EXPECT_EQ(w2.bytes(), w.bytes());
+  return w.bytes().size();
+}
+
+/// `run` with one output sample and one frequency bin moved by one ulp:
+/// neither array can then be rebuilt on decode.
+core::RunResult with_ulp_moves(core::RunResult run) {
+  double& y = run.mod.output[run.mod.output.size() / 2];
+  y = std::nextafter(y, 2.0);
+  double& f = run.spectrum.freq_hz.back();
+  f = std::nextafter(f, 0.0);
+  return run;
+}
+
+/// A simulated run round-trips in compact form: moving one output sample
+/// and one bin by an ulp costs exactly the explicit arrays (8 + 8n bytes
+/// for the output, 8 + 8 * bins for the frequencies), and that run
+/// round-trips too.
+void expect_lean_round_trip(const core::RunResult& run) {
+  ASSERT_FALSE(run.mod.output.empty());
+  ASSERT_FALSE(run.spectrum.freq_hz.empty());
+  const std::size_t lean = expect_round_trip(run);
+  const std::size_t full = expect_round_trip(with_ulp_moves(run));
+  const std::size_t n = run.mod.output.size();
+  const std::size_t bins = run.spectrum.freq_hz.size();
+  EXPECT_EQ(full - lean, (8 + 8 * n) + (8 + 8 * bins));
+}
+
+/// The paper's 40 nm spec at `slices` slices, clocked where the ring
+/// still fits the node at that stage count.
+core::AdcSpec spec_with_slices(int slices) {
+  core::AdcSpec spec = small_spec();
+  spec.num_slices = slices;
+  if (slices > 16) spec.fs_hz = 100e6;
+  return spec;
+}
+
+/// The lean round trip at 2^4 ... 2^14 samples, for one slice count and
+/// one kind of run: a scalar run, lanes 0 and 7 of a W=8 group, or a
+/// scalar run that records its slice bits.
+class ArtifactSerdeLeanRun
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
+
+TEST_P(ArtifactSerdeLeanRun, RoundTripsEveryField) {
+  const auto& [slices, kind] = GetParam();
+  const core::AdcSpec spec = spec_with_slices(slices);
+  ASSERT_TRUE(spec.validate().empty());
+  core::ExecContext ctx;
+  const core::AdcDesign design(spec, ctx);
+  ASSERT_TRUE(design.ok());
+  for (int lg = 4; lg <= 14; ++lg) {
+    SCOPED_TRACE(lg);
+    core::SimulationOptions sim;
+    sim.n_samples = std::size_t{1} << lg;
+    if (kind == "lanes") {
+      std::vector<core::SimulationOptions> group(8, sim);
+      for (std::size_t k = 0; k < group.size(); ++k) group[k].seed = 500 + k;
+      msim::BatchedWorkspace ws;
+      const std::vector<core::RunResult> lanes =
+          design.simulate_batch(group, ws);
+      ASSERT_EQ(lanes.size(), 8u);
+      expect_lean_round_trip(lanes[0]);
+      expect_lean_round_trip(lanes[7]);
+    } else {
+      sim.record_bits = kind == "record_bits";
+      const core::RunResult run = design.simulate(sim);
+      if (sim.record_bits) {
+        ASSERT_EQ(run.mod.slice_bits.size(),
+                  static_cast<std::size_t>(slices));
+      }
+      expect_lean_round_trip(run);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SlicesAndRuns, ArtifactSerdeLeanRun,
+    ::testing::Combine(::testing::Values(2, 16, 64),
+                       ::testing::Values(std::string("scalar"),
+                                         std::string("lanes"),
+                                         std::string("record_bits"))),
+    [](const ::testing::TestParamInfo<std::tuple<int, std::string>>& info) {
+      return "n" + std::to_string(std::get<0>(info.param)) + "_" +
+             std::get<1>(info.param);
+    });
+
+TEST(ArtifactSerdeTest, RunResultExplicitFormsStayLossless) {
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  core::SimulationOptions sim;
+  sim.n_samples = 1 << 8;
+  const auto run = flow.sim_run(small_spec(), sim);
+  ASSERT_NE(run, nullptr);
+  const std::size_t lean = expect_round_trip(*run);
+
+  // One output sample and one bin an ulp off the rebuilt value: both go
+  // out explicitly, bit for bit.
+  const core::RunResult moved = with_ulp_moves(*run);
+  const std::size_t n = run->mod.output.size();
+  const std::size_t bins = run->spectrum.freq_hz.size();
+  EXPECT_EQ(expect_round_trip(moved) - lean, (8 + 8 * n) + (8 + 8 * bins));
+
+  // A count no byte holds: the counts go out as i64s (7 more bytes per
+  // sample), and the output with them.
+  core::RunResult wide = *run;
+  wide.mod.counts[1] = 256;
+  EXPECT_EQ(expect_round_trip(wide) - lean, 7 * n + (8 + 8 * n));
+  wide.mod.counts[1] = -1;
+  EXPECT_EQ(expect_round_trip(wide) - lean, 7 * n + (8 + 8 * n));
+
+  // Arrays the modulator never produces: sizes that disagree, and a -0.0
+  // output where the rebuild gives +0.0.
+  core::RunResult odd = *run;
+  odd.mod.output.pop_back();
+  odd.spectrum.freq_hz.push_back(1.0);
+  expect_round_trip(odd);
+  core::RunResult signed_zero = *run;
+  signed_zero.mod.counts[0] = small_spec().num_slices / 2;
+  signed_zero.mod.output[0] = -0.0;
+  EXPECT_EQ(expect_round_trip(signed_zero) - lean, 8 + 8 * n);
+  expect_round_trip(core::RunResult{});
+}
+
+TEST(SerdeTest, U8sRoundTripAndRejectACountPastTheEnd) {
+  const std::vector<int> v = {0, 1, 64, 255};
+  core::serde::Writer w;
+  w.u8s(v);
+  w.u8(9);
+  std::vector<int> back;
+  core::serde::Reader r(w.bytes());
+  r.u8s(back);
+  EXPECT_EQ(back, v);
+  EXPECT_EQ(r.u8(), 9);
+  EXPECT_TRUE(r.ok() && r.at_end());
+
+  // The count claims one byte more than follows it: rejected before any
+  // element is read, with `out` left empty.
+  std::vector<std::uint8_t> crafted = w.bytes();
+  crafted[0] = static_cast<std::uint8_t>(crafted.size() - 8 + 1);
+  back = {7};
+  core::serde::Reader rc(crafted);
+  rc.u8s(back);
+  EXPECT_FALSE(rc.ok());
+  EXPECT_TRUE(back.empty());
 }
 
 // --- the cross-process acceptance test ------------------------------------
@@ -850,6 +1142,65 @@ TEST(ArtifactStoreTest, CrossProcessWarmStartIsBitIdenticalWithZeroColdBuilds) {
   const std::string fp_b =
       core::eval_result_fingerprint(core::eval_result_to_json(resp_b));
   EXPECT_EQ(fp_a, fp_b);
+}
+
+/// A store written before run_result v2 holds its runs as type_version 1
+/// records. A new process reads each as a version-skew miss, rebuilds it
+/// to the same result fingerprint and writes it back as v2, so the process
+/// after that builds nothing.
+TEST(ArtifactStoreTest, RunResultV1RecordIsVersionSkewMissRebuiltBitIdentical) {
+  TempStoreDir dir("run_v1");
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kDatasheet;
+  req.spec = small_spec();
+  req.datasheet.n_samples = 1 << 12;
+  req.datasheet.mc_runs = 2;
+  // One request in a "process" of its own: fresh cache and store handle.
+  auto run_process = [&](core::ArtifactStoreStats* stats) {
+    core::ArtifactCache cache(64);
+    core::ArtifactStore store(dir.str());
+    core::ExecContext ctx;
+    ctx.threads = 1;
+    ctx.cache = &cache;
+    ctx.store = &store;
+    const core::EvalResponse resp = core::evaluate(req, ctx);
+    EXPECT_TRUE(resp.ok);
+    *stats = store.stats();
+    return core::eval_result_fingerprint(core::eval_result_to_json(resp));
+  };
+  core::ArtifactStoreStats cold;
+  const std::string fp = run_process(&cold);
+  ASSERT_GT(cold.writes, 0u);
+
+  // Re-frame every run_result record as type_version 1. The store checks
+  // the type version before any decode, so the payload layout is moot.
+  std::vector<fs::path> records;
+  for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
+    if (entry.path().extension() == ".art") records.push_back(entry.path());
+  }
+  core::ArtifactStore store(dir.str());
+  std::uint64_t runs = 0;
+  for (const fs::path& path : records) {
+    const std::string hex = path.stem().string();  // hi then lo, 16 each
+    const core::CacheKey key{std::stoull(hex.substr(16), nullptr, 16),
+                             std::stoull(hex.substr(0, 16), nullptr, 16)};
+    ASSERT_EQ(store.path_for(key), path.string());
+    std::vector<std::uint8_t> payload;
+    if (!store.load(key, "run_result", 2, &payload)) continue;
+    ASSERT_TRUE(store.save(key, "run_result", 1, payload));
+    ++runs;
+  }
+  ASSERT_GT(runs, 0u);
+
+  core::ArtifactStoreStats skewed;
+  EXPECT_EQ(run_process(&skewed), fp);
+  EXPECT_EQ(skewed.version_skew, runs);
+  EXPECT_EQ(skewed.misses, runs);
+  EXPECT_EQ(skewed.writes, runs);
+  core::ArtifactStoreStats warm;
+  EXPECT_EQ(run_process(&warm), fp);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_EQ(warm.writes, 0u);
 }
 
 /// A corrupted record in the store must not poison a warm run: the stage

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -75,6 +76,71 @@ TEST(Rng, GaussianScaled) {
   }
   EXPECT_NEAR(sum / n, 3.0, 0.05);
   EXPECT_NEAR(std::sqrt(sum2 / n), 2.0, 0.05);
+}
+
+// Rng::gaussian as it was before its sign went branch-free, verbatim but
+// for the explicit Rng (the slow path is private, so it is copied too).
+// `slow` counts the draws that left the ziggurat's fast path.
+double branching_sign_gaussian_slow(Rng& r, std::uint64_t u) {
+  for (;;) {
+    const std::size_t idx = static_cast<std::size_t>(u & 255u);
+    const bool neg = (u & 256u) != 0;
+    const std::uint64_t rabs = u >> 12;
+    if (rabs < detail::kZig.k[idx]) {
+      const double x = static_cast<double>(rabs) * detail::kZig.w[idx];
+      return neg ? -x : x;
+    }
+    if (idx == 0) {
+      double xx;
+      double yy;
+      do {
+        const double u1 =
+            (static_cast<double>(r.next_u64() >> 11) + 1.0) * 0x1.0p-53;
+        const double u2 =
+            (static_cast<double>(r.next_u64() >> 11) + 1.0) * 0x1.0p-53;
+        xx = -std::log(u1) * (1.0 / detail::kZigR);
+        yy = -std::log(u2);
+      } while (yy + yy < xx * xx);
+      return neg ? -(detail::kZigR + xx) : (detail::kZigR + xx);
+    }
+    const double x = static_cast<double>(rabs) * detail::kZig.w[idx];
+    const double f_hi = detail::kZig.f[idx - 1];
+    const double f_lo = detail::kZig.f[idx];
+    if (f_lo + r.uniform() * (f_hi - f_lo) < std::exp(-0.5 * x * x)) {
+      return neg ? -x : x;
+    }
+    u = r.next_u64();
+  }
+}
+
+double branching_sign_gaussian(Rng& r, std::uint64_t* slow) {
+  const std::uint64_t u = r.next_u64();
+  const std::size_t idx = static_cast<std::size_t>(u & 255u);
+  const std::uint64_t rabs = u >> 12;
+  if (rabs < detail::kZig.k[idx]) [[likely]] {
+    const double x = static_cast<double>(rabs) * detail::kZig.w[idx];
+    return (u & 256u) ? -x : x;
+  }
+  ++*slow;
+  return branching_sign_gaussian_slow(r, u);
+}
+
+TEST(Rng, GaussianMatchesTheBranchingSignDrawBitForBit) {
+  std::uint64_t slow = 0;
+  std::uint64_t draws = 0;
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1000ull, 0xdeadbeefull}) {
+    Rng now(seed), before(seed);
+    for (int i = 0; i < 250000; ++i, ++draws) {
+      const double a = now.gaussian();
+      const double b = branching_sign_gaussian(before, &slow);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
+                std::bit_cast<std::uint64_t>(b))
+          << "seed " << seed << " draw " << i;
+    }
+    EXPECT_EQ(now.next_u64(), before.next_u64());  // streams still in step
+  }
+  EXPECT_GE(draws, 1000000u);
+  EXPECT_GT(slow, 1000u);  // rejections and the tail took part
 }
 
 TEST(Rng, BelowBounds) {
