@@ -182,12 +182,13 @@ void emit_bench_json_summary(const std::string& json_out) {
   // applies when the active tier has real vector registers (width >= 4
   // doubles per op, i.e. AVX2+) — on narrower hosts the batch still wins
   // but the floor is not promised. The gate is 2.5x, below the 4-8x a
-  // pure-SIMD argument would promise: the packed ziggurat and packed
-  // comparator-bit extraction moved most of the once-serial per-lane work
-  // into the lanes, but the rejection tail, metastability draws and result
-  // write-out stay per-lane. Medians of 5 runs on a 4-thread avx512 host:
-  // W=2 2.25x, W=4 2.35x, W=8 2.40x, each inside the others' run-to-run
-  // spread (an earlier host read W=4 2.7-3.0x, W=8 2.3-2.6x).
+  // pure-SIMD argument would promise: the packed ziggurat, packed
+  // comparator-bit extraction and one lane-mask test per rare path moved
+  // most of the once-serial per-lane work into the lanes, but the
+  // rejection tail, metastability draws and result write-out stay
+  // per-lane. Medians of 5 runs on a 4-vCPU avx512 host: W=2 1.80x, W=4
+  // 2.57x, W=8 2.71x; the gate passed in 4 of the 5 (best width
+  // 2.31-3.84x).
   const util::simd::Tier tier = util::simd::active_tier();
   const int simd_width = util::simd::tier_width(tier);
   double batched_clocks_per_s = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <set>
 #include <utility>
 
@@ -594,6 +595,54 @@ int derived_slices(const msim::ModulatorResult& mod) {
   return n_slices;
 }
 
+// Each slice's bit stream is stored as its bit count and then the bits
+// eight to a byte, bit j in byte j / 8 at bit j % 8, the last byte's unused
+// high bits zero. libstdc++ keeps a vector<bool> in unsigned long words with
+// bit j at bit j % 64 of word j / 64, so on a little-endian host those words
+// already are that byte stream and one memcpy moves a slice; elsewhere the
+// bits move one at a time.
+#if defined(__GLIBCXX__) && !defined(_GLIBCXX_DEBUG)
+constexpr bool kWordBits = serde::kNativeLittleEndian;
+#else
+constexpr bool kWordBits = false;
+#endif
+
+/// Writes `bits` into the (bits.size() + 7) / 8 zeroed bytes at `out`.
+void pack_bits(const std::vector<bool>& bits, std::uint8_t* out) {
+  const std::size_t n = bits.size();
+  if (n == 0) return;
+  if constexpr (kWordBits) {
+    std::memcpy(out, bits.begin()._M_p, (n + 7) / 8);
+    // Bits past the end of a vector<bool> are unspecified.
+    if (n % 8 != 0) {
+      out[n / 8] &= static_cast<std::uint8_t>((1u << n % 8) - 1);
+    }
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      out[j / 8] = static_cast<std::uint8_t>(out[j / 8] | bits[j] << j % 8);
+    }
+  }
+}
+
+/// The `n` bits packed at `in` (pack_bits' layout).
+std::vector<bool> unpack_bits(const std::uint8_t* in, std::size_t n) {
+  std::vector<bool> bits(n);
+  if (n == 0) return bits;
+  if constexpr (kWordBits) {
+    // bits(n) zeroed every word; the stored high bits of the last byte are
+    // cleared again, so the words past n stay zero.
+    std::memcpy(bits.begin()._M_p, in, (n + 7) / 8);
+    if (n % 8 != 0) {
+      bits.begin()._M_p[(n - 1) / 64] &= ~0UL >> (63 - (n - 1) % 64);
+    }
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      bits[j] = ((in[j / 8] >> j % 8) & 1) != 0;
+    }
+  }
+  return bits;
+}
+
 /// True when every frequency bin is bin_hz * k bit for bit
 /// (dsp::compute_spectrum) and there is one per power bin.
 bool freq_is_derived(const dsp::Spectrum& s) {
@@ -624,19 +673,9 @@ void encode_run_result(const RunResult& res, serde::Writer& w) {
   w.u8(static_cast<std::uint8_t>(n_slices));
   if (n_slices == 0) w.f64s(res.mod.output);
   w.size(res.mod.slice_bits.size());
-  for (const auto& bits : res.mod.slice_bits) {
+  for (const std::vector<bool>& bits : res.mod.slice_bits) {
     w.size(bits.size());
-    std::uint8_t acc = 0;
-    int fill = 0;
-    for (const bool b : bits) {
-      acc = static_cast<std::uint8_t>(acc | ((b ? 1 : 0) << fill));
-      if (++fill == 8) {
-        w.u8(acc);
-        acc = 0;
-        fill = 0;
-      }
-    }
-    if (fill != 0) w.u8(acc);
+    pack_bits(bits, w.raw((bits.size() + 7) / 8));
   }
   w.f64(res.mod.mean_vctrlp);
   w.f64(res.mod.mean_vctrln);
@@ -713,15 +752,12 @@ std::shared_ptr<const RunResult> decode_run_result(serde::Reader& r) {
     const std::size_t nslices = r.size();
     res->mod.slice_bits.reserve(nslices);
     for (std::size_t i = 0; i < nslices && r.ok(); ++i) {
+      // size() bounds the bit count by the bytes left, so the byte count
+      // cannot overflow; raw() then checks the bytes themselves.
       const std::size_t nbits = r.size();
-      std::vector<bool> bits;
-      bits.reserve(nbits);
-      std::uint8_t acc = 0;
-      for (std::size_t j = 0; j < nbits && r.ok(); ++j) {
-        if (j % 8 == 0) acc = r.u8();
-        bits.push_back(((acc >> (j % 8)) & 1) != 0);
-      }
-      res->mod.slice_bits.push_back(std::move(bits));
+      const std::uint8_t* packed = r.raw((nbits + 7) / 8);
+      if (!r.ok()) return nullptr;
+      res->mod.slice_bits.push_back(unpack_bits(packed, nbits));
     }
   }
   res->mod.mean_vctrlp = r.f64();

@@ -85,8 +85,11 @@ class BatchRunner {
     stats_ = BatchStats{};
     stats_.threads = threads_;
     stats_.task_wall_s.assign(n, 0.0);
-    // A fresh pool per batch keeps the stats per-batch and the thread
-    // spawn cost (~µs) is noise next to a single simulate() call (~ms-s).
+    // A fresh pool per batch keeps the stats per-batch. Its spawn and join
+    // are not free: map() over trivial tasks takes a median of 76-86 µs at
+    // 2 threads and 137-141 µs at 4 (Release, 4-vCPU avx512 host). That is
+    // noise next to a cold simulate() call (ms-s) but several times a warm
+    // cache hit (~10 µs) (ROADMAP item 2, warm path).
     // threads_ == 1 or a single task uses the inline fallback: no pool, no
     // synchronization, and the task's trace spans keep the caller's span
     // as their parent.

@@ -97,6 +97,14 @@ class Writer {
     }
   }
 
+  /// Appends n zero bytes (no count) and returns where they start, for a
+  /// codec that fills them in place; valid until the next write.
+  std::uint8_t* raw(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -214,6 +222,13 @@ class Reader {
     out.resize(count);
     for (std::size_t i = 0; i < count; ++i) out[i] = p_[pos_ + i];
     pos_ += count;
+  }
+
+  /// The next n bytes (a Writer::raw block), or nullptr with !ok() latched
+  /// when fewer remain.
+  const std::uint8_t* raw(std::size_t n) {
+    if (!take(n)) return nullptr;
+    return p_ + pos_ - n;
   }
 
  private:

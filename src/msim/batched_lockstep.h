@@ -4,11 +4,14 @@
 // VcoDsmModulator::run() with every per-draw scalar replaced by a W-lane
 // structure-of-arrays value (util::simd::vec). It is compiled four times —
 // batched_tier_{scalar,sse2,avx2,avx512}.cpp — with different codegen flags
-// and dispatched at runtime (see util/simd.h). The TUs contain no
-// intrinsics and never contract FMA (the avx512 TU carries -ffp-contract=off
-// because -mavx512f implies FMA), so each lane's IEEE operation sequence is
-// identical across tiers and identical to the scalar modulator's; the tier
-// changes only how many lanes one instruction retires.
+// and dispatched at runtime (see util/simd.h). The TUs never contract FMA
+// (the avx512 TU carries -ffp-contract=off because -mavx512f implies FMA),
+// so each lane's IEEE operation sequence is identical across tiers and
+// identical to the scalar modulator's; the tier changes only how many lanes
+// one instruction retires. The only intrinsics sit in util::simd::lane_bits,
+// the ISA-guarded packed test in front of each rare per-lane fixup (phase
+// wraps, metastability candidates, ziggurat rejects): it picks whether the
+// scalar fixup runs, never what it computes.
 //
 // Everything allocation- or libm-setup-related (pole factors, noise
 // amplitudes, mismatch transposition, result-buffer sizing) happens in
@@ -292,11 +295,17 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
       ph2 = util::simd::select_lt(p2, 0.0, p2 + kTwoPi,
                                   util::simd::select_ge(p2, kTwoPi,
                                                         p2 - kTwoPi, p2));
+#if VCOADC_SIMD_NATIVE
+      const int wrap_rare = util::simd::lane_bits<W>(
+          (ph1.v >= kTwoPi) | (ph1.v < 0.0) | (ph2.v >= kTwoPi) |
+          (ph2.v < 0.0));
+#else
       int wrap_rare = 0;
       for (int w = 0; w < W; ++w) {
         wrap_rare |= (ph1.v[w] >= kTwoPi) | (ph1.v[w] < 0.0) |
                      (ph2.v[w] >= kTwoPi) | (ph2.v[w] < 0.0);
       }
+#endif
       if (wrap_rare != 0) [[unlikely]] {
         for (int w = 0; w < W; ++w) {
           double p = p1.v[w];
@@ -349,8 +358,9 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
     // Packed comparator path: the decision leaves each sample_ring call as
     // a 0/1 lane-mask vector, the two-ring XOR happens packed, and the
     // decision bit is gathered into the per-lane DAC words with one packed
-    // shift+or per slice (movemask-style bit gather). The only per-lane
-    // extraction left is one transfer of the W finished words per clock.
+    // shift+or per slice (movemask-style bit gather). The rare-path tests
+    // are one lane_bits each, so the only per-lane extraction left on the
+    // common path is one transfer of the W finished words per clock.
     using MV = typename util::simd::native_u64vec<W>::type;
     auto sample_ring = [&](const V& ph, const double* tap, const double* offt,
                            const V& omega, const V& fe, util::LaneRng<W>& rng,
@@ -365,11 +375,8 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
       V wr = util::simd::select_ge(arg, kTwoPi, arg - kTwoPi, arg);
       wr = util::simd::select_ge(wr, kTwoPi, wr - kTwoPi, wr);
       wr = util::simd::select_lt(wr, 0.0, wr + kTwoPi, wr);
-      int rare = 0;
-      for (int w = 0; w < W; ++w) {
-        rare |= (wr.v[w] >= kTwoPi) | (wr.v[w] < 0.0);
-      }
-      if (rare != 0) [[unlikely]] {
+      if (util::simd::lane_bits<W>((wr.v >= kTwoPi) | (wr.v < 0.0)) != 0)
+          [[unlikely]] {
         for (int w = 0; w < W; ++w) wr.v[w] = wrap_2pi(arg.v[w]);
       }
       // The packed compare yields 0/~0 per lane; masking with 1 leaves the
@@ -384,9 +391,7 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
         V p = util::simd::select_ge(p0, kPi, p0 - kPi, p0);
         p = util::simd::select_ge(p, kPi, p - kPi, p);
         p = util::simd::select_ge(p, kPi, p - kPi, p);
-        int wrap_more = 0;
-        for (int w = 0; w < W; ++w) wrap_more |= (p.v[w] >= kPi);
-        if (wrap_more != 0) [[unlikely]] {
+        if (util::simd::lane_bits<W>(p.v >= kPi) != 0) [[unlikely]] {
           for (int w = 0; w < W; ++w) {
             double pw = p0.v[w];
             while (pw >= kPi) pw -= kPi;
@@ -403,10 +408,7 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
         // the exact division, which then decides, bit-for-bit.
         const V lhs = kPi - p;
         const V bnd = (kTwoPi * fe) * meta_margin;
-        int cand = 0;
-        for (int w = 0; w < W; ++w) {
-          cand |= (lhs.v[w] < bnd.v[w]) << w;
-        }
+        const int cand = util::simd::lane_bits<W>(lhs.v < bnd.v);
         if (cand != 0) [[unlikely]] {
           for (int w = 0; w < W; ++w) {
             if (((cand >> w) & 1) == 0) continue;
@@ -556,12 +558,33 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
   }
 }
 
+/// The bitmask of the lanes w with a[w] < b[w], through the same
+/// util::simd::lane_bits<W> the kernel's rare-path tests use, compiled under
+/// this TU's flags (`static` for the reason given at run_lockstep). Each
+/// tier table exports it so a unit test can check every ISA branch of the
+/// helper, not only the one the test's own TU compiles.
+template <int W>
+static int lane_bits_lt(const double* a, const double* b) {
+#if VCOADC_SIMD_NATIVE
+  using V = util::simd::vec<W>;
+  return util::simd::lane_bits<W>(V::load(a).v < V::load(b).v);
+#else
+  int bits = 0;
+  for (int w = 0; w < W; ++w) bits |= static_cast<int>(a[w] < b[w]) << w;
+  return bits;
+#endif
+}
+
 /// Per-tier entry points (one TU per tier; see batched_tier_*.cpp).
 using LockstepFn = void (*)(const BatchedSetup&, BatchedWorkspace&);
+using LaneBitsFn = int (*)(const double*, const double*);
 struct LockstepTable {
   LockstepFn w2 = nullptr;
   LockstepFn w4 = nullptr;
   LockstepFn w8 = nullptr;
+  LaneBitsFn lane_bits_w2 = nullptr;  ///< lane_bits_lt<2>, and so on
+  LaneBitsFn lane_bits_w4 = nullptr;
+  LaneBitsFn lane_bits_w8 = nullptr;
 };
 namespace tier_scalar {
 const LockstepTable& table();

@@ -21,7 +21,8 @@ void run_w8(const BatchedSetup& s, BatchedWorkspace& ws) {
 }  // namespace
 
 const LockstepTable& table() {
-  static const LockstepTable t{&run_w2, &run_w4, &run_w8};
+  static const LockstepTable t{&run_w2, &run_w4, &run_w8, &lane_bits_lt<2>,
+                               &lane_bits_lt<4>, &lane_bits_lt<8>};
   return t;
 }
 

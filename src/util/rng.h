@@ -229,8 +229,9 @@ class LaneRng {
     // (the layer index is a random byte, so those two loads are the only
     // scalar work left), then a packed convert, scale and branchless sign
     // flip. The accept test is evaluated packed for every lane at once and
-    // the packed result is kept for every accepted lane; only rejected
-    // lanes (~1.5% each, independent) pay a scalar fixup. An earlier packed
+    // checked with one lane-mask test (simd::lane_bits), and the packed
+    // result is kept for every accepted lane; only rejected lanes (~1.5%
+    // each, independent) pay a scalar fixup. An earlier packed
     // attempt measured ~10% slower at W=4 because its combined
     // all-lanes-accept branch re-ran the entire lane loop on any reject —
     // here a reject costs one slow_lane_ call and nothing else.
@@ -257,12 +258,8 @@ class LaneRng {
     // no -Wpsabi at instantiation points outside the widest-ISA TUs.
     const DV xs = (DV)((UV)x ^ ((u & 256u) << 55));
     const auto rej = rabs >= kv;  // 0 / ~0 per lane
-    std::uint64_t any_rej = 0;
-    for (int w = 0; w < W; ++w) {
-      out[w] = xs[w];
-      any_rej |= static_cast<std::uint64_t>(rej[w]);
-    }
-    if (any_rej != 0) [[unlikely]] {
+    for (int w = 0; w < W; ++w) out[w] = xs[w];
+    if (simd::lane_bits<W>(rej) != 0) [[unlikely]] {
       for (int w = 0; w < W; ++w) {
         if (rej[w] != 0) out[w] = slow_lane_(w, u[w]);
       }

@@ -27,10 +27,19 @@
 // auto-vectorizer can turn each operator into one packed instruction at the
 // TU's ISA level, and so the scalar TU lowers it to the exact same scalar
 // IEEE operations.
+//
+// Intrinsics: the tier TUs are portable C++ except for one ISA-guarded
+// helper, lane_bits(), which turns a packed compare into a lane bitmask with
+// one movemask/test instruction. It only decides whether a rare per-lane
+// fixup runs — control flow, never a lane value — so it cannot move a bit.
 #pragma once
 
 #include <cstddef>
 #include <string>
+
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
 
 namespace vcoadc::util::simd {
 
@@ -126,6 +135,36 @@ template <>
 struct native_u64vec<8> {
   typedef unsigned long long type __attribute__((vector_size(64)));
 };
+
+/// Bitmask of the lanes of a packed compare result `m` that are set (bit w
+/// = lane w), e.g. lane_bits<W>(a.v < b.v). Lanes must be 0 or ~0, which
+/// every native vector compare yields (a NaN compares false, so 0). GCC 12
+/// lowers the portable `for (w) bits |= (m[w] != 0) << w` to W scalar
+/// extract-and-compare steps; each ISA branch below is one instruction: a
+/// mask test at W=8 under AVX-512, movmskpd at W=4 under AVX and at W=2
+/// under SSE2 (every x86-64 TU, the scalar tier's too, whose native vectors
+/// already live in SSE2 registers). Any other width and ISA keeps the loop.
+/// The preprocessor picks the branch per TU, under that tier's own -m flags
+/// (always-inline, like vec). The result only steers control flow into a
+/// per-lane fixup.
+template <int W, typename M>
+VCOADC_SIMD_INLINE int lane_bits(const M& m) {
+  static_assert(sizeof(M) == W * sizeof(double), "one 64-bit lane per w");
+#if defined(__AVX512F__)
+  if constexpr (W == 8) {
+    return static_cast<int>(_mm512_test_epi64_mask((__m512i)m, (__m512i)m));
+  }
+#endif
+#if defined(__AVX__)
+  if constexpr (W == 4) return _mm256_movemask_pd((__m256d)m);
+#endif
+#if defined(__SSE2__)
+  if constexpr (W == 2) return _mm_movemask_pd((__m128d)m);
+#endif
+  int bits = 0;
+  for (int w = 0; w < W; ++w) bits |= static_cast<int>(m[w] != 0) << w;
+  return bits;
+}
 #endif
 
 /// Fixed-width elementwise value type for the lockstep kernels. Each

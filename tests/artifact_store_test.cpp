@@ -30,6 +30,7 @@
 #include "core/serde.h"
 #include "util/diag.h"
 #include "util/json.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace fs = std::filesystem;
@@ -764,11 +765,27 @@ struct CountAt {
 struct CodecCase {
   const char* tag;
   std::vector<CountAt> counts;  ///< counts the crafted-payload probe hits
+  /// Tests the cut sweep is split into, so ctest runs a long sweep (it
+  /// grows with the square of the payload) in parallel.
+  int cut_shards = 1;
 };
 
-/// Names the case by its tag: gtest would otherwise print the struct's raw
-/// bytes (pointers included) into the test listing.
-void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.tag; }
+/// One test's share of a codec's cut sweep: the cuts 8 * i with
+/// i % cut_shards == shard. Shard 0 also runs the crafted-count probes and
+/// keeps the codec's bare test name.
+struct CodecShard {
+  CodecCase codec;
+  int shard = 0;
+};
+
+/// Names the case by its tag (and shard): gtest would otherwise print the
+/// struct's raw bytes (pointers included) into the test listing.
+void PrintTo(const CodecShard& s, std::ostream* os) {
+  *os << s.codec.tag;
+  if (s.shard != 0) {
+    *os << " cut shard " << s.shard << " of " << s.codec.cut_shards;
+  }
+}
 
 // The run_result payload is of 64 samples, every array in compact form:
 // the counts' u8s count sits at byte 25 (after fin, amplitude, full scale
@@ -776,13 +793,14 @@ void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.tag; }
 // the 64 count bytes, the output's slice-count byte, the empty slice_bits
 // count and the five modulator means). The gate_sim
 // payload's `decoded` count sits at byte 34 (after two bools, two f64s,
-// n_samples and num_slices).
+// n_samples and num_slices). The synthesis and floorplan sweeps are the
+// long ones: 16 s and 2.9 s unsharded under asan.
 const std::vector<CodecCase> kCodecCases = {
     {"cell_library", {}},
     {"design_bundle", {}},
-    {"floorplan", {}},
+    {"floorplan", {}, 2},
     {"placement", {}},
-    {"synthesis", {}},
+    {"synthesis", {}, 8},
     {"run_result", {{25, 1}, {25 + 8 + 64 + 1 + 8 + 5 * 8, 8}}},
     {"hdl_emit", {}},
     {"gate_sim", {{34, 8}}},
@@ -790,25 +808,37 @@ const std::vector<CodecCase> kCodecCases = {
     {"power_grid", {}},
 };
 
-class ArtifactSerdeCodec : public ::testing::TestWithParam<CodecCase> {};
+std::vector<CodecShard> codec_shards() {
+  std::vector<CodecShard> shards;
+  for (const CodecCase& c : kCodecCases) {
+    for (int k = 0; k < c.cut_shards; ++k) shards.push_back({c, k});
+  }
+  return shards;
+}
+
+class ArtifactSerdeCodec : public ::testing::TestWithParam<CodecShard> {};
 
 TEST_P(ArtifactSerdeCodec, DecoderRejectsTruncatedPayload) {
-  // The codec's payload cut at every 8-byte boundary short of the whole:
-  // each prefix decodes to null, never UB, never an artifact. Each probed
-  // array count is then overwritten with counts that claim more than the
-  // payload holds (one element past the end, 2^61, 2^64 - 1): null with
-  // the reader latched !ok().
-  const CodecCase& c = GetParam();
+  // The codec's payload cut at every 8-byte boundary short of the whole
+  // (this shard's share of them): each prefix decodes to null, never UB,
+  // never an artifact. Each probed array count is then overwritten with
+  // counts that claim more than the payload holds (one element past the
+  // end, 2^61, 2^64 - 1): null with the reader latched !ok().
+  const CodecCase& c = GetParam().codec;
+  const int shard = GetParam().shard;
   const EncodedArtifact e = codec_payload(c.tag);
   ASSERT_EQ(e.type_tag, c.tag);
   ASSERT_FALSE(e.bytes.empty()) << "stage refused its input";
   core::serde::Reader whole(e.bytes);
   ASSERT_TRUE(e.decodes(whole));
-  for (std::size_t cut = 0; cut < e.bytes.size(); cut += 8) {
+  const std::size_t step = 8 * static_cast<std::size_t>(c.cut_shards);
+  for (std::size_t cut = 8 * static_cast<std::size_t>(shard);
+       cut < e.bytes.size(); cut += step) {
     core::serde::Reader r(e.bytes.data(), cut);
     ASSERT_FALSE(e.decodes(r)) << "prefix of " << cut << " of "
                                << e.bytes.size() << " bytes decoded";
   }
+  if (shard != 0) return;
 
   for (const CountAt& probe : c.counts) {
     SCOPED_TRACE(probe.at);
@@ -835,9 +865,11 @@ TEST_P(ArtifactSerdeCodec, DecoderRejectsTruncatedPayload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EveryCodec, ArtifactSerdeCodec, ::testing::ValuesIn(kCodecCases),
-    [](const ::testing::TestParamInfo<CodecCase>& info) {
-      return std::string(info.param.tag);
+    EveryCodec, ArtifactSerdeCodec, ::testing::ValuesIn(codec_shards()),
+    [](const ::testing::TestParamInfo<CodecShard>& info) {
+      const std::string tag = info.param.codec.tag;
+      if (info.param.shard == 0) return tag;
+      return tag + "_cuts" + std::to_string(info.param.shard);
     });
 
 // --- run_result v2: lean records -----------------------------------------
@@ -1037,6 +1069,146 @@ TEST(ArtifactSerdeTest, RunResultExplicitFormsStayLossless) {
   signed_zero.mod.output[0] = -0.0;
   EXPECT_EQ(expect_round_trip(signed_zero) - lean, 8 + 8 * n);
   expect_round_trip(core::RunResult{});
+}
+
+/// The byte offset of the slice-bit list's count in run_result's payload
+/// for `run` (which must hold slices): everything ahead of it does not
+/// depend on the bits, so it is where the payloads with and without them
+/// first differ (n against 0).
+std::size_t slice_list_offset(const core::RunResult& run) {
+  const auto& codec = core::run_result_codec();
+  core::RunResult bare = run;
+  bare.mod.slice_bits.clear();
+  core::serde::Writer wb;
+  codec.encode(bare, wb);
+  core::serde::Writer wr;
+  codec.encode(run, wr);
+  const std::vector<std::uint8_t>& plain = wb.bytes();
+  const std::vector<std::uint8_t>& full = wr.bytes();
+  return static_cast<std::size_t>(
+      std::mismatch(plain.begin(), plain.end(), full.begin(), full.end())
+          .first -
+      plain.begin());
+}
+
+/// run_result's payload for `run` with its slice bits written by the
+/// bit-at-a-time loop the codec used before it moved each slice's bytes in
+/// bulk, kept verbatim as the byte reference; the rest is the codec's
+/// payload for `run` without slice bits.
+std::vector<std::uint8_t> reference_payload(const core::RunResult& run) {
+  core::RunResult bare = run;
+  bare.mod.slice_bits.clear();
+  core::serde::Writer wb;
+  core::run_result_codec().encode(bare, wb);
+  const std::vector<std::uint8_t>& plain = wb.bytes();
+  const std::size_t at = slice_list_offset(run);
+  EXPECT_LE(at + 8, plain.size());
+  if (at + 8 > plain.size()) return {};
+  EXPECT_EQ(core::serde::load_le<std::uint64_t>(plain.data() + at), 0u);
+
+  core::serde::Writer w;
+  for (std::size_t i = 0; i < at; ++i) w.u8(plain[i]);
+  w.size(run.mod.slice_bits.size());
+  for (const auto& bits : run.mod.slice_bits) {
+    w.size(bits.size());
+    std::uint8_t acc = 0;
+    int fill = 0;
+    for (const bool b : bits) {
+      acc = static_cast<std::uint8_t>(acc | ((b ? 1 : 0) << fill));
+      if (++fill == 8) {
+        w.u8(acc);
+        acc = 0;
+        fill = 0;
+      }
+    }
+    if (fill != 0) w.u8(acc);
+  }
+  for (std::size_t i = at + 8; i < plain.size(); ++i) w.u8(plain[i]);
+  return w.take();
+}
+
+TEST(ArtifactSerdeTest, SliceBitsBytesMatchTheBitLoopAtEveryLength) {
+  // Every length from 0 to 130 bits (empty, partial and whole bytes and
+  // words), one slice of random bits built by push_back and one cut down
+  // from 130 set bits, so the bits past its end are still set in the
+  // vector's storage and must not reach the payload.
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  core::SimulationOptions sim;
+  sim.n_samples = 1 << 6;
+  const auto base = flow.sim_run(small_spec(), sim);
+  ASSERT_NE(base, nullptr);
+  util::Rng rng(11);
+  for (std::size_t len = 0; len <= 130; ++len) {
+    SCOPED_TRACE(len);
+    core::RunResult run = *base;
+    std::vector<bool> random;
+    for (std::size_t j = 0; j < len; ++j) random.push_back(rng.bernoulli(0.5));
+    std::vector<bool> cut(130, true);
+    cut.resize(len);
+    run.mod.slice_bits = {random, cut};
+    core::serde::Writer w;
+    core::run_result_codec().encode(run, w);
+    EXPECT_EQ(w.bytes(), reference_payload(run));
+    expect_round_trip(run);
+
+    // Set high bits in the first slice's last byte are ignored on decode,
+    // as the bit loop ignored them: the same bits come back, and they
+    // re-encode to the canonical bytes.
+    if (len % 8 == 0) continue;
+    std::vector<std::uint8_t> dirty = w.bytes();
+    dirty[slice_list_offset(run) + 8 + 8 + (len + 7) / 8 - 1] |=
+        static_cast<std::uint8_t>(0xFFu << len % 8);
+    core::serde::Reader r(dirty);
+    const auto back = core::run_result_codec().decode(r);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->mod.slice_bits, run.mod.slice_bits);
+    core::serde::Writer again;
+    core::run_result_codec().encode(*back, again);
+    EXPECT_EQ(again.bytes(), w.bytes());
+  }
+}
+
+TEST(ArtifactSerdeTest, RecordBitsRunBytesMatchTheBitLoop) {
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  core::SimulationOptions sim;
+  sim.n_samples = 1 << 12;
+  sim.record_bits = true;
+  const auto run = flow.sim_run(core::AdcSpec::paper_40nm(), sim);
+  ASSERT_NE(run, nullptr);
+  ASSERT_EQ(run->mod.slice_bits.size(),
+            static_cast<std::size_t>(core::AdcSpec::paper_40nm().num_slices));
+  core::serde::Writer w;
+  core::run_result_codec().encode(*run, w);
+  EXPECT_EQ(w.bytes(), reference_payload(*run));
+  expect_round_trip(*run);
+
+  // A cut inside the first slice's bytes (past the list count and its bit
+  // count) is refused like any other truncation.
+  const std::size_t cut = slice_list_offset(*run) + 8 + 8 + 100;
+  ASSERT_LT(cut, w.bytes().size());
+  core::serde::Reader r(w.bytes().data(), cut);
+  EXPECT_EQ(core::run_result_codec().decode(r), nullptr);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(SerdeTest, RawBlocksRoundTripAndRejectAShortRead) {
+  core::serde::Writer w;
+  w.u8(1);
+  std::uint8_t* block = w.raw(3);
+  block[0] = 7;
+  block[2] = 9;
+  core::serde::Reader r(w.bytes());
+  EXPECT_EQ(r.u8(), 1);
+  const std::uint8_t* got = r.raw(3);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(std::vector<std::uint8_t>(got, got + 3),
+            (std::vector<std::uint8_t>{7, 0, 9}));
+  EXPECT_TRUE(r.ok() && r.at_end());
+  core::serde::Reader short_read(w.bytes());
+  EXPECT_EQ(short_read.raw(5), nullptr);
+  EXPECT_FALSE(short_read.ok());
 }
 
 TEST(SerdeTest, U8sRoundTripAndRejectACountPastTheEnd) {

@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dsp/signal_gen.h"
+#include "msim/batched_lockstep.h"
 #include "msim/batched_modulator.h"
 #include "msim/modulator.h"
 #include "msim/resistor_dac.h"
@@ -157,31 +159,74 @@ void expect_bit_identical(const msim::ModulatorResult& got,
   EXPECT_EQ(got.bit_toggle_rate, want.bit_toggle_rate);
 }
 
+/// The kernel widths, each with its own lane_bits body per tier.
+constexpr int kWidths[] = {2, 4, 8};
+
+/// The first `width` seeds of one fixed list (the golden seed first).
+std::vector<std::uint64_t> seeds_of_width(int width) {
+  const std::vector<std::uint64_t> all = {42, 7,  1000, 1001,
+                                          5,  6,  99,   123456789};
+  return {all.begin(), all.begin() + width};
+}
+
+/// Runs a heterogeneous batch (lane k built from cfgs[k]) under the active
+/// tier and returns its lanes.
+std::vector<msim::ModulatorResult> run_batch(
+    const std::vector<msim::SimConfig>& cfgs,
+    const msim::VcoDsmModulator::Options& opts = {}) {
+  auto batch = msim::BatchedModulator::create(cfgs, opts);
+  EXPECT_NE(batch, nullptr) << "width " << cfgs.size();
+  if (batch == nullptr) return {};
+  const dsp::SignalFn base = dsp::make_sine(1.0, cfgs.front().fs_hz / 64.0);
+  std::vector<double> scale(cfgs.size());
+  for (std::size_t k = 0; k < cfgs.size(); ++k) {
+    scale[k] = 0.45 * batch->full_scale_diff(static_cast<int>(k));
+  }
+  msim::BatchedWorkspace ws;
+  return batch->run(base, scale, kGoldenSamples, ws);
+}
+
+/// Checks lane k of the batch over `cfgs` against the scalar run of
+/// cfgs[k].
+void check_lanes_vs_serial(const std::vector<msim::SimConfig>& cfgs,
+                           const msim::VcoDsmModulator::Options& opts = {}) {
+  const std::vector<msim::ModulatorResult> res = run_batch(cfgs, opts);
+  ASSERT_EQ(res.size(), cfgs.size());
+  for (std::size_t k = 0; k < cfgs.size(); ++k) {
+    SCOPED_TRACE(::testing::Message()
+                 << "lane " << k << " of " << cfgs.size() << " seed "
+                 << cfgs[k].seed);
+    expect_bit_identical(res[k],
+                         run_scalar_at_seed(cfgs[k].seed, opts, cfgs[k]));
+  }
+}
+
 /// Runs a batch over `seeds` and checks lane k against the scalar run at
 /// seeds[k].
 void check_batch_vs_serial(const std::vector<std::uint64_t>& seeds,
                            const msim::VcoDsmModulator::Options& opts = {},
                            const msim::SimConfig& cfg = golden_config()) {
-  auto batch = msim::BatchedModulator::create(cfg, seeds, opts);
-  ASSERT_NE(batch, nullptr) << "width " << seeds.size();
-  const dsp::SignalFn base = dsp::make_sine(1.0, cfg.fs_hz / 64.0);
-  std::vector<double> scale(seeds.size());
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    scale[k] = 0.45 * batch->full_scale_diff(static_cast<int>(k));
-  }
-  msim::BatchedWorkspace ws;
-  const auto& res = batch->run(base, scale, kGoldenSamples, ws);
-  ASSERT_EQ(res.size(), seeds.size());
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    SCOPED_TRACE(::testing::Message() << "lane " << k << " seed " << seeds[k]);
-    expect_bit_identical(res[k], run_scalar_at_seed(seeds[k], opts, cfg));
-  }
+  std::vector<msim::SimConfig> cfgs(seeds.size(), cfg);
+  for (std::size_t k = 0; k < seeds.size(); ++k) cfgs[k].seed = seeds[k];
+  check_lanes_vs_serial(cfgs, opts);
+}
+
+/// Every tier this build and CPU can execute, lowest first.
+std::vector<int> runnable_tiers() {
+  const auto max_tier =
+      std::min(util::simd::compiled_cap(), util::simd::cpu_tier());
+  std::vector<int> tiers;
+  for (int t = 0; t <= static_cast<int>(max_tier); ++t) tiers.push_back(t);
+  return tiers;
+}
+
+::testing::Message tier_message(int t) {
+  return ::testing::Message()
+         << "tier " << util::simd::tier_name(static_cast<util::simd::Tier>(t));
 }
 
 TEST(BatchedModulatorTest, LanesBitIdenticalToSerialAtEveryWidth) {
-  check_batch_vs_serial({42, 7});
-  check_batch_vs_serial({42, 7, 1000, 1001});
-  check_batch_vs_serial({42, 7, 1000, 1001, 5, 6, 99, 123456789});
+  for (const int width : kWidths) check_batch_vs_serial(seeds_of_width(width));
 }
 
 TEST(BatchedModulatorTest, LaneZeroMatchesPinnedGolden) {
@@ -203,39 +248,143 @@ TEST(BatchedModulatorTest, LaneZeroMatchesPinnedGolden) {
 }
 
 TEST(BatchedModulatorTest, AllCompiledTiersProduceIdenticalBits) {
-  // Which kernel TU runs (scalar / sse2 / avx2) must never change a result
-  // bit — only throughput. Runs the same batch under every tier this build
-  // and CPU can execute and compares element-wise.
-  const auto max_tier =
-      std::min(util::simd::compiled_cap(), util::simd::cpu_tier());
-  const msim::SimConfig cfg = golden_config();
-  const std::vector<std::uint64_t> seeds = {42, 7, 1000, 1001};
-  const dsp::SignalFn base = dsp::make_sine(1.0, cfg.fs_hz / 64.0);
-
-  std::vector<msim::ModulatorResult> reference;
-  for (int t = 0; t <= static_cast<int>(max_tier); ++t) {
-    util::simd::set_tier_override_for_testing(t);
-    SCOPED_TRACE(::testing::Message()
-                 << "tier "
-                 << util::simd::tier_name(static_cast<util::simd::Tier>(t)));
-    auto batch = msim::BatchedModulator::create(cfg, seeds);
-    ASSERT_NE(batch, nullptr);
-    std::vector<double> scale(seeds.size());
-    for (std::size_t k = 0; k < seeds.size(); ++k) {
-      scale[k] = 0.45 * batch->full_scale_diff(static_cast<int>(k));
-    }
-    msim::BatchedWorkspace ws;
-    const auto& res = batch->run(base, scale, kGoldenSamples, ws);
-    if (t == 0) {
-      reference = res;
-    } else {
-      for (std::size_t k = 0; k < seeds.size(); ++k) {
+  // Which kernel TU runs (scalar / sse2 / avx2 / avx512) must never change
+  // a result bit — only throughput. Runs the same batch under every tier
+  // this build and CPU can execute, at every width (each has its own
+  // lane_bits body), and compares element-wise.
+  for (const int width : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "width " << width);
+    std::vector<msim::SimConfig> cfgs(static_cast<std::size_t>(width),
+                                      golden_config());
+    const std::vector<std::uint64_t> seeds = seeds_of_width(width);
+    for (std::size_t k = 0; k < cfgs.size(); ++k) cfgs[k].seed = seeds[k];
+    std::vector<msim::ModulatorResult> reference;
+    for (const int t : runnable_tiers()) {
+      util::simd::set_tier_override_for_testing(t);
+      SCOPED_TRACE(tier_message(t));
+      const std::vector<msim::ModulatorResult> res = run_batch(cfgs);
+      ASSERT_EQ(res.size(), cfgs.size());
+      if (t == 0) {
+        reference = res;
+        continue;
+      }
+      for (std::size_t k = 0; k < cfgs.size(); ++k) {
         SCOPED_TRACE(::testing::Message() << "lane " << k);
         expect_bit_identical(res[k], reference[k]);
       }
     }
   }
   util::simd::set_tier_override_for_testing(-1);
+}
+
+/// One heterogeneous batch (per-lane PVT) in which only some lanes take
+/// each rare kernel path, so every rare-path lane mask is mixed:
+///   * odd lanes run a ring above the substep rate (7 GHz against
+///     fs * substeps = 6 GHz), so every substep advances the phase by more
+///     than 2*pi and the wrap takes the fmod fallback whenever
+///     ph + dphi >= 4*pi; their 300 ps buffer delay also pushes the
+///     comparator phase past 6*pi, into the while-wrap fallback;
+///   * lanes k % 3 == 0 have a 20 ps metastability aperture (about one
+///     decision in twelve of a 2 GHz lane is a candidate, more at 7 GHz),
+///     the others a 1e-30 s one that no decision ever reaches (the on/off
+///     flag must agree across lanes).
+/// Vdd, vrefp and temperature differ per lane as PVT corners would.
+std::vector<msim::SimConfig> rare_path_lanes(int width) {
+  std::vector<msim::SimConfig> cfgs;
+  const std::vector<std::uint64_t> seeds = seeds_of_width(width);
+  for (int k = 0; k < width; ++k) {
+    msim::SimConfig cfg = golden_config();
+    cfg.seed = seeds[static_cast<std::size_t>(k)];
+    cfg.vdd = cfg.vrefp = 1.1 + 0.05 * (k % 3 - 1);
+    cfg.temperature_k = 250.0 + 25.0 * k;
+    if (k % 2 == 1) {
+      cfg.vco_center_hz = 7e9;
+      cfg.buffer_delay_s = 300e-12;
+    }
+    cfg.comparator_meta_window_s = k % 3 == 0 ? 20e-12 : 1e-30;
+    cfgs.push_back(cfg);
+  }
+  return cfgs;
+}
+
+TEST(BatchedModulatorTest, HeterogeneousRarePathsMatchSerial) {
+  for (const int width : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "width " << width);
+    const std::vector<msim::SimConfig> cfgs = rare_path_lanes(width);
+    for (const msim::SimConfig& cfg : cfgs) {
+      // The slowest a 7 GHz ring can run here (kvco * 0.55 V below centre)
+      // still steps more than 2*pi per substep.
+      if (cfg.vco_center_hz > 2.5e9) {
+        EXPECT_GT((cfg.vco_center_hz - cfg.kvco_hz_per_v * 0.55) /
+                      (cfg.fs_hz * cfg.substeps),
+                  1.0);
+      }
+      // A metastability draw moves the comparator's stream, so a lane whose
+      // aperture some decision falls into differs from the same lane with
+      // the aperture off; the 1e-30 s lanes do not.
+      msim::SimConfig off = cfg;
+      off.comparator_meta_window_s = 0.0;
+      const bool meta_fired =
+          run_scalar_at_seed(cfg.seed, {}, cfg).counts !=
+          run_scalar_at_seed(off.seed, {}, off).counts;
+      EXPECT_EQ(meta_fired, cfg.comparator_meta_window_s > 1e-20)
+          << "seed " << cfg.seed;
+    }
+    for (const int t : runnable_tiers()) {
+      util::simd::set_tier_override_for_testing(t);
+      SCOPED_TRACE(tier_message(t));
+      check_lanes_vs_serial(cfgs);
+    }
+  }
+  util::simd::set_tier_override_for_testing(-1);
+}
+
+TEST(BatchedModulatorTest, LaneBitsMatchesPerLaneLoopOnEveryTier) {
+  // util::simd::lane_bits has one ISA branch per tier and width (movemask
+  // or mask test, else the per-lane loop); each tier TU exports its own
+  // build of it. Every lane pattern at every width, with the false lanes
+  // drawn from +1, 0, +inf and NaN (a NaN compares false) and the true
+  // lanes from -1, -inf and the smallest negative subnormal.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double falses[] = {1.0, 0.0, inf, nan};
+  const double trues[] = {-1.0, -inf,
+                          -std::numeric_limits<double>::denorm_min()};
+  for (const int t : runnable_tiers()) {
+    SCOPED_TRACE(tier_message(t));
+    using util::simd::Tier;
+    const Tier tier = static_cast<Tier>(t);
+    const msim::lockstep::LockstepTable& table =
+        tier == Tier::kAvx512 ? msim::lockstep::tier_avx512::table()
+        : tier == Tier::kAvx2 ? msim::lockstep::tier_avx2::table()
+        : tier == Tier::kSse2 ? msim::lockstep::tier_sse2::table()
+                              : msim::lockstep::tier_scalar::table();
+    for (const int width : kWidths) {
+      const msim::lockstep::LaneBitsFn fn =
+          width == 2 ? table.lane_bits_w2
+          : width == 4 ? table.lane_bits_w4
+                       : table.lane_bits_w8;
+      ASSERT_NE(fn, nullptr);
+      for (int pattern = 0; pattern < (1 << width); ++pattern) {
+        for (int pick = 0; pick < 4; ++pick) {
+          alignas(64) double a[8];
+          alignas(64) double b[8];
+          int want = 0;
+          for (int w = 0; w < width; ++w) {
+            const bool set = ((pattern >> w) & 1) != 0;
+            a[w] = set ? trues[(w + pick) % 3] : falses[(w + pick) % 4];
+            // A NaN on the right-hand side compares false too.
+            b[w] = !set && (w + pick) % 5 == 0 ? nan : 0.0;
+            want |= static_cast<int>(a[w] < b[w]) << w;
+          }
+          ASSERT_EQ(want, pattern);
+          EXPECT_EQ(fn(a, b), want)
+              << "width " << width << " pattern " << pattern << " pick "
+              << pick;
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchedModulatorTest, RecordBitsAndStaticMappingMatchSerial) {
@@ -252,7 +401,9 @@ TEST(BatchedModulatorTest, RippleAndMetastabilityMatchSerial) {
   cfg.vref_ripple_amp_v = 0.01;
   cfg.vref_ripple_freq_hz = 60e6;
   cfg.comparator_meta_window_s = 5e-12;
-  check_batch_vs_serial({42, 7, 1000, 1001}, {}, cfg);
+  for (const int width : kWidths) {
+    check_batch_vs_serial(seeds_of_width(width), {}, cfg);
+  }
 }
 
 TEST(BatchedModulatorTest, CurrentSteeringDacFallsBackToScalar) {
