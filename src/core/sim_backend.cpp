@@ -1,6 +1,7 @@
 #include "core/sim_backend.h"
 
 #include <cmath>
+#include <initializer_list>
 #include <utility>
 
 #include "core/backend.h"
@@ -20,16 +21,34 @@ Diagnostic gate_error(std::string item, std::string reason) {
                     std::move(reason)};
 }
 
-/// One comparator clock cycle: reset (CLK high forces both NOR3 outputs
-/// low), then decide (CLK low lets the INP/INM side regenerate and the
-/// NOR2 latch capture). The Table-1 stimulus tests/gate_level_test.cpp
-/// drives as well.
-void comparator_cycle(netlist::LogicSim& sim, Logic inp, Logic inm) {
-  sim.set("INP", inp);
-  sim.set("INM", inm);
-  sim.set("CLK", Logic::k1);
+/// Resolves each (name, id) pair's net in `sim`. False, with a diagnostic
+/// naming every net the emitted `module` lacks: set() on an absent name
+/// would drive a new floating net and get() read X, so a renamed port would
+/// otherwise fail later as an unresolved decision.
+bool resolve_nets(
+    const netlist::LogicSim& sim, const char* module,
+    std::initializer_list<std::pair<const char*, int*>> nets,
+    std::vector<Diagnostic>* diags) {
+  bool ok = true;
+  for (const auto& [name, id] : nets) {
+    *id = sim.net(name);
+    if (*id < 0) {
+      diags->push_back(gate_error(
+          module, util::format("emitted %s has no net %s", module, name)));
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+/// One comparator clock cycle on net `clk`: reset (CLK high forces both
+/// NOR3 outputs low), then decide (CLK low lets the INP/INM side
+/// regenerate and the NOR2 latch capture). It is the Table-1 stimulus
+/// tests/gate_level_test.cpp drives, and each replayed sample's clock.
+void clock_cycle(netlist::LogicSim& sim, int clk) {
+  sim.set(clk, Logic::k1);
   sim.settle(sim.now() + 1e-9);
-  sim.set("CLK", Logic::k0);
+  sim.set(clk, Logic::k0);
   sim.settle(sim.now() + 1e-9);
 }
 
@@ -48,13 +67,25 @@ bool check_comparator(const netlist::Design& parsed,
     return false;
   }
   netlist::LogicSim sim(cmp, node);
+  int inp_net = -1, inm_net = -1, clk = -1, q_net = -1, qb_net = -1;
+  if (!resolve_nets(sim, "comparator",
+                    {{"INP", &inp_net},
+                     {"INM", &inm_net},
+                     {"CLK", &clk},
+                     {"Q", &q_net},
+                     {"QB", &qb_net}},
+                    diags)) {
+    return false;
+  }
   bool ok = true;
   const Logic want[3] = {Logic::k1, Logic::k0, Logic::k1};
   for (int step = 0; step < 3; ++step) {
     const Logic inp = want[step];
-    comparator_cycle(sim, inp, netlist::logic_not(inp));
-    const Logic q = sim.get("Q");
-    const Logic qb = sim.get("QB");
+    sim.set(inp_net, inp);
+    sim.set(inm_net, netlist::logic_not(inp));
+    clock_cycle(sim, clk);
+    const Logic q = sim.get(q_net);
+    const Logic qb = sim.get(qb_net);
     if (q != inp || qb != netlist::logic_not(inp)) {
       diags->push_back(gate_error(
           "comparator",
@@ -80,14 +111,16 @@ bool check_ring(const netlist::Design& parsed, const AdcSpec& spec,
   for (int i = 0; i < spec.num_slices; ++i) {
     const std::string p = "R1P_" + std::to_string(i);
     const std::string n = "R1N_" + std::to_string(i);
-    if (!sim.has_net(p) || !sim.has_net(n)) {
+    const int p_net = sim.net(p);
+    const int n_net = sim.net(n);
+    if (p_net < 0 || n_net < 0) {
       diags->push_back(gate_error(
           top, util::format("no ring tap nets %s/%s under this top",
                             p.c_str(), n.c_str())));
       return false;
     }
-    sim.set(p, Logic::k0);
-    sim.set(n, Logic::k1);
+    sim.set(p_net, Logic::k0);
+    sim.set(n_net, Logic::k1);
   }
   std::vector<double> edges;
   sim.on_change("R1P_0", [&](double t, Logic) { edges.push_back(t); });
@@ -152,7 +185,18 @@ bool replay_slices(const netlist::Design& parsed, const AdcSpec& spec,
   }
 
   netlist::LogicSim sim(slice, node);
-  const auto drive = [&](const char* p, const char* n, bool level) {
+  int ip = -1, in = -1, ip2 = -1, in2 = -1, clk = -1, dout_net = -1;
+  if (!resolve_nets(sim, "ADC_slice",
+                    {{"IP", &ip},
+                     {"IN", &in},
+                     {"IP2", &ip2},
+                     {"IN2", &in2},
+                     {"CLK", &clk},
+                     {"DOUT", &dout_net}},
+                    diags)) {
+    return false;
+  }
+  const auto drive = [&](int p, int n, bool level) {
     sim.set(p, level ? Logic::k1 : Logic::k0);
     sim.set(n, level ? Logic::k0 : Logic::k1);
   };
@@ -162,13 +206,10 @@ bool replay_slices(const netlist::Design& parsed, const AdcSpec& spec,
     for (int i = 0; i < n_slices; ++i) {
       const bool d = behavioral.mod.slice_bits[i][n];
       const bool phase = ((n + static_cast<std::size_t>(i)) & 1) != 0;
-      drive("IP", "IN", d != phase);
-      drive("IP2", "IN2", phase);
-      sim.set("CLK", Logic::k1);
-      sim.settle(sim.now() + 1e-9);
-      sim.set("CLK", Logic::k0);
-      sim.settle(sim.now() + 1e-9);
-      const Logic dout = sim.get("DOUT");
+      drive(ip, in, d != phase);
+      drive(ip2, in2, phase);
+      clock_cycle(sim, clk);
+      const Logic dout = sim.get(dout_net);
       if (dout == Logic::kX) {
         diags->push_back(gate_error(
             "DOUT", util::format("slice %d sample %zu did not resolve (X)",

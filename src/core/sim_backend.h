@@ -63,10 +63,10 @@ struct HdlEmitResult {
 
 /// gate_sim stage knobs. `sim` configures the behavioral reference run the
 /// gate-level replay is cross-checked against (record_bits is forced on —
-/// the replay consumes the per-slice bitstreams). Gate-level event
-/// simulation costs ~10^3 more per sample than the behavioral engine, so
-/// the default capture is short; the cross-check is bit-exact at any
-/// length.
+/// the replay consumes the per-slice bitstreams). The sign-off costs about
+/// 4–7× a behavioral run of the same length (16–26 slices at 2^11 samples,
+/// Release build: 16–30 ms against 3–6 ms), so the default capture is
+/// short; the cross-check is bit-exact at any length.
 struct GateSimOptions {
   SimulationOptions sim;
   /// Relative tolerance on |measured − predicted| ring period.

@@ -24,16 +24,23 @@ Logic logic_xor(Logic a, Logic b) {
   return (a == b) ? Logic::k0 : Logic::k1;
 }
 
-/// Relative delay of a function vs a 1x inverter.
-double function_delay_factor(const std::string& fn) {
-  if (fn == "inv") return 1.0;
-  if (fn == "buf" || fn == "clkbuf") return 2.0;
-  if (fn == "nand2" || fn == "nor2") return 1.4;
-  if (fn == "nand3" || fn == "nor3") return 1.8;
-  if (fn == "xor2") return 2.2;
-  if (fn == "dlat") return 2.5;
-  return 1.5;
-}
+/// Per LogicSim::Fn, in declaration order: the inputs its evaluation reads
+/// and its delay relative to a 1x inverter.
+struct FnModel {
+  std::size_t arity;
+  double delay_factor;
+};
+constexpr FnModel kFnModels[] = {
+    {1, 1.0},  // inv
+    {1, 2.0},  // buf, clkbuf
+    {2, 1.4},  // nand2
+    {2, 1.4},  // nor2
+    {3, 1.8},  // nand3
+    {3, 1.8},  // nor3
+    {2, 2.2},  // xor2
+    {2, 2.5},  // dlat (D and G)
+    {0, 1.5},  // no logic model
+};
 
 }  // namespace
 
@@ -60,9 +67,10 @@ LogicSim::LogicSim(const Design& design, const tech::TechNode& node) {
   for (const FlatInstance& fi : design.flatten()) {
     if (fi.cell->is_resistor) continue;  // analog-only element
     Gate g;
-    g.cell = fi.cell;
+    g.fn = resolve_function(fi.cell->function);
+    const FnModel& model = kFnModels[static_cast<std::size_t>(g.fn)];
     // Drive strength shortens the delay (bigger devices, same load model).
-    g.delay = inv_delay * function_delay_factor(fi.cell->function) /
+    g.delay = inv_delay * model.delay_factor /
               std::max(1.0, std::sqrt(static_cast<double>(fi.cell->drive)));
     for (const PinSpec& pin : fi.cell->pins) {
       auto it = fi.conn.find(pin.name);
@@ -78,12 +86,30 @@ LogicSim::LogicSim(const Design& design, const tech::TechNode& node) {
       }
     }
     if (g.output < 0) continue;
+    // A modelled function short of an input (unconnected, or tied to a
+    // supply-class net) has nothing to evaluate it on: the gate drives X.
+    if (g.inputs.size() < model.arity ||
+        (g.fn == Fn::kDlat && (g.d_in < 0 || g.g_in < 0))) {
+      g.fn = Fn::kOther;
+    }
     const int gate_idx = static_cast<int>(gates_.size());
     gates_.push_back(g);
     for (int in : gates_.back().inputs) {
       fanout_[static_cast<std::size_t>(in)].push_back(gate_idx);
     }
   }
+}
+
+LogicSim::Fn LogicSim::resolve_function(const std::string& fn) {
+  if (fn == "inv") return Fn::kInv;
+  if (fn == "buf" || fn == "clkbuf") return Fn::kBuf;
+  if (fn == "nand2") return Fn::kNand2;
+  if (fn == "nor2") return Fn::kNor2;
+  if (fn == "nand3") return Fn::kNand3;
+  if (fn == "nor3") return Fn::kNor3;
+  if (fn == "xor2") return Fn::kXor2;
+  if (fn == "dlat") return Fn::kDlat;
+  return Fn::kOther;
 }
 
 int LogicSim::net_id(const std::string& name) {
@@ -94,38 +120,48 @@ int LogicSim::net_id(const std::string& name) {
   net_names_.push_back(name);
   values_.push_back(Logic::kX);
   fanout_.emplace_back();
+  watched_.push_back(0);
   return id;
 }
 
-bool LogicSim::has_net(const std::string& net) const {
-  return net_ids_.count(net) != 0;
+int LogicSim::net(const std::string& name) const {
+  auto it = net_ids_.find(name);
+  return it == net_ids_.end() ? -1 : it->second;
 }
 
 std::vector<std::string> LogicSim::net_names() const { return net_names_; }
 
 Logic LogicSim::eval_function(const Gate& g,
                               const std::vector<Logic>& values) {
-  const std::string& fn = g.cell->function;
   auto in = [&](std::size_t i) {
     return values[static_cast<std::size_t>(g.inputs[i])];
   };
-  if (fn == "inv") return logic_not(in(0));
-  if (fn == "buf" || fn == "clkbuf") return in(0);
-  if (fn == "nand2") return logic_not(logic_and(in(0), in(1)));
-  if (fn == "nor2") return logic_not(logic_or(in(0), in(1)));
-  if (fn == "nand3") {
-    return logic_not(logic_and(logic_and(in(0), in(1)), in(2)));
-  }
-  if (fn == "nor3") return logic_not(logic_or(logic_or(in(0), in(1)), in(2)));
-  if (fn == "xor2") return logic_xor(in(0), in(1));
-  if (fn == "dlat") {
-    // Transparent while G is high; holds otherwise (X gate -> X out unless
-    // D equals the held value, conservatively X).
-    const Logic gate = values[static_cast<std::size_t>(g.g_in)];
-    const Logic d = values[static_cast<std::size_t>(g.d_in)];
-    if (gate == Logic::k1) return d;
-    if (gate == Logic::k0) return values[static_cast<std::size_t>(g.output)];
-    return Logic::kX;
+  switch (g.fn) {
+    case Fn::kInv:
+      return logic_not(in(0));
+    case Fn::kBuf:
+      return in(0);
+    case Fn::kNand2:
+      return logic_not(logic_and(in(0), in(1)));
+    case Fn::kNor2:
+      return logic_not(logic_or(in(0), in(1)));
+    case Fn::kNand3:
+      return logic_not(logic_and(logic_and(in(0), in(1)), in(2)));
+    case Fn::kNor3:
+      return logic_not(logic_or(logic_or(in(0), in(1)), in(2)));
+    case Fn::kXor2:
+      return logic_xor(in(0), in(1));
+    case Fn::kDlat: {
+      // Transparent while G is high; holds otherwise (X gate -> X out
+      // unless D equals the held value, conservatively X).
+      const Logic gate = values[static_cast<std::size_t>(g.g_in)];
+      const Logic d = values[static_cast<std::size_t>(g.d_in)];
+      if (gate == Logic::k1) return d;
+      if (gate == Logic::k0) return values[static_cast<std::size_t>(g.output)];
+      return Logic::kX;
+    }
+    case Fn::kOther:
+      break;
   }
   return Logic::kX;
 }
@@ -143,14 +179,15 @@ void LogicSim::commit(int net, Logic value) {
   if (values_[static_cast<std::size_t>(net)] == value) return;
   values_[static_cast<std::size_t>(net)] = value;
   ++transitions_;
-  auto cb = callbacks_.find(net);
-  if (cb != callbacks_.end()) {
-    for (auto& fn : cb->second) fn(now_, value);
+  if (watched_[static_cast<std::size_t>(net)] != 0) {
+    for (auto& fn : callbacks_[net]) fn(now_, value);
   }
   for (int gi : fanout_[static_cast<std::size_t>(net)]) {
     evaluate_and_schedule(gi);
   }
 }
+
+void LogicSim::set(int id, Logic value) { commit(id, value); }
 
 void LogicSim::set(const std::string& net, Logic value) {
   const int id = net_id(net);
@@ -158,9 +195,8 @@ void LogicSim::set(const std::string& net, Logic value) {
 }
 
 Logic LogicSim::get(const std::string& net) const {
-  auto it = net_ids_.find(net);
-  if (it == net_ids_.end()) return Logic::kX;
-  return values_[static_cast<std::size_t>(it->second)];
+  const int id = this->net(net);
+  return id < 0 ? Logic::kX : get(id);
 }
 
 void LogicSim::run_until(double t_end) {
@@ -193,7 +229,9 @@ bool LogicSim::settle(double t_limit) {
 
 void LogicSim::on_change(const std::string& net,
                          std::function<void(double, Logic)> cb) {
-  callbacks_[net_id(net)].push_back(std::move(cb));
+  const int id = net_id(net);
+  watched_[static_cast<std::size_t>(id)] = 1;
+  callbacks_[id].push_back(std::move(cb));
 }
 
 }  // namespace vcoadc::netlist

@@ -10,6 +10,12 @@
 // Supply-class pins (VDD/VSS/VCTRL*/VREFP/VBUF) are ignored by evaluation:
 // in this discrete abstraction every gate is powered; the analog effects of
 // the control-node supplies live in msim, not here.
+//
+// Every name is resolved once: the constructor turns each cell's function
+// into a tag and each pin into a dense net id, so a gate evaluation is a
+// switch over the tag, and a stimulus loop that resolves its nets up front
+// with net() drives and probes them with set(id)/get(id). The name
+// overloads wrap those for tests and the VCD path.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +42,23 @@ class LogicSim {
   /// reduced with drive strength).
   LogicSim(const Design& design, const tech::TechNode& node);
 
-  /// Forces a net to a value at the current time (top-level stimulus).
-  /// Scheduling is immediate; fan-out evaluates as time advances.
+  /// Id of a net for set(int)/get(int), or -1 when the flattened top has
+  /// no net of that name. Ids are dense and stable for the simulator's
+  /// lifetime.
+  int net(const std::string& name) const;
+
+  /// Forces net `id` (from net()) to a value at the current time (top-level
+  /// stimulus). Scheduling is immediate; fan-out evaluates as time advances.
+  void set(int id, Logic value);
+
+  /// Current value of net `id` (from net()).
+  Logic get(int id) const { return values_[static_cast<std::size_t>(id)]; }
+
+  /// set(int) by name. A name the design lacks becomes a new floating net,
+  /// driven by nothing but this stimulus.
   void set(const std::string& net, Logic value);
 
-  /// Current value of a net.
+  /// get(int) by name; X for a name the design lacks.
   Logic get(const std::string& net) const;
 
   /// Advances simulation until `t_end` seconds of simulated time.
@@ -60,14 +78,27 @@ class LogicSim {
   std::uint64_t transition_count() const { return transitions_; }
 
   /// True if the net exists.
-  bool has_net(const std::string& net) const;
+  bool has_net(const std::string& net) const { return this->net(net) >= 0; }
 
   /// Names of all nets (flattened).
   std::vector<std::string> net_names() const;
 
  private:
+  /// A cell's logic function, resolved from StdCell::function once. The
+  /// order indexes the per-function table in logic_sim.cpp.
+  enum class Fn : std::uint8_t {
+    kInv,
+    kBuf,  ///< buf and clkbuf
+    kNand2,
+    kNor2,
+    kNand3,
+    kNor3,
+    kXor2,
+    kDlat,
+    kOther,  ///< no logic model: always X
+  };
   struct Gate {
-    const StdCell* cell = nullptr;
+    Fn fn = Fn::kOther;
     std::vector<int> inputs;   // net ids in pin order
     int output = -1;           // net id (-1 if none, e.g. resistors)
     int d_in = -1, g_in = -1;  // for dlat
@@ -82,6 +113,7 @@ class LogicSim {
     bool operator>(const Event& other) const { return time > other.time; }
   };
 
+  static Fn resolve_function(const std::string& fn);
   int net_id(const std::string& name);
   void evaluate_and_schedule(int gate_idx);
   void commit(int net, Logic value);
@@ -94,6 +126,9 @@ class LogicSim {
   std::vector<std::vector<int>> fanout_;  // net id -> gate indices
   std::vector<Gate> gates_;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  /// Per net: 1 when on_change() registered a callback, so a commit only
+  /// looks up callbacks_ for watched nets.
+  std::vector<std::uint8_t> watched_;
   std::map<int, std::vector<std::function<void(double, Logic)>>> callbacks_;
   double now_ = 0;
   std::uint64_t transitions_ = 0;

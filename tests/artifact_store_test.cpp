@@ -20,7 +20,6 @@
 #include <functional>
 #include <ostream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/adc.h"
@@ -985,24 +984,62 @@ core::AdcSpec spec_with_slices(int slices) {
   return spec;
 }
 
-/// The lean round trip at 2^4 ... 2^14 samples, for one slice count and
-/// one kind of run: a scalar run, lanes 0 and 7 of a W=8 group, or a
-/// scalar run that records its slice bits.
-class ArtifactSerdeLeanRun
-    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
+/// One lean round-trip test: a slice count, a kind of run (a scalar run,
+/// lanes 0 and 7 of a W=8 group, or a scalar run that records its slice
+/// bits) and this test's share of the length sweep 2^4 ... 2^14. Each
+/// length simulates about twice as long as the one below it, so shard k of
+/// the first length_shards - 1 takes 2^(14 - k) alone and the last shard
+/// every shorter length; with two shards the longest length and the ten
+/// below it take about equal time. Shard 0 keeps the case's unsharded name.
+struct LeanCase {
+  int slices = 0;
+  std::string kind;
+  int length_shards = 1;
+  int shard = 0;
+};
+
+/// Prints shard 0 as gtest printed the (slices, kind) tuple it replaced.
+void PrintTo(const LeanCase& c, std::ostream* os) {
+  *os << "(" << c.slices << ", \"" << c.kind << "\"";
+  if (c.shard != 0) {
+    *os << ", length shard " << c.shard << " of " << c.length_shards;
+  }
+  *os << ")";
+}
+
+/// Every slice count under every kind. The 64-slice W=8 group is the long
+/// one (5.3 s unsharded under asan, 99 % of it the simulation, not the round
+/// trips), so its sweep is split in two.
+std::vector<LeanCase> lean_cases() {
+  std::vector<LeanCase> cases;
+  for (int slices : {2, 16, 64}) {
+    for (const char* kind : {"scalar", "lanes", "record_bits"}) {
+      const int shards = slices == 64 && std::string(kind) == "lanes" ? 2 : 1;
+      for (int k = 0; k < shards; ++k) {
+        cases.push_back({slices, kind, shards, k});
+      }
+    }
+  }
+  return cases;
+}
+
+class ArtifactSerdeLeanRun : public ::testing::TestWithParam<LeanCase> {};
 
 TEST_P(ArtifactSerdeLeanRun, RoundTripsEveryField) {
-  const auto& [slices, kind] = GetParam();
-  const core::AdcSpec spec = spec_with_slices(slices);
+  const LeanCase& c = GetParam();
+  const core::AdcSpec spec = spec_with_slices(c.slices);
   ASSERT_TRUE(spec.validate().empty());
   core::ExecContext ctx;
   const core::AdcDesign design(spec, ctx);
   ASSERT_TRUE(design.ok());
-  for (int lg = 4; lg <= 14; ++lg) {
+  const int last = c.length_shards - 1;
+  const int lg_hi = 14 - c.shard;
+  const int lg_lo = c.shard < last ? lg_hi : 4;
+  for (int lg = lg_lo; lg <= lg_hi; ++lg) {
     SCOPED_TRACE(lg);
     core::SimulationOptions sim;
     sim.n_samples = std::size_t{1} << lg;
-    if (kind == "lanes") {
+    if (c.kind == "lanes") {
       std::vector<core::SimulationOptions> group(8, sim);
       for (std::size_t k = 0; k < group.size(); ++k) group[k].seed = 500 + k;
       msim::BatchedWorkspace ws;
@@ -1012,11 +1049,11 @@ TEST_P(ArtifactSerdeLeanRun, RoundTripsEveryField) {
       expect_lean_round_trip(lanes[0]);
       expect_lean_round_trip(lanes[7]);
     } else {
-      sim.record_bits = kind == "record_bits";
+      sim.record_bits = c.kind == "record_bits";
       const core::RunResult run = design.simulate(sim);
       if (sim.record_bits) {
         ASSERT_EQ(run.mod.slice_bits.size(),
-                  static_cast<std::size_t>(slices));
+                  static_cast<std::size_t>(c.slices));
       }
       expect_lean_round_trip(run);
     }
@@ -1024,14 +1061,12 @@ TEST_P(ArtifactSerdeLeanRun, RoundTripsEveryField) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SlicesAndRuns, ArtifactSerdeLeanRun,
-    ::testing::Combine(::testing::Values(2, 16, 64),
-                       ::testing::Values(std::string("scalar"),
-                                         std::string("lanes"),
-                                         std::string("record_bits"))),
-    [](const ::testing::TestParamInfo<std::tuple<int, std::string>>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
+    SlicesAndRuns, ArtifactSerdeLeanRun, ::testing::ValuesIn(lean_cases()),
+    [](const ::testing::TestParamInfo<LeanCase>& info) {
+      const LeanCase& c = info.param;
+      std::string name = "n" + std::to_string(c.slices) + "_" + c.kind;
+      if (c.shard != 0) name += "_lengths" + std::to_string(c.shard);
+      return name;
     });
 
 TEST(ArtifactSerdeTest, RunResultExplicitFormsStayLossless) {

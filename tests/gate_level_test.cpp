@@ -6,7 +6,10 @@
 // cross-checked against the behavioral engine.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <set>
 
 #include "core/artifact_cache.h"
@@ -301,6 +304,128 @@ TEST(GateLevel, UnresolvableTopFailsCleanlyThenRecovers) {
   EXPECT_NE(flow.gate_sim(spec, small_gate_opts()), nullptr)
       << sink.render();
   EXPECT_FALSE(sink.has_errors()) << sink.render();
+}
+
+// A net the sign-off drives or probes that the emitted text lacks is refused
+// with a diagnostic naming it. Driving the absent name would create a
+// floating net and probing it read X, which would surface only as "slice 0
+// sample 0 did not resolve (X)".
+TEST(GateLevel, MissingSliceNetIsRefusedByName) {
+  const AdcSpec spec = small_spec();
+  core::ArtifactCache cache(64);
+  core::ExecContext ctx;
+  ctx.cache = &cache;
+  core::Flow flow(ctx);
+  const auto hdl = flow.hdl_emit(spec);
+  ASSERT_NE(hdl, nullptr);
+  core::GateSimOptions opts = small_gate_opts();
+  opts.sim.record_bits = true;
+  opts.top = hdl->top;
+  const auto ref = flow.sim_run(spec, opts.sim);
+  ASSERT_NE(ref, nullptr);
+
+  std::string text = hdl->verilog;
+  std::size_t renamed_count = 0;
+  for (std::size_t at = text.find("DOUT"); at != std::string::npos;
+       at = text.find("DOUT", at + 1)) {
+    text.replace(at, 4, "DRENAMED");
+    ++renamed_count;
+  }
+  ASSERT_GT(renamed_count, 0u);
+  netlist::Design renamed(hdl->lib.get());
+  const netlist::ParseResult pr = netlist::parse_verilog(text, renamed);
+  ASSERT_TRUE(pr.ok) << pr.error;
+  renamed.set_top(hdl->top);
+
+  std::vector<util::Diagnostic> diags;
+  EXPECT_EQ(core::run_gate_level_signoff(renamed, spec, *ref, opts, &diags),
+            nullptr);
+  bool named = false;
+  for (const util::Diagnostic& d : diags) {
+    EXPECT_EQ(d.reason.find("did not resolve"), std::string::npos)
+        << d.reason;
+    if (d.item == "ADC_slice" && d.reason.find("DOUT") != std::string::npos) {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named);
+
+  // The untouched text signs off over the same reference.
+  diags.clear();
+  EXPECT_NE(core::run_gate_level_signoff(*hdl->parsed, spec, *ref, opts,
+                                         &diags),
+            nullptr);
+  EXPECT_TRUE(diags.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin of the gate-level sign-off
+
+/// FNV-1a-64 over the IEEE-754 bit patterns of `v`, little-endian bytes in
+/// sample order, so any changed sample (or length) changes the hash.
+std::uint64_t stream_fnv(const std::vector<double>& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (double x : v) {
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (b >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// Every GateSimResult field the gate_sim stage serves, pinned bit for bit:
+// the measured ring period (exact edge times of the event queue), the
+// committed event count of all three checks (the inertial rule and commit
+// order), and the decoded and decimated streams. The decode is also
+// cross-checked against the behavioral engine inside the stage, but only
+// this test fails when the simulator's event order moves.
+TEST(GateSimGolden, SignOffPinnedOnPaperAnd22nmSpecs) {
+  struct Case {
+    const char* name;
+    AdcSpec spec;
+    double ring_period_s;
+    std::uint64_t transitions;
+    std::uint64_t decoded_fnv;
+    std::uint64_t decimated_fnv;
+  };
+  AdcSpec n22;
+  n22.node_nm = 22;
+  n22.num_slices = 6;
+  n22.fs_hz = 2e9;
+  n22.bandwidth_hz = 10e6;
+  n22.dac_fragments = 2;
+  const Case cases[] = {
+      {"paper 40 nm", AdcSpec::paper_40nm(), 0x1.d8b3fb55cd6p-35, 687923,
+       0x43dfcbd1c055759fULL, 0x573249c38c33dfcbULL},
+      {"paper 180 nm", AdcSpec::paper_180nm(), 0x1.561675e3258p-32, 687351,
+       0xb42bdf10e688dc9bULL, 0x2ef4b18d38dda103ULL},
+      {"22 nm, 6 slices", n22, 0x1.bfd2ee1b644p-37, 239323,
+       0xaf69f4b1e15d709aULL, 0xc39251ff565cc84dULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    util::DiagSink sink;
+    core::ExecContext ctx;
+    ctx.cache = nullptr;  // every case simulates, never a cache hit
+    ctx.diag = &sink;
+    core::Flow flow(ctx);
+    core::GateSimOptions opts;
+    opts.sim.n_samples = 1 << 11;
+    const auto gate = flow.gate_sim(c.spec, opts);
+    ASSERT_NE(gate, nullptr) << sink.render();
+    EXPECT_TRUE(gate->matches_behavioral);
+    EXPECT_EQ(gate->n_samples, opts.sim.n_samples);
+    EXPECT_EQ(gate->num_slices, c.spec.num_slices);
+    EXPECT_EQ(gate->ring_period_s, c.ring_period_s)
+        << std::hexfloat << gate->ring_period_s;
+    EXPECT_EQ(gate->transitions, c.transitions);
+    EXPECT_EQ(stream_fnv(gate->decoded), c.decoded_fnv)
+        << "0x" << std::hex << stream_fnv(gate->decoded);
+    EXPECT_EQ(stream_fnv(gate->decimated), c.decimated_fnv)
+        << "0x" << std::hex << stream_fnv(gate->decimated);
+  }
 }
 
 }  // namespace

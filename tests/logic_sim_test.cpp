@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "netlist/cell_library.h"
 #include "netlist/generator.h"
 #include "netlist/logic_sim.h"
 #include "tech/tech_node.h"
+#include "util/rng.h"
 
 namespace vcoadc::netlist {
 namespace {
@@ -145,6 +147,112 @@ TEST(LogicSim, DLatchTransparencyAndHold) {
   sim.set("G", Logic::k1);
   ASSERT_TRUE(sim.settle(sim.now() + 1e-9));
   EXPECT_EQ(sim.get("Q"), Logic::k0);  // transparent again
+}
+
+// A modelled function whose input pin is tied to a supply-class net (which
+// evaluation ignores) or left unconnected has nothing to evaluate: the gate
+// drives X instead of reading past its input list.
+TEST(LogicSim, GateShortOfAnInputDrivesX) {
+  MiniFixture f;
+  Module& m = f.design.add_module("t");
+  m.add_port("A", PortDir::kInput);
+  m.add_port("Y", PortDir::kOutput);
+  m.add_port("Z", PortDir::kOutput);
+  Instance tied;
+  tied.name = "u0";
+  tied.master = "NAND2X1";
+  tied.conn = {{"A", "A"}, {"B", "VDD"}, {"Y", "Y"}};
+  m.add_instance(tied);
+  Instance open;
+  open.name = "u1";
+  open.master = "DLATX1";
+  open.conn = {{"D", "A"}, {"Q", "Z"}};
+  m.add_instance(open);
+  f.design.set_top("t");
+
+  LogicSim sim(f.design, node40());
+  sim.set("A", Logic::k0);
+  ASSERT_TRUE(sim.settle(1e-9));
+  EXPECT_EQ(sim.get("Y"), Logic::kX);
+  EXPECT_EQ(sim.get("Z"), Logic::kX);
+  EXPECT_FALSE(sim.has_net("VDD"));
+}
+
+// Ids are dense over the flattened nets, and -1 marks a name the design
+// lacks; the name overloads keep their old behaviour for such a name.
+TEST(LogicSim, NetIdsAreDenseAndMissingNamesResolveToMinusOne) {
+  CellLibrary lib = make_standard_library(node40());
+  add_resistor_cells(lib, node40());
+  Design design = build_adc_design(lib, {});
+  design.set_top("ADC_slice");
+  LogicSim sim(design, node40());
+
+  const std::vector<std::string> names = sim.net_names();
+  ASSERT_FALSE(names.empty());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(sim.net(names[i]), static_cast<int>(i)) << names[i];
+    EXPECT_TRUE(sim.has_net(names[i]));
+  }
+  EXPECT_EQ(sim.net("NO_SUCH_NET"), -1);
+  EXPECT_FALSE(sim.has_net("NO_SUCH_NET"));
+  EXPECT_EQ(sim.get("NO_SUCH_NET"), Logic::kX);
+  // set() by name still drives an absent name as a new floating net.
+  sim.set("NO_SUCH_NET", Logic::k1);
+  EXPECT_EQ(sim.net("NO_SUCH_NET"), static_cast<int>(names.size()));
+  EXPECT_EQ(sim.get("NO_SUCH_NET"), Logic::k1);
+}
+
+// The generated slice under a seeded random stimulus (0/1/X on every input,
+// random step lengths, including steps shorter than a gate delay so pending
+// events are superseded), driven through the name API on one simulator and
+// the id API on another: every net's value after every step, the committed
+// transition count and the watched-net edge times must agree exactly.
+TEST(LogicSim, IdAndNameApisDriveTheSliceIdentically) {
+  CellLibrary lib = make_standard_library(node40());
+  add_resistor_cells(lib, node40());
+  Design design = build_adc_design(lib, {});
+  design.set_top("ADC_slice");
+  LogicSim by_name(design, node40());
+  LogicSim by_id(design, node40());
+
+  const char* inputs[] = {"IP", "IN", "IP2", "IN2", "CLK"};
+  int ids[5];
+  for (int k = 0; k < 5; ++k) {
+    ids[k] = by_id.net(inputs[k]);
+    ASSERT_GE(ids[k], 0) << inputs[k];
+  }
+  const int dout = by_id.net("DOUT");
+  ASSERT_GE(dout, 0);
+  std::vector<double> name_edges, id_edges;
+  by_name.on_change("DOUT", [&](double t, Logic) { name_edges.push_back(t); });
+  by_id.on_change("DOUT", [&](double t, Logic) { id_edges.push_back(t); });
+
+  const std::vector<std::string> names = by_name.net_names();
+  ASSERT_EQ(names, by_id.net_names());
+  const double gate_delay = node40().fo4_delay_s / 4.0;
+  util::Rng rng(2017);
+  int dout_known = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const auto k = static_cast<std::size_t>(rng.below(5));
+    const auto v = static_cast<Logic>(rng.below(3));
+    by_name.set(inputs[k], v);
+    by_id.set(ids[k], v);
+    const double t_end = by_name.now() + rng.uniform(0.0, 8.0 * gate_delay);
+    by_name.run_until(t_end);
+    by_id.run_until(t_end);
+    ASSERT_EQ(by_name.now(), by_id.now()) << "step " << step;
+    for (std::size_t n = 0; n < names.size(); ++n) {
+      ASSERT_EQ(by_name.get(names[n]), by_id.get(static_cast<int>(n)))
+          << names[n] << " at step " << step;
+    }
+    dout_known += by_id.get(dout) != Logic::kX ? 1 : 0;
+  }
+  EXPECT_EQ(by_name.transition_count(), by_id.transition_count());
+  EXPECT_EQ(name_edges, id_edges);
+  // The stimulus exercised the datapath, not only the X state.
+  EXPECT_GT(by_id.transition_count(), 3000u);
+  EXPECT_GT(dout_known, 100);
+  EXPECT_GT(id_edges.size(), 10u);
 }
 
 // Executes the PAPER's comparator netlist (Table 1): reset on CLK high,
