@@ -66,6 +66,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/adc.h"
 #include "core/artifact_store.h"
@@ -109,6 +110,17 @@ int fail_with_diags(const util::DiagSink& sink) {
   std::fprintf(stderr, "error: flow rejected the input\n%s",
                sink.render().c_str());
   return 1;
+}
+
+/// Writes one output file; false, with an error naming the path, when it
+/// cannot be created or fully written. Every file a command writes goes
+/// through here, so a command that could not write exits 1.
+bool write_output(const std::string& path, std::string_view bytes) {
+  std::ofstream f(path, std::ios::binary);
+  if (f) f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  f.close();
+  if (!f) std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return static_cast<bool>(f);
 }
 
 /// --trace / --cache-stats epilogue, shared by every command. `store` is
@@ -366,9 +378,11 @@ int main(int argc, char** argv) {
                 res->detailed_routing.total_vias,
                 res->detailed_routing.overflowed_edges,
                 res->routing.total_hpwl_m * 1e6);
-    std::ofstream(out_dir + "/adc.fp") << res->floorplan_spec;
-    std::ofstream(out_dir + "/adc_layout.txt")
-        << res->layout->render_ascii(100);
+    if (!write_output(out_dir + "/adc.fp", res->floorplan_spec) ||
+        !write_output(out_dir + "/adc_layout.txt",
+                      res->layout->render_ascii(100))) {
+      return 1;
+    }
     std::printf("wrote %s/adc.fp, %s/adc_layout.txt\n", out_dir.c_str(),
                 out_dir.c_str());
     print_flow_stats(args, trace, *ctx.cache, ctx.store);
@@ -428,7 +442,7 @@ int main(int argc, char** argv) {
   if (cmd == "emit-verilog") {
     const auto hdl = flow.hdl_emit(spec);
     if (hdl == nullptr) return fail_with_diags(diags);
-    std::ofstream(out_dir + "/adc_top.v") << hdl->verilog;
+    if (!write_output(out_dir + "/adc_top.v", hdl->verilog)) return 1;
     std::printf("emitted %s: %zu bytes, %zu modules, %d instances verified "
                 "equivalent to the generated netlist\n",
                 hdl->top.c_str(), hdl->verilog.size(),
@@ -465,23 +479,28 @@ int main(int argc, char** argv) {
     core::AdcDesign adc(spec, ctx);
     if (!adc.ok()) return fail_with_diags(diags);
     const tech::TechNode node = spec.tech_node();
-    std::ofstream(out_dir + "/adc_top.v")
-        << netlist::write_verilog(adc.netlist());
-    std::ofstream(out_dir + "/adc_top.sp")
-        << netlist::write_spice(adc.netlist(), node);
-    std::ofstream(out_dir + "/stdcells.lef")
-        << netlist::write_lef(adc.library());
-    std::ofstream(out_dir + "/stdcells.lib")
-        << netlist::write_liberty(adc.library(), node);
+    if (!write_output(out_dir + "/adc_top.v",
+                      netlist::write_verilog(adc.netlist())) ||
+        !write_output(out_dir + "/adc_top.sp",
+                      netlist::write_spice(adc.netlist(), node)) ||
+        !write_output(out_dir + "/stdcells.lef",
+                      netlist::write_lef(adc.library())) ||
+        !write_output(out_dir + "/stdcells.lib",
+                      netlist::write_liberty(adc.library(), node))) {
+      return 1;
+    }
     const auto synth_res = flow.synthesis(spec);
     if (synth_res == nullptr || synth_res->layout == nullptr) {
       return fail_with_diags(diags);
     }
-    std::ofstream(out_dir + "/adc.fp") << synth_res->floorplan_spec;
     const auto gds = synth::write_gdsii(*synth_res->layout, "vcoadc");
-    std::ofstream gf(out_dir + "/adc_top.gds", std::ios::binary);
-    gf.write(reinterpret_cast<const char*>(gds.data()),
-             static_cast<long>(gds.size()));
+    if (!write_output(out_dir + "/adc.fp", synth_res->floorplan_spec) ||
+        !write_output(out_dir + "/adc_top.gds",
+                      std::string_view(
+                          reinterpret_cast<const char*>(gds.data()),
+                          gds.size()))) {
+      return 1;
+    }
     std::printf("wrote adc_top.v adc_top.sp stdcells.lef stdcells.lib "
                 "adc.fp adc_top.gds under %s\n", out_dir.c_str());
     print_flow_stats(args, trace, *ctx.cache, ctx.store);

@@ -3,9 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstring>
-#include <set>
+#include <map>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "netlist/verilog_parser.h"
 
@@ -81,73 +87,260 @@ std::shared_ptr<CellLibrary> decode_library(serde::Reader& r) {
   return r.ok() ? lib : nullptr;
 }
 
-void encode_string_map(const std::map<std::string, std::string>& m,
-                       serde::Writer& w) {
-  w.size(m.size());
-  for (const auto& [k, v] : m) {
-    w.str(k);
-    w.str(v);
+// --- names: one table per record ------------------------------------------
+//
+// The design_bundle, floorplan and synthesis records (type_version 2) keep
+// one name table each: every distinct module, port, net, pin, instance,
+// master, domain, group and region name once, in first-use order, followed
+// by a body that refers to the names by u32 index. The encoder interns
+// names while it writes the body, then inserts the table ahead of it, so a
+// decoder holds every name before the first index. Decoded names are
+// views into the payload, copied only into the objects that carry them.
+
+/// A name's length and two words of its bytes, loaded so that they
+/// overlap: between them they hold every byte of a name of up to 16 bytes,
+/// so two such keys are equal exactly when the names are. Longer names
+/// also compare their bytes. Fixed-size loads keep it free of calls.
+struct NameKey {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t size = 0;
+
+  explicit NameKey(std::string_view s) : size(s.size()) {
+    const char* p = s.data();
+    const std::size_t n = s.size();
+    if (n >= 8) {
+      lo = load<std::uint64_t>(p);
+      hi = load<std::uint64_t>(p + n - 8);
+    } else if (n >= 4) {
+      lo = load<std::uint32_t>(p);
+      hi = load<std::uint32_t>(p + n - 4);
+    } else if (n > 0) {
+      lo = byte(p[0]) | byte(p[n / 2]) << 8 | byte(p[n - 1]) << 16;
+    }
+  }
+
+  bool operator==(const NameKey&) const = default;
+
+  /// A multiplicative hash whose high bits pick the slot; every byte of a
+  /// long name enters it. Host byte order, as only slot positions depend
+  /// on it.
+  std::uint64_t hash(std::string_view s) const {
+    std::uint64_t h = (lo ^ size) * 0x9e3779b97f4a7c15ull;
+    for (std::size_t i = 8; i + 8 < s.size(); i += 8) {
+      h = (h ^ h >> 29 ^ load<std::uint64_t>(s.data() + i)) *
+          0xbf58476d1ce4e5b9ull;
+    }
+    return (h ^ h >> 29 ^ hi) * 0x94d049bb133111ebull;
+  }
+
+ private:
+  template <typename U>
+  static std::uint64_t load(const char* p) {
+    U v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  static std::uint64_t byte(char c) { return static_cast<unsigned char>(c); }
+};
+
+/// The encoder's side: the index each name got on its first use, in an
+/// open-addressing table of (index + 1, hash bits) slots at most half full
+/// beside the keys in index order. Names are held as views, so they must
+/// outlive the table.
+class NameTableWriter {
+ public:
+  /// Sized for about `expected` names, so a table that stays near that
+  /// never regrows.
+  explicit NameTableWriter(std::size_t expected) {
+    names_.reserve(expected);
+    keys_.reserve(expected);
+    grow(std::bit_ceil(2 * expected + 2));
+  }
+
+  /// Writes the index of `s`.
+  void put(std::string_view s, serde::Writer& w) { w.u32(id(s)); }
+
+  /// Inserts the table at byte offset `at` of `w`, ahead of the body
+  /// written since: the name count, then each name as a Writer::str.
+  void insert(serde::Writer& w, std::size_t at) const {
+    serde::Writer table;
+    table.size(names_.size());
+    for (const std::string_view n : names_) table.str(n);
+    w.insert(at, table);
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t id1 = 0;  ///< index + 1; 0 = empty
+    std::uint32_t hash = 0;  ///< the hash's low bits
+  };
+
+  std::uint32_t id(std::string_view s) {
+    if (2 * (names_.size() + 1) > slots_.size()) grow(2 * slots_.size());
+    const NameKey key(s);
+    const std::uint64_t h = key.hash(s);
+    const auto tag = static_cast<std::uint32_t>(h);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h >> shift_;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id1 == 0) {
+        names_.push_back(s);
+        keys_.push_back(key);
+        slot = {static_cast<std::uint32_t>(names_.size()), tag};
+        return slot.id1 - 1;
+      }
+      if (slot.hash == tag && keys_[slot.id1 - 1] == key &&
+          (key.size <= 16 || names_[slot.id1 - 1] == s)) {
+        return slot.id1 - 1;
+      }
+    }
+  }
+
+  /// Rehashes into n slots, a power of two.
+  void grow(std::size_t n) {
+    slots_.assign(n, Slot{});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
+    for (std::size_t k = 0; k < names_.size(); ++k) {
+      const std::uint64_t h = keys_[k].hash(names_[k]);
+      std::size_t i = h >> shift_;
+      while (slots_[i].id1 != 0) i = (i + 1) & (n - 1);
+      slots_[i] = {static_cast<std::uint32_t>(k + 1),
+                   static_cast<std::uint32_t>(h)};
+    }
+  }
+
+  std::vector<std::string_view> names_;
+  std::vector<NameKey> keys_;
+  std::vector<Slot> slots_;
+  unsigned shift_ = 0;  ///< 64 - log2(slot count)
+};
+
+/// The decoder's side: the table's names as views into the payload, valid
+/// while the payload is.
+class NameTable {
+ public:
+  bool read(serde::Reader& r) {
+    const std::size_t n = r.size();
+    names_.reserve(n);
+    for (std::size_t i = 0; i < n && r.ok(); ++i) names_.push_back(r.view());
+    return r.ok();
+  }
+
+  /// Reads a name index; one past the table latches !ok() and yields 0.
+  std::uint32_t index(serde::Reader& r) const {
+    return r.index(names_.size());
+  }
+
+  /// The name a stored index refers to ("" once `r` is !ok()).
+  std::string_view get(serde::Reader& r) const {
+    const std::uint32_t i = index(r);
+    return r.ok() ? names_[i] : std::string_view();
+  }
+
+  std::string_view operator[](std::uint32_t i) const { return names_[i]; }
+  std::size_t size() const { return names_.size(); }
+
+ private:
+  std::vector<std::string_view> names_;
+};
+
+/// Names written out where they occur: the placement codec's (v1) form of
+/// a region name. One type serves both directions, which the two classes
+/// above split between them.
+struct InlineNames {
+  void put(std::string_view s, serde::Writer& w) { w.str(s); }
+  std::string_view get(serde::Reader& r) const { return r.view(); }
+};
+
+/// A pin -> net map as (pin, net) index pairs in the map's own order, so a
+/// decoded entry always goes in at the end.
+void encode_conn(const std::map<std::string, std::string>& conn,
+                 NameTableWriter& names, serde::Writer& w) {
+  w.size(conn.size());
+  for (const auto& [pin, net] : conn) {
+    names.put(pin, w);
+    names.put(net, w);
   }
 }
 
-bool decode_string_map(serde::Reader& r,
-                       std::map<std::string, std::string>& m) {
+void decode_conn(serde::Reader& r, const NameTable& names,
+                 std::map<std::string, std::string>& conn) {
   const std::size_t n = r.size();
-  m.clear();
   for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    std::string k = r.str();
-    m[std::move(k)] = r.str();
+    const std::string_view pin = names.get(r);
+    const std::string_view net = names.get(r);
+    conn.emplace_hint(conn.end(), pin, net);
   }
-  return r.ok();
 }
 
-/// Flat instances reference StdCells by pointer; on disk they go by name
-/// against the library the enclosing codec embeds.
-void encode_flat(const std::vector<FlatInstance>& flat, serde::Writer& w) {
-  w.size(flat.size());
+/// The StdCells a flat vector references, as the self-contained library a
+/// flat-carrying record embeds (distinct by name, first-reference order, so
+/// the bytes are deterministic), plus each instance's cell as an index into
+/// it: 0 for none, else the cell's position + 1. The embedded cells carry
+/// everything downstream stages read through FlatInstance::cell.
+struct ReferencedCells {
+  CellLibrary lib{"store"};
+  std::vector<std::uint32_t> index;  ///< one per flat instance
+};
+
+ReferencedCells referenced_cells(const std::vector<FlatInstance>& flat) {
+  ReferencedCells out;
+  out.index.reserve(flat.size());
+  // By pointer first; a cell seen at a new address is matched by name.
+  std::unordered_map<const StdCell*, std::uint32_t> by_cell;
   for (const FlatInstance& fi : flat) {
-    w.str(fi.path);
-    w.str(fi.cell != nullptr ? fi.cell->name : std::string());
-    encode_string_map(fi.conn, w);
-    w.str(fi.power_domain);
-    w.str(fi.group);
+    if (fi.cell == nullptr) {
+      out.index.push_back(0);
+      continue;
+    }
+    auto [it, fresh] = by_cell.try_emplace(fi.cell, 0);
+    if (fresh) {
+      if (const StdCell* known = out.lib.find(fi.cell->name)) {
+        it->second = static_cast<std::uint32_t>(known - out.lib.cells().data());
+      } else {
+        it->second = static_cast<std::uint32_t>(out.lib.cells().size());
+        out.lib.add(*fi.cell);
+      }
+      ++it->second;
+    }
+    out.index.push_back(it->second);
+  }
+  return out;
+}
+
+void encode_flat(const std::vector<FlatInstance>& flat,
+                 const ReferencedCells& cells, NameTableWriter& names,
+                 serde::Writer& w) {
+  w.size(flat.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    const FlatInstance& fi = flat[i];
+    names.put(fi.path, w);
+    w.u32(cells.index[i]);
+    encode_conn(fi.conn, names, w);
+    names.put(fi.power_domain, w);
+    names.put(fi.group, w);
   }
 }
 
+/// Re-points each instance into `lib`, the record's embedded library.
 bool decode_flat(serde::Reader& r, const CellLibrary& lib,
-                 std::vector<FlatInstance>& flat) {
+                 const NameTable& names, std::vector<FlatInstance>& flat) {
+  const std::vector<StdCell>& cells = lib.cells();
   const std::size_t n = r.size();
   flat.clear();
   flat.reserve(n);
   for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    FlatInstance fi;
-    fi.path = r.str();
-    const std::string cell_name = r.str();
-    if (!cell_name.empty()) {
-      fi.cell = lib.find(cell_name);
-      if (fi.cell == nullptr) return false;  // dangling reference
+    FlatInstance& fi = flat.emplace_back();
+    fi.path = names.get(r);
+    if (const std::uint32_t c = r.index(cells.size() + 1); c != 0) {
+      fi.cell = &cells[c - 1];
     }
-    if (!decode_string_map(r, fi.conn)) return false;
-    fi.power_domain = r.str();
-    fi.group = r.str();
-    flat.push_back(std::move(fi));
+    decode_conn(r, names, fi.conn);
+    fi.power_domain = names.get(r);
+    fi.group = names.get(r);
   }
   return r.ok();
-}
-
-/// Collects the distinct StdCells a flat vector references into a
-/// self-contained library (first-reference order, so the bytes are
-/// deterministic). The subset carries everything downstream stages read
-/// through FlatInstance::cell.
-CellLibrary referenced_cells(const std::vector<FlatInstance>& flat) {
-  CellLibrary lib("store");
-  std::set<std::string> seen;
-  for (const FlatInstance& fi : flat) {
-    if (fi.cell != nullptr && seen.insert(fi.cell->name).second) {
-      lib.add(*fi.cell);
-    }
-  }
-  return lib;
 }
 
 void encode_rect(const synth::Rect& rect, serde::Writer& w) {
@@ -166,23 +359,24 @@ synth::Rect decode_rect(serde::Reader& r) {
   return rect;
 }
 
-void encode_floorplan(const synth::Floorplan& fp, serde::Writer& w) {
+void encode_floorplan(const synth::Floorplan& fp, NameTableWriter& names,
+                      serde::Writer& w) {
   encode_rect(fp.die, w);
   w.f64(fp.row_height_m);
   w.f64(fp.site_width_m);
   w.size(fp.regions.size());
   for (const synth::PlacedRegion& pr : fp.regions) {
-    w.str(pr.spec.name);
+    names.put(pr.spec.name, w);
     w.boolean(pr.spec.is_group);
-    w.size(pr.spec.members.size());
-    for (const int m : pr.spec.members) w.i64(m);
+    w.i32s(pr.spec.members);
     w.f64(pr.spec.cell_area_m2);
     w.f64(pr.spec.max_cell_width_m);
     encode_rect(pr.rect, w);
   }
 }
 
-bool decode_floorplan(serde::Reader& r, synth::Floorplan& fp) {
+bool decode_floorplan(serde::Reader& r, const NameTable& names,
+                      synth::Floorplan& fp) {
   fp.die = decode_rect(r);
   fp.row_height_m = r.f64();
   fp.site_width_m = r.f64();
@@ -190,54 +384,54 @@ bool decode_floorplan(serde::Reader& r, synth::Floorplan& fp) {
   fp.regions.clear();
   fp.regions.reserve(n);
   for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::PlacedRegion pr;
-    pr.spec.name = r.str();
+    synth::PlacedRegion& pr = fp.regions.emplace_back();
+    pr.spec.name = names.get(r);
     pr.spec.is_group = r.boolean();
-    const std::size_t nm = r.size();
-    pr.spec.members.reserve(nm);
-    for (std::size_t j = 0; j < nm && r.ok(); ++j) {
-      pr.spec.members.push_back(static_cast<int>(r.i64()));
-    }
+    r.i32s(pr.spec.members);
     pr.spec.cell_area_m2 = r.f64();
     pr.spec.max_cell_width_m = r.f64();
     pr.rect = decode_rect(r);
-    fp.regions.push_back(std::move(pr));
   }
   return r.ok();
 }
 
-void encode_placement(const synth::Placement& pl, serde::Writer& w) {
+/// Region names go through `names`: inline in the placement codec (v1),
+/// table indices inside a synthesis record.
+template <typename Names>
+void encode_placement(const synth::Placement& pl, Names& names,
+                      serde::Writer& w) {
   w.size(pl.cells.size());
   for (const synth::PlacedCell& c : pl.cells) {
     w.i64(c.flat_index);
     encode_rect(c.rect, w);
     w.i64(c.row);
-    w.str(c.region);
+    names.put(c.region, w);
   }
   w.boolean(pl.overflow);
 }
 
-bool decode_placement(serde::Reader& r, synth::Placement& pl) {
+template <typename Names>
+bool decode_placement(serde::Reader& r, const Names& names,
+                      synth::Placement& pl) {
   const std::size_t n = r.size();
   pl.cells.clear();
   pl.cells.reserve(n);
   for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::PlacedCell c;
+    synth::PlacedCell& c = pl.cells.emplace_back();
     c.flat_index = static_cast<int>(r.i64());
     c.rect = decode_rect(r);
     c.row = static_cast<int>(r.i64());
-    c.region = r.str();
-    pl.cells.push_back(std::move(c));
+    c.region = names.get(r);
   }
   pl.overflow = r.boolean();
   return r.ok();
 }
 
 void encode_routing_estimate(const synth::RoutingEstimate& re,
-                             serde::Writer& w) {
+                             NameTableWriter& names, serde::Writer& w) {
   w.size(re.nets.size());
   for (const synth::NetRoute& nr : re.nets) {
-    w.str(nr.net);
+    names.put(nr.net, w);
     w.i64(nr.pins);
     w.f64(nr.hpwl_m);
     w.f64(nr.est_length_m);
@@ -252,17 +446,17 @@ void encode_routing_estimate(const synth::RoutingEstimate& re,
   w.f64(re.wire_cap_f);
 }
 
-bool decode_routing_estimate(serde::Reader& r, synth::RoutingEstimate& re) {
+bool decode_routing_estimate(serde::Reader& r, const NameTable& names,
+                             synth::RoutingEstimate& re) {
   const std::size_t n = r.size();
   re.nets.clear();
   re.nets.reserve(n);
   for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::NetRoute nr;
-    nr.net = r.str();
+    synth::NetRoute& nr = re.nets.emplace_back();
+    nr.net = names.get(r);
     nr.pins = static_cast<int>(r.i64());
     nr.hpwl_m = r.f64();
     nr.est_length_m = r.f64();
-    re.nets.push_back(std::move(nr));
   }
   re.total_hpwl_m = r.f64();
   re.total_est_length_m = r.f64();
@@ -275,20 +469,60 @@ bool decode_routing_estimate(serde::Reader& r, synth::RoutingEstimate& re) {
   return r.ok();
 }
 
-void encode_maze_result(const synth::MazeRouteResult& mr, serde::Writer& w) {
+// A route path is one packed integer array: its point count, then each
+// point's x, y and layer as 4-byte little-endian integers. A GridPoint is
+// those three ints, so on a little-endian host a path's storage already is
+// that array and one memcpy moves it; elsewhere the ints move one at a time.
+constexpr std::size_t kPointBytes = 12;
+constexpr bool kPackedPoints =
+    serde::kNativeLittleEndian && sizeof(int) == 4 &&
+    sizeof(synth::GridPoint) == kPointBytes &&
+    std::is_trivially_copyable_v<synth::GridPoint> &&
+    offsetof(synth::GridPoint, x) == 0 && offsetof(synth::GridPoint, y) == 4 &&
+    offsetof(synth::GridPoint, layer) == 8;
+
+void encode_path(const std::vector<synth::GridPoint>& path, serde::Writer& w) {
+  w.size(path.size());
+  if constexpr (kPackedPoints) {
+    if (path.empty()) return;
+    std::memcpy(w.raw(path.size() * kPointBytes), path.data(),
+                path.size() * kPointBytes);
+  } else {
+    for (const synth::GridPoint& gp : path) {
+      w.u32(static_cast<std::uint32_t>(gp.x));
+      w.u32(static_cast<std::uint32_t>(gp.y));
+      w.u32(static_cast<std::uint32_t>(gp.layer));
+    }
+  }
+}
+
+bool decode_path(serde::Reader& r, std::vector<synth::GridPoint>& path) {
+  // size() bounds the count by the bytes left, so the byte count cannot
+  // overflow; raw() then checks the bytes themselves.
+  const std::size_t n = r.size();
+  const std::uint8_t* p = r.raw(n * kPointBytes);
+  if (!r.ok()) return false;
+  path.resize(n);
+  if constexpr (kPackedPoints) {
+    if (n != 0) std::memcpy(path.data(), p, n * kPointBytes);
+  } else {
+    for (std::size_t k = 0; k < n; ++k, p += kPointBytes) {
+      path[k].x = static_cast<int>(serde::load_le<std::uint32_t>(p));
+      path[k].y = static_cast<int>(serde::load_le<std::uint32_t>(p + 4));
+      path[k].layer = static_cast<int>(serde::load_le<std::uint32_t>(p + 8));
+    }
+  }
+  return true;
+}
+
+void encode_maze_result(const synth::MazeRouteResult& mr,
+                        NameTableWriter& names, serde::Writer& w) {
   w.size(mr.nets.size());
   for (const synth::RoutedNet& net : mr.nets) {
-    w.str(net.name);
+    names.put(net.name, w);
     w.i64(net.pins);
     w.size(net.paths.size());
-    for (const auto& path : net.paths) {
-      w.size(path.size());
-      for (const synth::GridPoint& gp : path) {
-        w.i64(gp.x);
-        w.i64(gp.y);
-        w.i64(gp.layer);
-      }
-    }
+    for (const auto& path : net.paths) encode_path(path, w);
     w.f64(net.wirelength_m);
     w.i64(net.vias);
     w.boolean(net.routed);
@@ -301,33 +535,23 @@ void encode_maze_result(const synth::MazeRouteResult& mr, serde::Writer& w) {
   w.i64(mr.grid_y);
 }
 
-bool decode_maze_result(serde::Reader& r, synth::MazeRouteResult& mr) {
+bool decode_maze_result(serde::Reader& r, const NameTable& names,
+                        synth::MazeRouteResult& mr) {
   const std::size_t n = r.size();
   mr.nets.clear();
   mr.nets.reserve(n);
   for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::RoutedNet net;
-    net.name = r.str();
+    synth::RoutedNet& net = mr.nets.emplace_back();
+    net.name = names.get(r);
     net.pins = static_cast<int>(r.i64());
     const std::size_t np = r.size();
     net.paths.reserve(np);
     for (std::size_t j = 0; j < np && r.ok(); ++j) {
-      const std::size_t npts = r.size();
-      std::vector<synth::GridPoint> path;
-      path.reserve(npts);
-      for (std::size_t k = 0; k < npts && r.ok(); ++k) {
-        synth::GridPoint gp;
-        gp.x = static_cast<int>(r.i64());
-        gp.y = static_cast<int>(r.i64());
-        gp.layer = static_cast<int>(r.i64());
-        path.push_back(gp);
-      }
-      net.paths.push_back(std::move(path));
+      if (!decode_path(r, net.paths.emplace_back())) return false;
     }
     net.wirelength_m = r.f64();
     net.vias = static_cast<int>(r.i64());
     net.routed = r.boolean();
-    mr.nets.push_back(std::move(net));
   }
   mr.total_wirelength_m = r.f64();
   mr.total_vias = static_cast<int>(r.i64());
@@ -381,57 +605,76 @@ synth::LayoutStats decode_layout_stats(serde::Reader& r) {
 
 /// Hierarchical design over a decoded library (lives only inside the
 /// DesignBundle codec — flat-carrying artifacts store flat form).
-void encode_design(const netlist::Design& d, serde::Writer& w) {
-  w.str(d.top());
+void encode_design(const netlist::Design& d, NameTableWriter& names,
+                   serde::Writer& w) {
+  names.put(d.top(), w);
   w.size(d.modules().size());
   for (const netlist::Module& mod : d.modules()) {
-    w.str(mod.name());
+    names.put(mod.name(), w);
     w.size(mod.ports().size());
     for (const netlist::Port& p : mod.ports()) {
-      w.str(p.name);
+      names.put(p.name, w);
       w.u8(static_cast<std::uint8_t>(p.dir));
     }
     w.size(mod.nets().size());
-    for (const std::string& net : mod.nets()) w.str(net);
+    for (const std::string& net : mod.nets()) names.put(net, w);
     w.size(mod.instances().size());
     for (const netlist::Instance& inst : mod.instances()) {
-      w.str(inst.name);
-      w.str(inst.master);
-      encode_string_map(inst.conn, w);
-      w.str(inst.power_domain);
-      w.str(inst.group);
+      names.put(inst.name, w);
+      names.put(inst.master, w);
+      encode_conn(inst.conn, names, w);
+      names.put(inst.power_domain, w);
+      names.put(inst.group, w);
     }
   }
 }
 
 std::shared_ptr<netlist::Design> decode_design(serde::Reader& r,
-                                               const CellLibrary* lib) {
+                                               const CellLibrary* lib,
+                                               const NameTable& names) {
   auto d = std::make_shared<netlist::Design>(lib);
-  const std::string top = r.str();
+  const std::string_view top = names.get(r);
   const std::size_t nmod = r.size();
+  // Per name, the last module visit (from 1) that declared it a port or a
+  // net: Module::add_net's duplicate check without its scan, exact while
+  // the table's names are distinct, as the encoder writes them. A module
+  // the record names twice keeps add_net.
+  std::vector<std::uint32_t> declared(names.size(), 0);
   for (std::size_t i = 0; i < nmod && r.ok(); ++i) {
-    netlist::Module& mod = d->add_module(r.str());
+    const auto visit = static_cast<std::uint32_t>(i + 1);
+    netlist::Module& mod = d->add_module(std::string(names.get(r)));
+    const bool fresh = mod.ports().empty() && mod.nets().empty();
     const std::size_t nports = r.size();
     for (std::size_t j = 0; j < nports && r.ok(); ++j) {
-      const std::string name = r.str();
-      mod.add_port(name, static_cast<PortDir>(r.u8()));
+      const std::uint32_t id = names.index(r);
+      const auto dir = static_cast<PortDir>(r.u8());
+      if (!r.ok()) break;
+      mod.add_port(std::string(names[id]), dir);
+      declared[id] = visit;
     }
     const std::size_t nnets = r.size();
     for (std::size_t j = 0; j < nnets && r.ok(); ++j) {
-      mod.add_net(r.str());
+      const std::uint32_t id = names.index(r);
+      if (!r.ok()) break;
+      if (!fresh) {
+        mod.add_net(std::string(names[id]));
+      } else if (declared[id] != visit) {
+        declared[id] = visit;
+        mod.append_net(std::string(names[id]));
+      }
     }
     const std::size_t ninst = r.size();
     for (std::size_t j = 0; j < ninst && r.ok(); ++j) {
       netlist::Instance inst;
-      inst.name = r.str();
-      inst.master = r.str();
-      if (!decode_string_map(r, inst.conn)) return nullptr;
-      inst.power_domain = r.str();
-      inst.group = r.str();
+      inst.name = names.get(r);
+      inst.master = names.get(r);
+      decode_conn(r, names, inst.conn);
+      inst.power_domain = names.get(r);
+      inst.group = names.get(r);
       mod.add_instance(std::move(inst));
     }
   }
-  d->set_top(top);
+  d->set_top(std::string(top));
   return r.ok() ? d : nullptr;
 }
 
@@ -452,14 +695,24 @@ void encode_design_bundle(const DesignBundle& b, serde::Writer& w) {
   w.boolean(b.lib != nullptr && b.design != nullptr);
   if (b.lib == nullptr || b.design == nullptr) return;
   encode_library(*b.lib, w);
-  encode_design(*b.design, w);
+  const std::size_t table_at = w.length();
+  std::size_t expected = 0;
+  for (const netlist::Module& mod : b.design->modules()) {
+    expected += mod.ports().size() + mod.nets().size() +
+                2 * mod.instances().size();
+  }
+  NameTableWriter names(expected);
+  encode_design(*b.design, names, w);
+  names.insert(w, table_at);
 }
 
 std::shared_ptr<const DesignBundle> decode_design_bundle(serde::Reader& r) {
   if (!r.boolean() || !r.ok()) return nullptr;
   auto lib = decode_library(r);
   if (lib == nullptr) return nullptr;
-  auto design = decode_design(r, lib.get());
+  NameTable names;
+  if (!names.read(r)) return nullptr;
+  auto design = decode_design(r, lib.get(), names);
   if (design == nullptr || !r.ok() || !r.at_end()) return nullptr;
   auto b = std::make_shared<DesignBundle>();
   b->lib = std::move(lib);
@@ -469,19 +722,25 @@ std::shared_ptr<const DesignBundle> decode_design_bundle(serde::Reader& r) {
 
 void encode_floorplan_artifact(const synth::FloorplanStageResult& a,
                                serde::Writer& w) {
-  encode_library(referenced_cells(a.flat), w);
-  encode_flat(a.flat, w);
-  encode_floorplan(a.fp, w);
+  const ReferencedCells cells = referenced_cells(a.flat);
+  encode_library(cells.lib, w);
+  const std::size_t table_at = w.length();
+  NameTableWriter names(2 * a.flat.size());
+  encode_flat(a.flat, cells, names, w);
+  encode_floorplan(a.fp, names, w);
   w.str(a.floorplan_spec);
+  names.insert(w, table_at);
 }
 
 std::shared_ptr<const synth::FloorplanStageResult> decode_floorplan_artifact(
     serde::Reader& r) {
   auto lib = decode_library(r);
   if (lib == nullptr) return nullptr;
+  NameTable names;
+  if (!names.read(r)) return nullptr;
   auto a = std::make_shared<synth::FloorplanStageResult>();
-  if (!decode_flat(r, *lib, a->flat)) return nullptr;
-  if (!decode_floorplan(r, a->fp)) return nullptr;
+  if (!decode_flat(r, *lib, names, a->flat)) return nullptr;
+  if (!decode_floorplan(r, names, a->fp)) return nullptr;
   a->floorplan_spec = r.str();
   if (!r.ok() || !r.at_end()) return nullptr;
   a->owner = std::shared_ptr<const void>(lib);
@@ -489,13 +748,14 @@ std::shared_ptr<const synth::FloorplanStageResult> decode_floorplan_artifact(
 }
 
 void encode_placement_artifact(const synth::Placement& pl, serde::Writer& w) {
-  encode_placement(pl, w);
+  InlineNames names;
+  encode_placement(pl, names, w);
 }
 
 std::shared_ptr<const synth::Placement> decode_placement_artifact(
     serde::Reader& r) {
   auto pl = std::make_shared<synth::Placement>();
-  if (!decode_placement(r, *pl) || !r.at_end()) return nullptr;
+  if (!decode_placement(r, InlineNames{}, *pl) || !r.at_end()) return nullptr;
   return pl;
 }
 
@@ -506,16 +766,22 @@ void encode_synthesis_artifact(const synth::SynthesisResult& s,
   // persisted form carries a layout by construction; keep the flag so a
   // hand-damaged record fails decode instead of crashing.
   w.boolean(s.layout != nullptr);
+  std::size_t table_at = w.length();
+  NameTableWriter names(s.layout != nullptr ? 2 * s.layout->flat().size()
+                                            : s.routing.nets.size());
   if (s.layout != nullptr) {
-    encode_library(referenced_cells(s.layout->flat()), w);
-    encode_flat(s.layout->flat(), w);
-    encode_floorplan(s.layout->floorplan(), w);
-    encode_placement(s.layout->placement(), w);
+    const ReferencedCells cells = referenced_cells(s.layout->flat());
+    encode_library(cells.lib, w);
+    table_at = w.length();
+    encode_flat(s.layout->flat(), cells, names, w);
+    encode_floorplan(s.layout->floorplan(), names, w);
+    encode_placement(s.layout->placement(), names, w);
   }
-  encode_routing_estimate(s.routing, w);
-  encode_maze_result(s.detailed_routing, w);
+  encode_routing_estimate(s.routing, names, w);
+  encode_maze_result(s.detailed_routing, names, w);
   encode_drc(s.drc, w);
   encode_layout_stats(s.stats, w);
+  names.insert(w, table_at);
 }
 
 std::shared_ptr<const synth::SynthesisResult> decode_synthesis_artifact(
@@ -525,16 +791,18 @@ std::shared_ptr<const synth::SynthesisResult> decode_synthesis_artifact(
   if (!r.boolean() || !r.ok()) return nullptr;
   auto lib = decode_library(r);
   if (lib == nullptr) return nullptr;
+  NameTable names;
+  if (!names.read(r)) return nullptr;
   std::vector<FlatInstance> flat;
-  if (!decode_flat(r, *lib, flat)) return nullptr;
+  if (!decode_flat(r, *lib, names, flat)) return nullptr;
   synth::Floorplan fp;
-  if (!decode_floorplan(r, fp)) return nullptr;
+  if (!decode_floorplan(r, names, fp)) return nullptr;
   synth::Placement pl;
-  if (!decode_placement(r, pl)) return nullptr;
+  if (!decode_placement(r, names, pl)) return nullptr;
   s->layout = std::make_unique<synth::Layout>(std::move(flat), std::move(fp),
                                               std::move(pl));
-  if (!decode_routing_estimate(r, s->routing)) return nullptr;
-  if (!decode_maze_result(r, s->detailed_routing)) return nullptr;
+  if (!decode_routing_estimate(r, names, s->routing)) return nullptr;
+  if (!decode_maze_result(r, names, s->detailed_routing)) return nullptr;
   if (!decode_drc(r, s->drc)) return nullptr;
   s->stats = decode_layout_stats(r);
   if (!r.ok() || !r.at_end()) return nullptr;
@@ -954,13 +1222,13 @@ const ArtifactCodec<CellLibrary>& cell_library_codec() {
 
 const ArtifactCodec<DesignBundle>& design_bundle_codec() {
   static const ArtifactCodec<DesignBundle> codec{
-      "design_bundle", 1, &encode_design_bundle, &decode_design_bundle};
+      "design_bundle", 2, &encode_design_bundle, &decode_design_bundle};
   return codec;
 }
 
 const ArtifactCodec<synth::FloorplanStageResult>& floorplan_codec() {
   static const ArtifactCodec<synth::FloorplanStageResult> codec{
-      "floorplan", 1, &encode_floorplan_artifact, &decode_floorplan_artifact};
+      "floorplan", 2, &encode_floorplan_artifact, &decode_floorplan_artifact};
   return codec;
 }
 
@@ -972,7 +1240,7 @@ const ArtifactCodec<synth::Placement>& placement_codec() {
 
 const ArtifactCodec<synth::SynthesisResult>& synthesis_codec() {
   static const ArtifactCodec<synth::SynthesisResult> codec{
-      "synthesis", 1, &encode_synthesis_artifact, &decode_synthesis_artifact};
+      "synthesis", 2, &encode_synthesis_artifact, &decode_synthesis_artifact};
   return codec;
 }
 

@@ -111,13 +111,17 @@ bool write_file(const std::string& path,
 
 }  // namespace
 
+/// The directory every save() writes its tmp file in before the rename.
+constexpr const char* kTmpDir = "tmp";
+
 ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   ok_ = !ec && fs::is_directory(dir_, ec) && !ec;
   // Startup sweep: tmp files are orphans of writers killed mid-save (the
   // write-then-rename window). Age-gated, so a store opened next to live
-  // writer processes never touches their in-flight files.
+  // writer processes never touches their in-flight files. It lists tmp/
+  // alone, so opening costs the same however many records the store holds.
   if (ok_) sweep_tmp();
 }
 
@@ -172,15 +176,19 @@ bool ArtifactStore::save(const CacheKey& key, std::string_view type_tag,
     std::lock_guard<std::mutex> lock(mutex_);
     serial = ++tmp_counter_;
   }
-  // Unique temp name per (process, attempt): concurrent writers never
-  // share a temp file, and the final rename is atomic, so a reader sees
-  // either a complete old record or a complete new one.
+  // Unique temp name per (process, attempt) in <dir>/tmp/: concurrent
+  // writers never share a temp file, and the final rename stays on one
+  // filesystem, so it is atomic and a reader sees either a complete old
+  // record or a complete new one.
+  const std::string tmp_dir = dir_ + "/" + kTmpDir;
   const std::string tmp_path = util::format(
-      "%s.tmp.%d.%llu", final_path.c_str(),
+      "%s/%s.art.tmp.%d.%llu", tmp_dir.c_str(), key.hex().c_str(),
       static_cast<int>(VCOADC_GETPID()),
       static_cast<unsigned long long>(serial));
 
   std::error_code ec;
+  fs::create_directories(tmp_dir, ec);
+  if (ec) return fail("cannot create tmp directory: " + ec.message());
   fs::create_directories(fs::path(final_path).parent_path(), ec);
   if (ec) return fail("cannot create shard directory: " + ec.message());
   if (!write_file(tmp_path, record)) {
@@ -313,31 +321,44 @@ void ArtifactStore::note_decode_failure(const CacheKey& key,
            "'; rebuilding");
 }
 
+namespace {
+
+/// True for a save() tmp file (`<hex>.art.tmp.<pid>.<serial>`) at least
+/// `max_age_s` old at `now`: an orphan of a killed writer. Younger ones
+/// may be a live writer's in-flight file.
+bool stale_tmp(const fs::directory_entry& e, double max_age_s,
+               fs::file_time_type now) {
+  if (e.path().filename().string().find(".tmp.") == std::string::npos) {
+    return false;
+  }
+  std::error_code ec;
+  const auto mtime = fs::last_write_time(e.path(), ec);
+  if (ec) return false;  // vanished mid-scan (a writer just renamed it)
+  return std::chrono::duration<double>(now - mtime).count() >= max_age_s;
+}
+
+}  // namespace
+
+bool ArtifactStore::remove_tmp(const fs::path& path, util::DiagSink* diag) {
+  std::error_code ec;
+  if (fs::remove(path, ec) && !ec) return true;
+  if (ec) {
+    warn(diag, path.filename().string(),
+         "tmp sweep could not remove: " + ec.message());
+  }
+  return false;
+}
+
 std::uint64_t ArtifactStore::sweep_tmp(double max_age_s,
                                        util::DiagSink* diag) {
   if (!ok_) return 0;
-  std::error_code ec;
   const auto now = fs::file_time_type::clock::now();
   std::uint64_t swept = 0;
-  for (fs::directory_iterator shard(dir_, ec), end;
-       !ec && shard != end; shard.increment(ec)) {
-    std::error_code sec;
-    if (!shard->is_directory(sec) || sec) continue;
-    for (fs::directory_iterator it(shard->path(), sec), send;
-         !sec && it != send; it.increment(sec)) {
-      const std::string name = it->path().filename().string();
-      if (name.find(".tmp.") == std::string::npos) continue;
-      std::error_code fec;
-      const auto mtime = fs::last_write_time(it->path(), fec);
-      if (fec) continue;  // vanished mid-scan (a writer just renamed it)
-      const double age_s =
-          std::chrono::duration<double>(now - mtime).count();
-      if (age_s < max_age_s) continue;  // a live writer's in-flight file
-      if (fs::remove(it->path(), fec) && !fec) {
-        ++swept;
-      } else if (fec) {
-        warn(diag, name, "tmp sweep could not remove: " + fec.message());
-      }
+  std::error_code ec;
+  for (fs::directory_iterator it(fs::path(dir_) / kTmpDir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (stale_tmp(*it, max_age_s, now) && remove_tmp(it->path(), diag)) {
+      ++swept;
     }
   }
   if (swept > 0) {
@@ -364,12 +385,20 @@ ArtifactStore::GcResult ArtifactStore::gc(std::uint64_t max_bytes,
   };
   std::vector<Rec> recs;
   std::error_code ec;
+  const auto now = fs::file_time_type::clock::now();
+  std::uint64_t shard_tmp_swept = 0;
   for (fs::directory_iterator shard(dir_, ec), end;
        !ec && shard != end; shard.increment(ec)) {
     std::error_code sec;
     if (!shard->is_directory(sec) || sec) continue;
+    if (shard->path().filename() == kTmpDir) continue;
     for (fs::directory_iterator it(shard->path(), sec), send;
          !sec && it != send; it.increment(sec)) {
+      // Builds before tmp/ left their orphans in the shard directories.
+      if (stale_tmp(*it, kDefaultTmpMaxAgeS, now)) {
+        if (remove_tmp(it->path(), diag)) ++shard_tmp_swept;
+        continue;
+      }
       if (it->path().extension() != ".art") continue;
       std::error_code fec;
       Rec r;
@@ -412,15 +441,18 @@ ArtifactStore::GcResult ArtifactStore::gc(std::uint64_t max_bytes,
        !ec && shard != end; shard.increment(ec)) {
     std::error_code sec;
     if (!shard->is_directory(sec) || sec) continue;
+    if (shard->path().filename() == kTmpDir) continue;  // save()'s, kept
     if (fs::is_empty(shard->path(), sec) && !sec) {
       fs::remove(shard->path(), sec);
     }
   }
 
+  res.tmp_swept += shard_tmp_swept;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.evictions += res.evicted;
     stats_.gc_bytes_reclaimed += freed;
+    stats_.tmp_swept += shard_tmp_swept;
   }
   return res;
 }

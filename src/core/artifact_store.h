@@ -24,10 +24,16 @@
 //   - lifecycle: gc(max_bytes) bounds the directory by LRU-over-mtime
 //     eviction (an unlinked record is never torn for a reader that
 //     already opened it), sweep_tmp() reclaims the *.tmp.* orphans of
-//     killed writers (age-gated; runs at open and inside gc), and shard
-//     directories left empty are compacted away.
+//     killed writers in tmp/ (age-gated; runs at open, which lists tmp/
+//     alone and so costs the same at any store size, and inside gc, whose
+//     scan of every shard also sweeps the orphans older builds left next
+//     to their records), and shard directories left empty are compacted
+//     away (tmp/ is kept).
 //
-// On-disk layout: <dir>/<first-2-hex-of-key>/<32-hex-key>.art
+// On-disk layout: <dir>/<first-2-hex-of-key>/<32-hex-key>.art, and
+// <dir>/tmp/<32-hex-key>.art.tmp.<pid>.<serial> while save() writes a
+// record (renamed into its shard when complete: one filesystem, so the
+// rename is atomic).
 // Record framing (all little-endian, via serde::Writer):
 //   u32  magic 'VCAD'             u32  container version (2)
 //   u64  kKeyFormatVersion        u64  key.lo       u64 key.hi
@@ -41,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -135,19 +142,20 @@ class ArtifactStore {
   };
 
   /// Size-bounded LRU garbage collection over record mtimes: sweeps stale
-  /// tmp orphans, then unlinks oldest-modified records until the resident
-  /// total is <= max_bytes, and finally removes shard directories left
-  /// empty (compaction). A record is never torn mid-read: loads read from
-  /// one open handle, which POSIX keeps valid across an unlink, and a
-  /// load that opens after the unlink sees a clean absent-miss (the stage
-  /// rebuilds). Thread-safe; never throws.
+  /// tmp orphans (in tmp/, and in the shard directories where builds
+  /// before tmp/ wrote them), then unlinks oldest-modified records until
+  /// the resident total is <= max_bytes, and finally removes shard
+  /// directories left empty (compaction; tmp/ stays). A record is never
+  /// torn mid-read: loads read from one open handle, which POSIX keeps
+  /// valid across an unlink, and a load that opens after the unlink sees
+  /// a clean absent-miss (the stage rebuilds). Thread-safe; never throws.
   GcResult gc(std::uint64_t max_bytes, util::DiagSink* diag = nullptr);
 
-  /// Removes *.tmp.* files older than `max_age_s` — the leak left by
-  /// killed/crashed writers (save() is write-then-rename; a writer that
-  /// dies between the two strands its tmp forever). Runs at store open
-  /// and inside gc(). Age-gating keeps live concurrent writers' fresh
-  /// tmp files untouched. Returns the number swept.
+  /// Removes the *.tmp.* files in tmp/ older than `max_age_s` — the leak
+  /// left by killed/crashed writers (save() is write-then-rename; a
+  /// writer that dies between the two strands its tmp forever). Runs at
+  /// store open and inside gc(). Age-gating keeps live concurrent
+  /// writers' fresh tmp files untouched. Returns the number swept.
   std::uint64_t sweep_tmp(double max_age_s = kDefaultTmpMaxAgeS,
                           util::DiagSink* diag = nullptr);
 
@@ -156,6 +164,9 @@ class ArtifactStore {
  private:
   void warn(util::DiagSink* diag, const std::string& item,
             std::string reason) const;
+  /// Unlinks one stale tmp file; false (with a warning when the unlink
+  /// failed rather than found nothing) if it did not go.
+  bool remove_tmp(const std::filesystem::path& path, util::DiagSink* diag);
 
   std::string dir_;
   bool ok_ = false;

@@ -18,7 +18,9 @@
 // byte loops are the big-endian path. Both produce the same bytes.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -44,9 +46,12 @@ U load_le(const std::uint8_t* p) {
   return v;
 }
 
+/// Appends canonical bytes. The buffer grows ahead of the bytes written
+/// (its spare tail zero), so each write is a bounds check and a copy;
+/// bytes() and take() trim it to what was written.
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u8(std::uint8_t v) { *grow(1) = v; }
 
   void u32(std::uint32_t v) { put_le(v); }
 
@@ -66,7 +71,7 @@ class Writer {
   /// Length-prefixed bytes.
   void str(std::string_view s) {
     u64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(grow(s.size()), s.data(), s.size());
   }
 
   void size(std::size_t n) { u64(n); }
@@ -77,11 +82,22 @@ class Writer {
     size(v.size());
     if constexpr (kNativeLittleEndian) {
       if (v.empty()) return;
-      const std::size_t at = buf_.size();
-      buf_.resize(at + v.size() * sizeof(double));
-      std::memcpy(buf_.data() + at, v.data(), v.size() * sizeof(double));
+      std::memcpy(grow(v.size() * sizeof(double)), v.data(),
+                  v.size() * sizeof(double));
     } else {
       for (const double d : v) f64(d);
+    }
+  }
+
+  /// Length-prefixed i32 array: the count, then each element as 4
+  /// little-endian bytes.
+  void i32s(const std::vector<int>& v) {
+    size(v.size());
+    if constexpr (kNativeLittleEndian && sizeof(int) == 4) {
+      if (v.empty()) return;
+      std::memcpy(grow(v.size() * 4), v.data(), v.size() * 4);
+    } else {
+      for (const int x : v) u32(static_cast<std::uint32_t>(x));
     }
   }
 
@@ -90,39 +106,64 @@ class Writer {
   template <typename Int>
   void u8s(const std::vector<Int>& v) {
     size(v.size());
-    const std::size_t at = buf_.size();
-    buf_.resize(at + v.size());
+    std::uint8_t* out = grow(v.size());
     for (std::size_t i = 0; i < v.size(); ++i) {
-      buf_[at + i] = static_cast<std::uint8_t>(v[i]);
+      out[i] = static_cast<std::uint8_t>(v[i]);
     }
   }
 
   /// Appends n zero bytes (no count) and returns where they start, for a
   /// codec that fills them in place; valid until the next write.
-  std::uint8_t* raw(std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    return buf_.data() + at;
+  std::uint8_t* raw(std::size_t n) { return grow(n); }
+
+  /// Inserts another writer's bytes (no count) at byte offset `at`,
+  /// moving the bytes after it up.
+  void insert(std::size_t at, const Writer& other) {
+    const std::size_t n = other.size_;
+    if (n == 0) return;
+    grow(n);
+    std::memmove(buf_.data() + at + n, buf_.data() + at, size_ - n - at);
+    std::memcpy(buf_.data() + at, other.buf_.data(), n);
   }
 
-  const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Bytes written so far.
+  std::size_t length() const { return size_; }
+
+  const std::vector<std::uint8_t>& bytes() {
+    buf_.resize(size_);
+    return buf_;
+  }
+  std::vector<std::uint8_t> take() {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
 
  private:
+  /// Room for n more bytes (zero until written); returns where they start.
+  std::uint8_t* grow(std::size_t n) {
+    if (buf_.size() - size_ < n) {
+      buf_.resize(std::max({std::size_t{64}, 2 * buf_.size(), size_ + n}));
+    }
+    std::uint8_t* p = buf_.data() + size_;
+    size_ += n;
+    return p;
+  }
+
   template <typename U>
   void put_le(U v) {
+    std::uint8_t* p = grow(sizeof v);
     if constexpr (kNativeLittleEndian) {
-      const std::size_t at = buf_.size();
-      buf_.resize(at + sizeof v);
-      std::memcpy(buf_.data() + at, &v, sizeof v);
+      std::memcpy(p, &v, sizeof v);
     } else {
       for (std::size_t i = 0; i < sizeof v; ++i) {
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
       }
     }
   }
 
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  ///< [0, size_) written, the rest zero
+  std::size_t size_ = 0;
 };
 
 class Reader {
@@ -161,16 +202,32 @@ class Reader {
 
   bool boolean() { return u8() != 0; }
 
-  std::string str() {
+  std::string str() { return std::string(view()); }
+
+  /// A Writer::str as a view into the buffer: no copy, valid as long as
+  /// the buffer is.
+  std::string_view view() {
     const std::uint64_t len = u64();
     if (!ok_ || len > remaining()) {
       ok_ = false;
       return {};
     }
-    std::string s(reinterpret_cast<const char*>(p_ + pos_),
-                  static_cast<std::size_t>(len));
+    const std::string_view s(reinterpret_cast<const char*>(p_ + pos_),
+                             static_cast<std::size_t>(len));
     pos_ += static_cast<std::size_t>(len);
     return s;
+  }
+
+  /// A u32 index into a table of `bound` entries. An index at or past the
+  /// bound latches !ok() and yields 0, so a caller still checks ok()
+  /// before it uses the index.
+  std::uint32_t index(std::size_t bound) {
+    const std::uint32_t i = u32();
+    if (i >= bound) {
+      ok_ = false;
+      return 0;
+    }
+    return i;
   }
 
   /// Element-count read, bounded by the remaining payload so a corrupted
@@ -204,6 +261,26 @@ class Reader {
       pos_ += count * sizeof(double);
     } else {
       for (double& d : out) d = f64();
+    }
+  }
+
+  /// Reads a Writer::i32s array into `out`. Checked like f64s: a count
+  /// past the bytes left latches !ok() and leaves `out` empty.
+  void i32s(std::vector<int>& out) {
+    out.clear();
+    const std::uint64_t n = u64();
+    if (!ok_ || n > remaining() / 4) {
+      ok_ = false;
+      return;
+    }
+    const std::size_t count = static_cast<std::size_t>(n);
+    out.resize(count);
+    if constexpr (kNativeLittleEndian && sizeof(int) == 4) {
+      if (count == 0) return;
+      std::memcpy(out.data(), p_ + pos_, count * 4);
+      pos_ += count * 4;
+    } else {
+      for (int& x : out) x = static_cast<int>(u32());
     }
   }
 

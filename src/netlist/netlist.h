@@ -37,6 +37,10 @@ class Module {
 
   void add_port(const std::string& name, PortDir dir);
   void add_net(const std::string& name);
+  /// add_net without its scan of the nets and ports, for a caller that
+  /// already knows `name` is neither (the Verilog parser and the design
+  /// codec index the names they add).
+  void append_net(std::string name) { nets_.push_back(std::move(name)); }
   Instance& add_instance(Instance inst);
 
   bool has_port(const std::string& name) const;

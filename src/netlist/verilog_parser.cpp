@@ -1,104 +1,180 @@
 #include "netlist/verilog_parser.h"
 
-#include <cctype>
-
-#include "util/strings.h"
+#include <array>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <string_view>
+#include <unordered_set>
+#include <vector>
 
 namespace vcoadc::netlist {
 namespace {
 
+// Tokens are views into the parsed text, so lexing allocates nothing: only
+// the names that end up in the Design are copied out. Keywords and
+// punctuation are classified once, when their token is lexed, and the
+// parser branches on those codes instead of comparing strings.
+
 enum class TokKind { kIdent, kPunct, kString, kEof };
+
+/// The identifiers the grammar treats as keywords (kNone for any other).
+enum class Keyword : std::uint8_t {
+  kNone,
+  kModule,
+  kEndmodule,
+  kInput,
+  kOutput,
+  kInout,
+  kWire
+};
+
+/// Punctuation codes: a single-character mark is its own byte value; the
+/// two-character attribute delimiters get codes past the byte range.
+constexpr int kAttrOpen = 256;   // "(*"
+constexpr int kAttrClose = 257;  // "*)"
 
 struct Token {
   TokKind kind = TokKind::kEof;
-  std::string text;
+  std::string_view text;
   int line = 1;
+  Keyword keyword = Keyword::kNone;  ///< kIdent only
+  int punct = 0;                     ///< kPunct only
 };
+
+/// At most one comparison per identifier: the length and first letter
+/// pick the only keyword it can be.
+Keyword keyword_of(std::string_view s) {
+  switch (s.size()) {
+    case 4:
+      return s == "wire" ? Keyword::kWire : Keyword::kNone;
+    case 5:
+      if (s[2] == 'p') return s == "input" ? Keyword::kInput : Keyword::kNone;
+      return s == "inout" ? Keyword::kInout : Keyword::kNone;
+    case 6:
+      if (s[0] == 'm') {
+        return s == "module" ? Keyword::kModule : Keyword::kNone;
+      }
+      return s == "output" ? Keyword::kOutput : Keyword::kNone;
+    case 9:
+      return s == "endmodule" ? Keyword::kEndmodule : Keyword::kNone;
+    default:
+      return Keyword::kNone;
+  }
+}
+
+// Character classes of the "C" locale's <cctype> predicates, as one table
+// lookup per byte (bytes past 0x7f are in no class).
+enum CharClass : std::uint8_t {
+  kSpace = 1,       // isspace
+  kAlpha = 2,       // isalpha
+  kDigit = 4,       // isdigit
+  kIdentTail = 8,   // isalnum, '_' or '$'
+  kNumberTail = 16  // isalnum, '\'' or '_'
+};
+
+constexpr std::array<std::uint8_t, 256> make_char_classes() {
+  std::array<std::uint8_t, 256> t{};
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    t[static_cast<unsigned char>(c)] |= kSpace;
+  }
+  for (int c = 0; c < 256; ++c) {
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    if (alpha) t[c] |= kAlpha;
+    if (digit) t[c] |= kDigit;
+    if (alpha || digit) t[c] |= kIdentTail | kNumberTail;
+  }
+  t['_'] |= kIdentTail | kNumberTail;
+  t['$'] |= kIdentTail;
+  t['\''] |= kNumberTail;
+  return t;
+}
+
+constexpr std::array<std::uint8_t, 256> kCharClasses = make_char_classes();
+
+bool in_class(char c, std::uint8_t cls) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
 
 class Lexer {
  public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+  explicit Lexer(std::string_view text) : text_(text) {}
 
-  Token next() {
+  /// Lexes the next token into `tok`.
+  void next(Token& tok) {
     skip_ws_and_comments();
-    Token tok;
     tok.line = line_;
-    if (pos_ >= text_.size()) return tok;  // kEof
-    const char c = text_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '\\') {
-      tok.kind = TokKind::kIdent;
-      // Escaped identifiers (\foo ) end at whitespace.
-      if (c == '\\') {
-        ++pos_;
-        while (pos_ < text_.size() &&
-               !std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-          tok.text += text_[pos_++];
-        }
-        return tok;
-      }
-      while (pos_ < text_.size()) {
-        const char d = text_[pos_];
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '_' ||
-            d == '$') {
-          tok.text += d;
-          ++pos_;
-        } else {
-          break;
-        }
-      }
-      return tok;
+    tok.keyword = Keyword::kNone;
+    if (pos_ >= text_.size()) {
+      tok.kind = TokKind::kEof;
+      tok.text = {};
+      return;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      tok.kind = TokKind::kIdent;  // numeric literals treated as idents
-      while (pos_ < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '\'' || text_[pos_] == '_')) {
-        tok.text += text_[pos_++];
+    const std::size_t start = pos_;
+    const char c = text_[pos_];
+    if (in_class(c, kAlpha) || c == '_' || c == '\\') {
+      tok.kind = TokKind::kIdent;
+      if (c == '\\') {
+        // Escaped identifiers (\foo ) end at whitespace.
+        pos_ = scan(pos_ + 1, [](char d) { return !in_class(d, kSpace); });
+        tok.text = text_.substr(start + 1, pos_ - start - 1);
+      } else {
+        pos_ = scan(pos_ + 1, [](char d) { return in_class(d, kIdentTail); });
+        tok.text = text_.substr(start, pos_ - start);
       }
-      return tok;
+      tok.keyword = keyword_of(tok.text);
+      return;
+    }
+    if (in_class(c, kDigit)) {
+      tok.kind = TokKind::kIdent;  // numeric literals treated as idents
+      pos_ = scan(pos_ + 1, [](char d) { return in_class(d, kNumberTail); });
+      tok.text = text_.substr(start, pos_ - start);
+      return;
     }
     if (c == '"') {
       tok.kind = TokKind::kString;
-      ++pos_;
-      while (pos_ < text_.size() && text_[pos_] != '"') {
-        tok.text += text_[pos_++];
-      }
+      pos_ = scan(pos_ + 1, [](char d) { return d != '"'; });
+      tok.text = text_.substr(start + 1, pos_ - start - 1);
       if (pos_ < text_.size()) ++pos_;  // closing quote
-      return tok;
-    }
-    // Attribute delimiters are two-char tokens.
-    if (c == '(' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '*') {
-      tok.kind = TokKind::kPunct;
-      tok.text = "(*";
-      pos_ += 2;
-      return tok;
-    }
-    if (c == '*' && pos_ + 1 < text_.size() && text_[pos_ + 1] == ')') {
-      tok.kind = TokKind::kPunct;
-      tok.text = "*)";
-      pos_ += 2;
-      return tok;
+      return;
     }
     tok.kind = TokKind::kPunct;
-    tok.text = std::string(1, c);
+    // Attribute delimiters are two-char tokens.
+    const char d = pos_ + 1 < text_.size() ? text_[pos_ + 1] : '\0';
+    if ((c == '(' && d == '*') || (c == '*' && d == ')')) {
+      tok.punct = c == '(' ? kAttrOpen : kAttrClose;
+      tok.text = text_.substr(start, 2);
+      pos_ += 2;
+      return;
+    }
+    tok.punct = static_cast<unsigned char>(c);
+    tok.text = text_.substr(start, 1);
     ++pos_;
-    return tok;
   }
 
  private:
+  /// The first position at or after `at` whose character fails `keep`
+  /// (the text's end if none does).
+  template <typename Keep>
+  std::size_t scan(std::size_t at, Keep keep) const {
+    const char* p = text_.data() + at;
+    const char* const end = text_.data() + text_.size();
+    while (p < end && keep(*p)) ++p;
+    return static_cast<std::size_t>(p - text_.data());
+  }
+
   void skip_ws_and_comments() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
+      if (in_class(c, kSpace)) {
+        if (c == '\n') ++line_;
         ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '*') {
+      } else if (c != '/' || pos_ + 1 >= text_.size()) {
+        break;
+      } else if (text_[pos_ + 1] == '/') {
+        pos_ = scan(pos_, [](char d) { return d != '\n'; });
+      } else if (text_[pos_ + 1] == '*') {
         pos_ += 2;
         while (pos_ + 1 < text_.size() &&
                !(text_[pos_] == '*' && text_[pos_ + 1] == '/')) {
@@ -112,21 +188,21 @@ class Lexer {
     }
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   int line_ = 1;
 };
 
 class Parser {
  public:
-  Parser(const std::string& text, Design& design)
+  Parser(std::string_view text, Design& design)
       : lexer_(text), design_(design) {
     advance();
   }
 
   ParseResult run() {
     while (cur_.kind != TokKind::kEof && ok_) {
-      if (is_ident("module")) {
+      if (is_ident(Keyword::kModule)) {
         parse_module();
       } else {
         fail("expected 'module'");
@@ -140,100 +216,114 @@ class Parser {
   }
 
  private:
-  void advance() { cur_ = lexer_.next(); }
+  void advance() { lexer_.next(cur_); }
 
-  bool is_ident(const char* kw) const {
-    return cur_.kind == TokKind::kIdent && cur_.text == kw;
+  bool is_ident(Keyword kw) const {
+    return cur_.kind == TokKind::kIdent && cur_.keyword == kw;
   }
-  bool is_punct(const char* p) const {
-    return cur_.kind == TokKind::kPunct && cur_.text == p;
+  bool is_punct(int p) const {
+    return cur_.kind == TokKind::kPunct && cur_.punct == p;
   }
 
   void fail(const std::string& msg) {
     if (!ok_) return;
     ok_ = false;
-    error_ = msg + " (got '" + cur_.text + "')";
+    error_ = msg + " (got '";
+    error_.append(cur_.text);
+    error_ += "')";
     error_line_ = cur_.line;
     cur_ = Token{};  // force EOF to stop the loop
   }
 
-  static bool is_keyword(const std::string& s) {
-    return s == "module" || s == "endmodule" || s == "input" ||
-           s == "output" || s == "inout" || s == "wire";
-  }
-
-  std::string expect_ident(const char* what) {
+  std::string_view expect_ident(const char* what) {
     if (cur_.kind != TokKind::kIdent) {
       fail(std::string("expected ") + what);
       return {};
     }
-    if (is_keyword(cur_.text)) {
+    if (cur_.keyword != Keyword::kNone) {
       fail(std::string("expected ") + what +
            " but found keyword (missing ';'?)");
       return {};
     }
-    std::string s = cur_.text;
+    const std::string_view s = cur_.text;
     advance();
     return s;
   }
 
-  void expect_punct(const char* p) {
-    if (!is_punct(p)) {
+  /// `p` names the mark in the error message; `code` is its token code.
+  void expect_punct(const char* p, int code) {
+    if (!is_punct(code)) {
       fail(std::string("expected '") + p + "'");
       return;
     }
     advance();
   }
+  void expect_punct(char p) {
+    const char mark[2] = {p, '\0'};
+    expect_punct(mark, static_cast<unsigned char>(p));
+  }
 
   void parse_module() {
     advance();  // 'module'
-    const std::string name = expect_ident("module name");
+    const std::string name(expect_ident("module name"));
     if (!ok_) return;
     Module& mod = design_.add_module(name);
-    std::vector<std::string> header_ports;
-    if (is_punct("(")) {
+    std::vector<std::string_view> header_ports;
+    if (is_punct('(')) {
       advance();
-      while (ok_ && !is_punct(")")) {
+      while (ok_ && !is_punct(')')) {
         header_ports.push_back(expect_ident("port name"));
-        if (is_punct(",")) advance();
+        if (is_punct(',')) advance();
       }
-      expect_punct(")");
+      expect_punct(')');
     }
-    expect_punct(";");
+    expect_punct(';');
 
     // Body. Directions fill in as declarations are seen; header ports
     // without a declaration default to inout.
-    std::map<std::string, PortDir> dirs;
-    std::string pending_pd, pending_group;
-    while (ok_ && !is_ident("endmodule")) {
+    std::map<std::string_view, PortDir> dirs;
+    std::string_view pending_pd, pending_group;
+    // add_net scans the module's nets and ports on every call. A module
+    // without either (ports are added after the body) indexes its wire
+    // names here instead; one the text declares twice keeps the scan.
+    const bool fresh = mod.nets().empty() && mod.ports().empty();
+    std::unordered_set<std::string_view> wires;
+    while (ok_ && !is_ident(Keyword::kEndmodule)) {
       if (cur_.kind == TokKind::kEof) {
         fail("unexpected end of file inside module");
         return;
       }
-      if (is_ident("input") || is_ident("output") || is_ident("inout")) {
-        const PortDir dir = is_ident("input")    ? PortDir::kInput
-                            : is_ident("output") ? PortDir::kOutput
-                                                 : PortDir::kInout;
+      const Keyword kw =
+          cur_.kind == TokKind::kIdent ? cur_.keyword : Keyword::kNone;
+      if (kw == Keyword::kInput || kw == Keyword::kOutput ||
+          kw == Keyword::kInout) {
+        const PortDir dir = kw == Keyword::kInput    ? PortDir::kInput
+                            : kw == Keyword::kOutput ? PortDir::kOutput
+                                                     : PortDir::kInout;
         advance();
-        while (ok_ && !is_punct(";")) {
-          const std::string port = expect_ident("port name");
-          dirs[port] = dir;
-          if (is_punct(",")) advance();
+        while (ok_ && !is_punct(';')) {
+          dirs[expect_ident("port name")] = dir;
+          if (is_punct(',')) advance();
         }
-        expect_punct(";");
-      } else if (is_ident("wire")) {
+        expect_punct(';');
+      } else if (kw == Keyword::kWire) {
         advance();
-        while (ok_ && !is_punct(";")) {
-          mod.add_net(expect_ident("net name"));
-          if (is_punct(",")) advance();
+        while (ok_ && !is_punct(';')) {
+          const std::string_view net = expect_ident("net name");
+          if (!fresh) {
+            mod.add_net(std::string(net));
+          } else if (wires.insert(net).second) {
+            mod.append_net(std::string(net));
+          }
+          if (is_punct(',')) advance();
         }
-        expect_punct(";");
-      } else if (is_punct("(*")) {
+        expect_punct(';');
+      } else if (is_punct(kAttrOpen)) {
         advance();
-        while (ok_ && !is_punct("*)")) {
-          const std::string key = expect_ident("attribute name");
-          std::string value;
-          if (is_punct("=")) {
+        while (ok_ && !is_punct(kAttrClose)) {
+          const std::string_view key = expect_ident("attribute name");
+          std::string_view value;
+          if (is_punct('=')) {
             advance();
             if (cur_.kind == TokKind::kString ||
                 cur_.kind == TokKind::kIdent) {
@@ -245,9 +335,9 @@ class Parser {
           }
           if (key == "power_domain") pending_pd = value;
           if (key == "group") pending_group = value;
-          if (is_punct(",")) advance();
+          if (is_punct(',')) advance();
         }
-        expect_punct("*)");
+        expect_punct("*)", kAttrClose);
       } else if (cur_.kind == TokKind::kIdent) {
         // Instance: <master> <name> ( .pin(net), ... );
         Instance inst;
@@ -255,20 +345,22 @@ class Parser {
         inst.name = expect_ident("instance name");
         inst.power_domain = pending_pd;
         inst.group = pending_group;
-        pending_pd.clear();
-        pending_group.clear();
-        expect_punct("(");
-        while (ok_ && !is_punct(")")) {
-          expect_punct(".");
-          const std::string pin = expect_ident("pin name");
-          expect_punct("(");
-          const std::string net = expect_ident("net name");
-          expect_punct(")");
-          inst.conn[pin] = net;
-          if (is_punct(",")) advance();
+        pending_pd = {};
+        pending_group = {};
+        expect_punct('(');
+        while (ok_ && !is_punct(')')) {
+          expect_punct('.');
+          const std::string_view pin = expect_ident("pin name");
+          expect_punct('(');
+          const std::string_view net = expect_ident("net name");
+          expect_punct(')');
+          // The writer emits pins in map order, so the end is the hint.
+          inst.conn.insert_or_assign(inst.conn.end(), std::string(pin),
+                                     std::string(net));
+          if (is_punct(',')) advance();
         }
-        expect_punct(")");
-        expect_punct(";");
+        expect_punct(')');
+        expect_punct(';');
         if (ok_) mod.add_instance(std::move(inst));
       } else {
         fail("unexpected token in module body");
@@ -277,12 +369,12 @@ class Parser {
     if (!ok_) return;
     advance();  // 'endmodule'
 
-    for (const std::string& port : header_ports) {
+    for (const std::string_view port : header_ports) {
       auto it = dirs.find(port);
-      mod.add_port(port, it != dirs.end() ? it->second : PortDir::kInout);
+      mod.add_port(std::string(port),
+                   it != dirs.end() ? it->second : PortDir::kInout);
     }
     if (design_.top().empty()) design_.set_top(name);
-    last_module_ = name;
   }
 
   Lexer lexer_;
@@ -291,7 +383,6 @@ class Parser {
   bool ok_ = true;
   std::string error_;
   int error_line_ = 0;
-  std::string last_module_;
 };
 
 }  // namespace

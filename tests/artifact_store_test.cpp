@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "util/diag.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/trace.h"
 
 namespace fs = std::filesystem;
@@ -365,18 +367,19 @@ std::uint64_t dir_record_bytes(const fs::path& root) {
 
 // Regression: a writer killed between write and rename leaked its *.tmp.*
 // file forever. Opening a store must sweep such orphans — but only old
-// ones, so a concurrent live writer's fresh tmp is never stolen.
+// ones, so a concurrent live writer's fresh tmp is never stolen. save()
+// writes its tmp files in <dir>/tmp/, the one directory the open sweep
+// lists.
 TEST(ArtifactStoreTest, OpenSweepsStaleTmpOrphanKeepsFreshTmp) {
   TempStoreDir dir("tmpsweep");
-  fs::path shard;
   {
     core::ArtifactStore store(dir.str());
     ASSERT_TRUE(store.save(kKey, "unit", 1, make_payload(64, 9)));
-    shard = fs::path(store.path_for(kKey)).parent_path();
   }
-  ASSERT_TRUE(fs::exists(shard));
-  const fs::path orphan = shard / "deadbeef.art.tmp.12345.0";
-  const fs::path fresh = shard / "cafef00d.art.tmp.12345.1";
+  const fs::path tmp = dir.path / "tmp";
+  ASSERT_TRUE(fs::is_directory(tmp));
+  const fs::path orphan = tmp / "deadbeef.art.tmp.12345.0";
+  const fs::path fresh = tmp / "cafef00d.art.tmp.12345.1";
   std::ofstream(orphan) << "killed writer leftovers";
   std::ofstream(fresh) << "in-flight writer";
   age_file(orphan, 3600);  // an hour stale: clearly orphaned
@@ -388,6 +391,37 @@ TEST(ArtifactStoreTest, OpenSweepsStaleTmpOrphanKeepsFreshTmp) {
   EXPECT_EQ(reopened.stats().tmp_swept, 1u);
 
   // The real record survived the sweep.
+  std::vector<std::uint8_t> loaded;
+  EXPECT_TRUE(reopened.load(kKey, "unit", 1, &loaded));
+  fs::remove(fresh);
+}
+
+// Builds before tmp/ wrote their tmp files into the shard directory, next
+// to the record. The open sweep no longer lists the shards, so gc(), which
+// scans every shard anyway, sweeps what those builds left behind: stale
+// orphans go, a fresh one stays, the record survives and tmp/ is kept.
+TEST(ArtifactStoreTest, GcSweepsStaleTmpOrphanInShardDir) {
+  TempStoreDir dir("tmpsweep_shard");
+  core::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.save(kKey, "unit", 1, make_payload(64, 9)));
+  const fs::path shard = fs::path(store.path_for(kKey)).parent_path();
+  const fs::path orphan = shard / "deadbeef.art.tmp.12345.0";
+  const fs::path fresh = shard / "cafef00d.art.tmp.12345.1";
+  std::ofstream(orphan) << "killed writer leftovers";
+  std::ofstream(fresh) << "in-flight writer";
+  age_file(orphan, 3600);
+
+  core::ArtifactStore reopened(dir.str());
+  EXPECT_TRUE(fs::exists(orphan)) << "the open sweep lists tmp/ alone";
+  EXPECT_EQ(reopened.stats().tmp_swept, 0u);
+
+  const core::ArtifactStore::GcResult gr = reopened.gc(1ull << 30);
+  EXPECT_EQ(gr.tmp_swept, 1u);
+  EXPECT_EQ(gr.evicted, 0u);
+  EXPECT_FALSE(fs::exists(orphan)) << "stale shard tmp must be swept by gc";
+  EXPECT_TRUE(fs::exists(fresh)) << "fresh tmp may be a live writer's";
+  EXPECT_EQ(reopened.stats().tmp_swept, 1u);
+  EXPECT_TRUE(fs::is_directory(dir.path / "tmp")) << "gc keeps tmp/";
   std::vector<std::uint8_t> loaded;
   EXPECT_TRUE(reopened.load(kKey, "unit", 1, &loaded));
   fs::remove(fresh);
@@ -439,11 +473,13 @@ TEST(ArtifactStoreTest, GcCompactsEmptyShardDirsAndIsIdempotent) {
   const fs::path shard = fs::path(store.path_for(key)).parent_path();
   ASSERT_TRUE(fs::exists(shard));
 
-  // Bound of zero evicts everything; the shard dir goes with its record.
+  // Bound of zero evicts everything; the shard dir goes with its record,
+  // while save()'s tmp/ stays.
   const auto gr = store.gc(0);
   EXPECT_EQ(gr.evicted, 1u);
   EXPECT_EQ(gr.bytes_after, 0u);
   EXPECT_FALSE(fs::exists(shard)) << "empty shard dirs are compacted away";
+  EXPECT_TRUE(fs::is_directory(dir.path / "tmp")) << "tmp/ is never compacted";
 
   // A second pass over the now-empty store is a no-op, not an error.
   const auto gr2 = store.gc(0);
@@ -1269,6 +1305,362 @@ TEST(SerdeTest, U8sRoundTripAndRejectACountPastTheEnd) {
   EXPECT_TRUE(back.empty());
 }
 
+// --- design_bundle, floorplan and synthesis v2: name tables ---------------
+
+/// Every field of two StdCells, doubles by bit pattern.
+void expect_same_cell(const netlist::StdCell& a, const netlist::StdCell& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.function, b.function);
+  EXPECT_EQ(a.drive, b.drive);
+  EXPECT_EQ(bits(a.width_m), bits(b.width_m));
+  EXPECT_EQ(bits(a.height_m), bits(b.height_m));
+  ASSERT_EQ(a.pins.size(), b.pins.size());
+  for (std::size_t i = 0; i < a.pins.size(); ++i) {
+    EXPECT_EQ(a.pins[i].name, b.pins[i].name);
+    EXPECT_EQ(a.pins[i].dir, b.pins[i].dir);
+  }
+  EXPECT_EQ(bits(a.input_cap_f), bits(b.input_cap_f));
+  EXPECT_EQ(bits(a.leakage_w), bits(b.leakage_w));
+  EXPECT_EQ(a.is_resistor, b.is_resistor);
+  EXPECT_EQ(bits(a.resistance_ohms), bits(b.resistance_ohms));
+  EXPECT_EQ(a.power_pin, b.power_pin);
+  EXPECT_EQ(a.ground_pin, b.ground_pin);
+}
+
+/// Every field of two flat vectors; the cells are compared by value, as
+/// decoded instances point into the record's own library.
+void expect_same_flat(const std::vector<netlist::FlatInstance>& a,
+                      const std::vector<netlist::FlatInstance>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(a[i].path);
+    EXPECT_EQ(a[i].path, b[i].path);
+    ASSERT_EQ(a[i].cell == nullptr, b[i].cell == nullptr);
+    if (a[i].cell != nullptr) expect_same_cell(*a[i].cell, *b[i].cell);
+    EXPECT_EQ(a[i].conn, b[i].conn);
+    EXPECT_EQ(a[i].power_domain, b[i].power_domain);
+    EXPECT_EQ(a[i].group, b[i].group);
+  }
+}
+
+void expect_same_rect(const synth::Rect& a, const synth::Rect& b) {
+  EXPECT_EQ(bits(a.x), bits(b.x));
+  EXPECT_EQ(bits(a.y), bits(b.y));
+  EXPECT_EQ(bits(a.w), bits(b.w));
+  EXPECT_EQ(bits(a.h), bits(b.h));
+}
+
+void expect_same_floorplan(const synth::Floorplan& a,
+                           const synth::Floorplan& b) {
+  expect_same_rect(a.die, b.die);
+  EXPECT_EQ(bits(a.row_height_m), bits(b.row_height_m));
+  EXPECT_EQ(bits(a.site_width_m), bits(b.site_width_m));
+  ASSERT_EQ(a.regions.size(), b.regions.size());
+  for (std::size_t i = 0; i < a.regions.size(); ++i) {
+    const synth::PlacedRegion& ra = a.regions[i];
+    const synth::PlacedRegion& rb = b.regions[i];
+    EXPECT_EQ(ra.spec.name, rb.spec.name);
+    EXPECT_EQ(ra.spec.is_group, rb.spec.is_group);
+    EXPECT_EQ(ra.spec.members, rb.spec.members);
+    EXPECT_EQ(bits(ra.spec.cell_area_m2), bits(rb.spec.cell_area_m2));
+    EXPECT_EQ(bits(ra.spec.max_cell_width_m), bits(rb.spec.max_cell_width_m));
+    expect_same_rect(ra.rect, rb.rect);
+  }
+}
+
+void expect_same_design(const netlist::Design& a, const netlist::Design& b) {
+  EXPECT_EQ(a.top(), b.top());
+  ASSERT_EQ(a.modules().size(), b.modules().size());
+  for (std::size_t m = 0; m < a.modules().size(); ++m) {
+    const netlist::Module& ma = a.modules()[m];
+    const netlist::Module& mb = b.modules()[m];
+    SCOPED_TRACE(ma.name());
+    EXPECT_EQ(ma.name(), mb.name());
+    ASSERT_EQ(ma.ports().size(), mb.ports().size());
+    for (std::size_t p = 0; p < ma.ports().size(); ++p) {
+      EXPECT_EQ(ma.ports()[p].name, mb.ports()[p].name);
+      EXPECT_EQ(ma.ports()[p].dir, mb.ports()[p].dir);
+    }
+    EXPECT_EQ(ma.nets(), mb.nets());
+    ASSERT_EQ(ma.instances().size(), mb.instances().size());
+    for (std::size_t i = 0; i < ma.instances().size(); ++i) {
+      const netlist::Instance& ia = ma.instances()[i];
+      const netlist::Instance& ib = mb.instances()[i];
+      EXPECT_EQ(ia.name, ib.name);
+      EXPECT_EQ(ia.master, ib.master);
+      EXPECT_EQ(ia.conn, ib.conn);
+      EXPECT_EQ(ia.power_domain, ib.power_domain);
+      EXPECT_EQ(ia.group, ib.group);
+    }
+  }
+}
+
+void expect_same_synthesis(const synth::SynthesisResult& a,
+                           const synth::SynthesisResult& b) {
+  EXPECT_EQ(a.floorplan_spec, b.floorplan_spec);
+  ASSERT_NE(a.layout, nullptr);
+  ASSERT_NE(b.layout, nullptr);
+  expect_same_flat(a.layout->flat(), b.layout->flat());
+  expect_same_floorplan(a.layout->floorplan(), b.layout->floorplan());
+  const auto& ca = a.layout->placement().cells;
+  const auto& cb = b.layout->placement().cells;
+  ASSERT_EQ(ca.size(), cb.size());
+  for (std::size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].flat_index, cb[i].flat_index);
+    expect_same_rect(ca[i].rect, cb[i].rect);
+    EXPECT_EQ(ca[i].row, cb[i].row);
+    EXPECT_EQ(ca[i].region, cb[i].region);
+  }
+  EXPECT_EQ(a.layout->placement().overflow, b.layout->placement().overflow);
+  ASSERT_EQ(a.routing.nets.size(), b.routing.nets.size());
+  for (std::size_t i = 0; i < a.routing.nets.size(); ++i) {
+    EXPECT_EQ(a.routing.nets[i].net, b.routing.nets[i].net);
+    EXPECT_EQ(a.routing.nets[i].pins, b.routing.nets[i].pins);
+    EXPECT_EQ(bits(a.routing.nets[i].hpwl_m), bits(b.routing.nets[i].hpwl_m));
+    EXPECT_EQ(bits(a.routing.nets[i].est_length_m),
+              bits(b.routing.nets[i].est_length_m));
+  }
+  EXPECT_EQ(bits(a.routing.total_hpwl_m), bits(b.routing.total_hpwl_m));
+  EXPECT_EQ(bits(a.routing.total_est_length_m),
+            bits(b.routing.total_est_length_m));
+  EXPECT_EQ(a.routing.congestion.nx, b.routing.congestion.nx);
+  EXPECT_EQ(a.routing.congestion.ny, b.routing.congestion.ny);
+  EXPECT_EQ(bits(a.routing.congestion.demand), bits(b.routing.congestion.demand));
+  EXPECT_EQ(bits(a.routing.congestion.max_demand),
+            bits(b.routing.congestion.max_demand));
+  EXPECT_EQ(bits(a.routing.congestion.mean_demand),
+            bits(b.routing.congestion.mean_demand));
+  EXPECT_EQ(bits(a.routing.wire_cap_f), bits(b.routing.wire_cap_f));
+  const synth::MazeRouteResult& ma = a.detailed_routing;
+  const synth::MazeRouteResult& mb = b.detailed_routing;
+  ASSERT_EQ(ma.nets.size(), mb.nets.size());
+  for (std::size_t i = 0; i < ma.nets.size(); ++i) {
+    EXPECT_EQ(ma.nets[i].name, mb.nets[i].name);
+    EXPECT_EQ(ma.nets[i].pins, mb.nets[i].pins);
+    EXPECT_EQ(ma.nets[i].paths, mb.nets[i].paths);
+    EXPECT_EQ(bits(ma.nets[i].wirelength_m), bits(mb.nets[i].wirelength_m));
+    EXPECT_EQ(ma.nets[i].vias, mb.nets[i].vias);
+    EXPECT_EQ(ma.nets[i].routed, mb.nets[i].routed);
+  }
+  EXPECT_EQ(bits(ma.total_wirelength_m), bits(mb.total_wirelength_m));
+  EXPECT_EQ(ma.total_vias, mb.total_vias);
+  EXPECT_EQ(ma.failed_nets, mb.failed_nets);
+  EXPECT_EQ(ma.overflowed_edges, mb.overflowed_edges);
+  EXPECT_EQ(ma.grid_x, mb.grid_x);
+  EXPECT_EQ(ma.grid_y, mb.grid_y);
+  ASSERT_EQ(a.drc.violations.size(), b.drc.violations.size());
+  for (std::size_t i = 0; i < a.drc.violations.size(); ++i) {
+    EXPECT_EQ(a.drc.violations[i].kind, b.drc.violations[i].kind);
+    EXPECT_EQ(a.drc.violations[i].detail, b.drc.violations[i].detail);
+  }
+  EXPECT_EQ(bits(a.stats.die_area_m2), bits(b.stats.die_area_m2));
+  EXPECT_EQ(bits(a.stats.cell_area_m2), bits(b.stats.cell_area_m2));
+  EXPECT_EQ(bits(a.stats.utilization), bits(b.stats.utilization));
+  EXPECT_EQ(a.stats.num_cells, b.stats.num_cells);
+  EXPECT_EQ(a.stats.num_rows, b.stats.num_rows);
+  EXPECT_EQ(a.stats.num_regions, b.stats.num_regions);
+}
+
+/// Encodes `artifact`, decodes it, and checks that the decoded artifact
+/// re-encodes to the same bytes. Returns the decoded artifact and, through
+/// `bytes`, the payload.
+template <typename T>
+std::shared_ptr<const T> round_trip(const core::ArtifactCodec<T>& codec,
+                                    const T& artifact,
+                                    std::vector<std::uint8_t>* bytes) {
+  core::serde::Writer w;
+  codec.encode(artifact, w);
+  *bytes = w.take();
+  core::serde::Reader r(*bytes);
+  auto back = codec.decode(r);
+  EXPECT_NE(back, nullptr);
+  if (back == nullptr) return nullptr;
+  core::serde::Writer again;
+  codec.encode(*back, again);
+  EXPECT_EQ(again.bytes(), *bytes) << codec.type_tag << " is no fixed point";
+  return back;
+}
+
+/// The paper's two specs and a small routed one.
+std::vector<core::AdcSpec> name_table_specs() {
+  return {core::AdcSpec::paper_40nm(), core::AdcSpec::paper_180nm(),
+          small_spec()};
+}
+
+TEST(ArtifactSerdeNameTable, DesignBundleRoundTripsEveryField) {
+  for (const core::AdcSpec& spec : name_table_specs()) {
+    SCOPED_TRACE(spec.node_nm);
+    core::ExecContext ctx;
+    core::Flow flow(ctx);
+    const core::DesignBundle bundle = flow.netlist(spec);
+    ASSERT_NE(bundle.design, nullptr);
+    std::vector<std::uint8_t> bytes;
+    const auto back = round_trip(core::design_bundle_codec(), bundle, &bytes);
+    ASSERT_NE(back, nullptr);
+    ASSERT_EQ(back->lib->cells().size(), bundle.lib->cells().size());
+    for (std::size_t i = 0; i < bundle.lib->cells().size(); ++i) {
+      expect_same_cell(back->lib->cells()[i], bundle.lib->cells()[i]);
+    }
+    EXPECT_EQ(&back->design->library(), back->lib.get());
+    expect_same_design(*back->design, *bundle.design);
+  }
+}
+
+TEST(ArtifactSerdeNameTable, FloorplanRoundTripsEveryField) {
+  for (const core::AdcSpec& spec : name_table_specs()) {
+    SCOPED_TRACE(spec.node_nm);
+    core::ExecContext ctx;
+    core::Flow flow(ctx);
+    const auto fp = flow.floorplan(spec);
+    ASSERT_NE(fp, nullptr);
+    std::vector<std::uint8_t> bytes;
+    const auto back = round_trip(core::floorplan_codec(), *fp, &bytes);
+    ASSERT_NE(back, nullptr);
+    expect_same_flat(back->flat, fp->flat);
+    expect_same_floorplan(back->fp, fp->fp);
+    EXPECT_EQ(back->floorplan_spec, fp->floorplan_spec);
+    EXPECT_NE(back->owner, nullptr);
+  }
+}
+
+TEST(ArtifactSerdeNameTable, SynthesisRoundTripsEveryField) {
+  for (const core::AdcSpec& spec : name_table_specs()) {
+    SCOPED_TRACE(spec.node_nm);
+    core::ExecContext ctx;
+    core::Flow flow(ctx);
+    const auto syn = flow.synthesis(spec);
+    ASSERT_NE(syn, nullptr);
+    ASSERT_FALSE(syn->detailed_routing.nets.empty());
+    std::vector<std::uint8_t> bytes;
+    const auto back = round_trip(core::synthesis_codec(), *syn, &bytes);
+    ASSERT_NE(back, nullptr);
+    expect_same_synthesis(*back, *syn);
+    EXPECT_NE(back->owner, nullptr);
+  }
+}
+
+/// A v2 record's name table and body, for an embedded library (`lib`'s
+/// cell_library encoding) that starts at byte `at`.
+struct RecordLayout {
+  std::uint64_t names = 0;  ///< entries in the name table
+  std::size_t body = 0;     ///< offset of the body's first byte
+};
+
+RecordLayout layout_of(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                       const netlist::CellLibrary& lib) {
+  core::serde::Writer w;
+  core::cell_library_codec().encode(lib, w);
+  const std::vector<std::uint8_t>& lib_bytes = w.bytes();
+  EXPECT_TRUE(std::equal(lib_bytes.begin(), lib_bytes.end(),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(at)))
+      << "the embedded library does not lead the record";
+  core::serde::Reader r(bytes.data() + at + lib_bytes.size(),
+                        bytes.size() - at - lib_bytes.size());
+  RecordLayout layout;
+  layout.names = r.size();
+  for (std::uint64_t i = 0; i < layout.names; ++i) r.str();
+  EXPECT_TRUE(r.ok());
+  layout.body = bytes.size() - r.remaining();
+  return layout;
+}
+
+/// Overwrites the u32 (or, with `wide`, the u64) at `at` with `value`:
+/// the codec must return null with the reader latched !ok().
+template <typename T>
+void expect_rejected(const core::ArtifactCodec<T>& codec,
+                     std::vector<std::uint8_t> bytes, std::size_t at,
+                     std::uint64_t value, bool wide = false) {
+  SCOPED_TRACE(util::format("%s: %llu at byte %zu", codec.type_tag,
+                            static_cast<unsigned long long>(value), at));
+  const int width = wide ? 8 : 4;
+  ASSERT_LE(at + width, bytes.size());
+  for (int b = 0; b < width; ++b) {
+    bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+  core::serde::Reader r(bytes);
+  EXPECT_EQ(codec.decode(r), nullptr);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ArtifactSerdeNameTable, IndexPastItsTableDecodesToNull) {
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  const core::AdcSpec spec = small_spec();
+
+  // design_bundle: after its flag byte and the library, the body opens
+  // with the top module's name index.
+  const core::DesignBundle bundle = flow.netlist(spec);
+  ASSERT_NE(bundle.design, nullptr);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_NE(round_trip(core::design_bundle_codec(), bundle, &bytes), nullptr);
+  RecordLayout layout = layout_of(bytes, 1, *bundle.lib);
+  ASSERT_GT(layout.names, 0u);
+  expect_rejected(core::design_bundle_codec(), bytes, layout.body,
+                  layout.names);
+  expect_rejected(core::design_bundle_codec(), bytes, layout.body,
+                  0xffffffffu);
+
+  // floorplan: the body is the flat count, then the first instance's path
+  // index and its cell index (0 = none, else position + 1) into the
+  // library of the cells the flat vector uses, in first-use order.
+  const auto fp = flow.floorplan(spec);
+  ASSERT_NE(fp, nullptr);
+  ASSERT_NE(round_trip(core::floorplan_codec(), *fp, &bytes), nullptr);
+  netlist::CellLibrary used("store");
+  for (const netlist::FlatInstance& fi : fp->flat) {
+    if (fi.cell != nullptr && !used.contains(fi.cell->name)) {
+      used.add(*fi.cell);
+    }
+  }
+  layout = layout_of(bytes, 0, used);
+  ASSERT_EQ(core::serde::load_le<std::uint64_t>(bytes.data() + layout.body),
+            fp->flat.size());
+  const std::size_t path_at = layout.body + 8;
+  const std::size_t cell_at = path_at + 4;
+  ASSERT_GT(core::serde::load_le<std::uint32_t>(bytes.data() + cell_at), 0u);
+  expect_rejected(core::floorplan_codec(), bytes, path_at, layout.names);
+  expect_rejected(core::floorplan_codec(), bytes, cell_at,
+                  used.cells().size() + 1);
+  expect_rejected(core::floorplan_codec(), bytes, cell_at, 0xffffffffu);
+}
+
+TEST(ArtifactSerdeNameTable, PathLengthPastThePayloadDecodesToNull) {
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  const auto syn = flow.synthesis(small_spec());
+  ASSERT_NE(syn, nullptr);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_NE(round_trip(core::synthesis_codec(), *syn, &bytes), nullptr);
+
+  // The first path's length is where the record first differs from that
+  // of the same result with one more point on that path.
+  synth::SynthesisResult longer = syn->clone();
+  std::size_t net = 0;
+  while (net < longer.detailed_routing.nets.size() &&
+         longer.detailed_routing.nets[net].paths.empty()) {
+    ++net;
+  }
+  ASSERT_LT(net, longer.detailed_routing.nets.size());
+  std::vector<synth::GridPoint>& path =
+      longer.detailed_routing.nets[net].paths.front();
+  ASSERT_FALSE(path.empty());
+  path.push_back(path.back());
+  core::serde::Writer w;
+  core::synthesis_codec().encode(longer, w);
+  const std::vector<std::uint8_t>& other = w.bytes();
+  const auto diff = std::mismatch(bytes.begin(), bytes.end(), other.begin());
+  ASSERT_NE(diff.first, bytes.end());
+  const auto at = static_cast<std::size_t>(diff.first - bytes.begin());
+  ASSERT_EQ(core::serde::load_le<std::uint64_t>(bytes.data() + at),
+            syn->detailed_routing.nets[net].paths.front().size());
+
+  const std::uint64_t room = (bytes.size() - at - 8) / 12;
+  for (const std::uint64_t n :
+       {room + 1, std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+    expect_rejected(core::synthesis_codec(), bytes, at, n, /*wide=*/true);
+  }
+}
+
 // --- the cross-process acceptance test ------------------------------------
 
 /// Process A (fresh cache + store over an empty dir) runs a datasheet with
@@ -1404,6 +1796,77 @@ TEST(ArtifactStoreTest, RunResultV1RecordIsVersionSkewMissRebuiltBitIdentical) {
   EXPECT_EQ(skewed.version_skew, runs);
   EXPECT_EQ(skewed.misses, runs);
   EXPECT_EQ(skewed.writes, runs);
+  core::ArtifactStoreStats warm;
+  EXPECT_EQ(run_process(&warm), fp);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_EQ(warm.writes, 0u);
+}
+
+/// A store written before the name-table codecs holds its netlist,
+/// floorplan and route records as type_version 1. A new process reads each
+/// as a version-skew miss (a route miss rebuilds from the floorplan, which
+/// rebuilds from the netlist), rebuilds them to the same result fingerprint
+/// and writes them back as v2, so the process after that builds nothing.
+TEST(ArtifactStoreTest, NameTableV1RecordsAreVersionSkewMissesRebuiltBitIdentical) {
+  TempStoreDir dir("names_v1");
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kDatasheet;
+  req.spec = small_spec();
+  req.datasheet.n_samples = 1 << 12;
+  req.datasheet.mc_runs = 2;
+  auto run_process = [&](core::ArtifactStoreStats* stats) {
+    core::ArtifactCache cache(64);
+    core::ArtifactStore store(dir.str());
+    core::ExecContext ctx;
+    ctx.threads = 1;
+    ctx.cache = &cache;
+    ctx.store = &store;
+    const core::EvalResponse resp = core::evaluate(req, ctx);
+    EXPECT_TRUE(resp.ok);
+    *stats = store.stats();
+    return core::eval_result_fingerprint(core::eval_result_to_json(resp));
+  };
+  core::ArtifactStoreStats cold;
+  const std::string fp = run_process(&cold);
+  ASSERT_GT(cold.writes, 0u);
+
+  // Re-frame each of the three codecs' records as type_version 1.
+  struct Reframed {
+    core::CacheKey key;
+    const char* tag;
+  };
+  std::vector<Reframed> reframed;
+  core::ArtifactStore store(dir.str());
+  for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
+    if (entry.path().extension() != ".art") continue;
+    const std::string hex = entry.path().stem().string();
+    const core::CacheKey key{std::stoull(hex.substr(16), nullptr, 16),
+                             std::stoull(hex.substr(0, 16), nullptr, 16)};
+    for (const char* tag : {"design_bundle", "floorplan", "synthesis"}) {
+      std::vector<std::uint8_t> payload;
+      if (!store.load(key, tag, 2, &payload)) continue;
+      ASSERT_TRUE(store.save(key, tag, 1, payload));
+      reframed.push_back({key, tag});
+    }
+  }
+  for (const char* tag : {"design_bundle", "floorplan", "synthesis"}) {
+    EXPECT_TRUE(std::any_of(reframed.begin(), reframed.end(),
+                            [&](const Reframed& r) {
+                              return std::string(r.tag) == tag;
+                            }))
+        << "no " << tag << " record to re-frame";
+  }
+
+  core::ArtifactStoreStats skewed;
+  EXPECT_EQ(run_process(&skewed), fp);
+  EXPECT_EQ(skewed.version_skew, reframed.size());
+  EXPECT_EQ(skewed.misses, reframed.size());
+  EXPECT_EQ(skewed.writes, reframed.size());
+  for (const Reframed& r : reframed) {
+    std::vector<std::uint8_t> payload;
+    EXPECT_TRUE(store.load(r.key, r.tag, 2, &payload))
+        << r.tag << " was not rewritten as v2";
+  }
   core::ArtifactStoreStats warm;
   EXPECT_EQ(run_process(&warm), fp);
   EXPECT_EQ(warm.misses, 0u);

@@ -7,7 +7,9 @@
 #      comparator/ring checks passing and the decode bit-identical;
 #   3. gatesim --top=<nonexistent> must fail with a structured diagnostic
 #      naming the module, exit nonzero, and leave the store usable (a
-#      follow-up clean run still succeeds warm).
+#      follow-up clean run still succeeds warm);
+#   4. emit-verilog into a directory that does not exist must name the
+#      path it could not write, exit nonzero and print no "wrote" line.
 #
 # Expects -DCLI=<vcoadc_cli path> -DWORK=<dir>.
 
@@ -76,5 +78,24 @@ if(NOT rc4 EQUAL 0)
     "gatesim did not recover after the refused top (${rc4}):\n${err4}")
 endif()
 
+# --- 4. unwritable output: the failed write is an error ------------------
+set(MISSING "${WORK}/no_such_dir")
+execute_process(
+  COMMAND "${CLI}" emit-verilog ${SPEC} "--out=${MISSING}" "--store=${STORE}"
+  OUTPUT_VARIABLE out5 ERROR_VARIABLE err5 RESULT_VARIABLE rc5)
+if(rc5 EQUAL 0)
+  message(FATAL_ERROR
+    "emit-verilog exited 0 with an unwritable --out:\n${out5}\n${err5}")
+endif()
+if(out5 MATCHES "wrote")
+  message(FATAL_ERROR "emit-verilog claimed a write it did not make:\n${out5}")
+endif()
+if(NOT err5 MATCHES "no_such_dir/adc_top.v")
+  message(FATAL_ERROR "emit-verilog did not name the unwritable path:\n${err5}")
+endif()
+if(EXISTS "${MISSING}")
+  message(FATAL_ERROR "emit-verilog created ${MISSING}")
+endif()
+
 message(STATUS "cli gate commands: emit-verilog + gatesim pass, bad top "
-  "refused cleanly")
+  "refused cleanly, unwritable output refused")
