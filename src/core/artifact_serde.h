@@ -9,14 +9,16 @@
 // Decoding is total: a malformed payload yields null (the flow treats it
 // as a corrupt-miss and rebuilds), never UB — serde::Reader bounds every
 // read, and decoders check ok() plus structural invariants (e.g. every
-// flat instance's cell name resolves in the embedded library).
+// name index falls inside its record's name table and every flat
+// instance's cell index inside the embedded library).
 //
 // Pointer policy: FlatInstance::cell points into a CellLibrary, so codecs
 // that carry flat instances embed the set of referenced StdCells as a
-// self-contained library, serialize cells by name, and re-point the
-// decoded instances into that library (held alive via the artifact's
-// `owner`). The embedded cells carry full StdCell data, so every field a
-// downstream stage reads through the pointer round-trips bit-exactly.
+// self-contained library, store each instance's cell as an index into it,
+// and re-point the decoded instances into that library (held alive via
+// the artifact's `owner`). The embedded cells carry full StdCell data, so
+// every field a downstream stage reads through the pointer round-trips
+// bit-exactly.
 #pragma once
 
 #include <cstdint>
