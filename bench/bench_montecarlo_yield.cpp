@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(store_cold_builds),
       persistent_identical ? "true" : "false", resolved_width,
       util::simd::tier_name(util::simd::active_tier()),
-      util::simd::active_width(),
+      util::simd::tier_width(util::simd::active_tier()),
       wall_engine_scalar, wall_engine_batched, batched_speedup,
       fp_batched.c_str(), fp_scalar == fp_batched ? "true" : "false",
       corners_fp_scalar == corners_fp_batched ? "true" : "false",

@@ -181,15 +181,15 @@ void print_flow_stats(const util::ArgParser& args, const util::Trace& trace,
 ///   --listen  — tcp:<port> or a unix socket path, many concurrent
 ///               clients, per-connection request ordering preserved,
 ///               SIGINT/SIGTERM drain in-flight requests and exit.
-int run_serve(const util::ArgParser& args, core::ExecContext ctx) {
+int run_serve(const util::ArgParser& args, core::ExecContext ctx,
+              std::uint64_t store_max_bytes) {
   util::net::ignore_sigpipe();  // a dead client must fail a write, not us
   core::ArtifactCache cache(512);
   ctx.cache = &cache;
   core::EvalServeOptions eopts;
   eopts.cache_stats = args.has("cache-stats");
   eopts.trace = args.has("trace") && args.get("trace") == "json";
-  eopts.store_max_bytes = static_cast<std::uint64_t>(
-      args.get_double("store-max-bytes", 0));
+  eopts.store_max_bytes = store_max_bytes;
   const core::ServeHandler handler = core::make_eval_handler(ctx, eopts);
 
   if (args.has("listen")) {
@@ -267,10 +267,9 @@ int run_client(const util::ArgParser& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
+/// The whole command; main() turns a malformed numeric flag (ArgError)
+/// into exit 2.
+int run(const util::ArgParser& args) {
   const auto unknown = args.unknown_flags({"node", "slices", "fs", "bw",
                                            "samples", "runs", "seed0",
                                            "batch-width", "amp-sweep", "top",
@@ -280,9 +279,9 @@ int main(int argc, char** argv) {
                                            "cache-stats"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag: %s\n", unknown[0].c_str());
-    return usage(argv[0]);
+    return usage(args.program().c_str());
   }
-  if (args.positional().size() != 1) return usage(argv[0]);
+  if (args.positional().size() != 1) return usage(args.program().c_str());
   const std::string cmd = args.positional()[0];
 
   // client is pure transport — no spec, no flow, no store of its own.
@@ -297,6 +296,13 @@ int main(int argc, char** argv) {
   const auto n_samples = samples_arg > 0
                              ? static_cast<std::size_t>(samples_arg)
                              : std::size_t{0};
+  // Every other number is read here too, before any work starts.
+  const int runs = args.get_int("runs", 20);
+  const std::uint64_t seed0 = args.get_u64("seed0", 1000);
+  const int batch_width = args.get_int("batch-width", 0);
+  const int amp_sweep = args.get_int("amp-sweep", 0);
+  const double ring_tol = args.get_double("ring-tol", 0.25);
+  const std::uint64_t store_max_bytes = args.get_u64("store-max-bytes", 0);
   const std::string out_dir = args.get("out", ".");
 
   util::Trace trace;
@@ -316,8 +322,7 @@ int main(int argc, char** argv) {
       if (store != nullptr && max_bytes > 0) store->gc(max_bytes);
     }
   } gc_guard;
-  gc_guard.max_bytes =
-      static_cast<std::uint64_t>(args.get_double("store-max-bytes", 0));
+  gc_guard.max_bytes = store_max_bytes;
   if (args.has("store")) {
     store.emplace(args.get("store", "."));
     if (!store->ok()) {
@@ -331,7 +336,7 @@ int main(int argc, char** argv) {
 
   // serve ignores the spec flags (each request carries its own spec), so it
   // dispatches before spec validation and before anything prints to stdout.
-  if (cmd == "serve") return run_serve(args, ctx);
+  if (cmd == "serve") return run_serve(args, ctx, store_max_bytes);
 
   core::Flow flow(ctx);
 
@@ -393,8 +398,8 @@ int main(int argc, char** argv) {
     req.kind = core::EvalKind::kDatasheet;
     req.spec = spec;
     req.datasheet.n_samples = n_samples;
-    req.datasheet.amp_sweep_points = args.get_int("amp-sweep", 0);
-    req.datasheet.batch_width = args.get_int("batch-width", 0);
+    req.datasheet.amp_sweep_points = amp_sweep;
+    req.datasheet.batch_width = batch_width;
     const core::EvalResponse resp = core::evaluate(req, ctx);
     if (!resp.ok) return fail_with_diags(diags);
     std::printf("%s", resp.datasheet.render().c_str());
@@ -407,12 +412,11 @@ int main(int argc, char** argv) {
     core::EvalRequest req;
     req.kind = core::EvalKind::kMonteCarlo;
     req.spec = spec;
-    req.monte_carlo.runs = args.get_int("runs", 20);
+    req.monte_carlo.runs = runs;
     req.monte_carlo.sim.n_samples = n_samples;
     req.monte_carlo.sim.fin_target_hz = spec.bandwidth_hz / 5.0;
-    req.monte_carlo.seed0 =
-        static_cast<std::uint64_t>(args.get_int("seed0", 1000));
-    req.monte_carlo.batch_width = args.get_int("batch-width", 0);
+    req.monte_carlo.seed0 = seed0;
+    req.monte_carlo.batch_width = batch_width;
     const core::MonteCarloResult mc = core::evaluate(req, ctx).monte_carlo;
     if (mc.sndr_db.empty() || diags.has_errors()) {
       return fail_with_diags(diags);
@@ -429,7 +433,7 @@ int main(int argc, char** argv) {
     req.kind = core::EvalKind::kCornerSweep;
     req.spec = spec;
     req.corners.n_samples = n_samples;
-    req.corners.batch_width = args.get_int("batch-width", 0);
+    req.corners.batch_width = batch_width;
     const core::EvalResponse resp = core::evaluate(req, ctx);
     if (!resp.ok) return fail_with_diags(diags);
     for (const core::CornerResult& c : resp.corners) {
@@ -458,7 +462,7 @@ int main(int argc, char** argv) {
     core::GateSimOptions gopts;
     if (args.has("samples")) gopts.sim.n_samples = n_samples;
     gopts.sim.fin_target_hz = spec.bandwidth_hz / 5.0;
-    gopts.ring_period_tol = args.get_double("ring-tol", 0.25);
+    gopts.ring_period_tol = ring_tol;
     gopts.top = args.get("top", "");
     const auto gate = flow.gate_sim(spec, gopts);
     if (gate == nullptr) return fail_with_diags(diags);
@@ -506,5 +510,16 @@ int main(int argc, char** argv) {
     print_flow_stats(args, trace, *ctx.cache, ctx.store);
     return 0;
   }
-  return usage(argv[0]);
+  return usage(args.program().c_str());
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(util::ArgParser(argc, argv));
+  } catch (const util::ArgError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -300,11 +300,6 @@ void ArtifactStore::note_decode_failure(const CacheKey& key,
                                         std::string_view type_tag,
                                         util::DiagSink* diag,
                                         std::uint64_t record_bytes) {
-  if (record_bytes == 0) {
-    std::error_code ec;
-    const std::uintmax_t on_disk = fs::file_size(path_for(key), ec);
-    record_bytes = ec ? 0 : static_cast<std::uint64_t>(on_disk);
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stats_.hits > 0) --stats_.hits;

@@ -118,11 +118,9 @@ class ArtifactStore {
   /// when a record's frame verified but its payload failed to decode (the
   /// codec rejected it), so the stats still satisfy "hits == stage builds
   /// actually avoided". `record_bytes` is the size load() reported for the
-  /// rejected hit, taken back out of bytes_read; 0 means the caller did
-  /// not keep it, and the key's record is measured on disk instead.
+  /// rejected hit, taken back out of bytes_read.
   void note_decode_failure(const CacheKey& key, std::string_view type_tag,
-                           util::DiagSink* diag = nullptr,
-                           std::uint64_t record_bytes = 0);
+                           util::DiagSink* diag, std::uint64_t record_bytes);
 
   /// Final path of the record for `key` (exposed for tests that corrupt
   /// or inspect records directly).

@@ -9,8 +9,7 @@ BatchRunner::BatchRunner(const BatchOptions& opts)
 
 BatchRunner::BatchRunner(int threads) : BatchRunner(BatchOptions{threads}) {}
 
-BatchRunner::BatchRunner(const ExecContext& ctx)
-    : BatchRunner(BatchOptions{ctx.threads, ctx.seed}) {}
+BatchRunner::BatchRunner(const ExecContext& ctx) : BatchRunner(ctx.threads) {}
 
 int BatchRunner::resolve_threads(int threads) {
   if (threads > 0) return threads;

@@ -59,8 +59,8 @@ class BatchRunner {
   explicit BatchRunner(const BatchOptions& opts = {});
   /// Convenience: BatchRunner(n) == BatchRunner({.threads = n}).
   explicit BatchRunner(int threads);
-  /// Engine over an ExecContext: worker count from ctx.threads, seed0 from
-  /// ctx.seed. The stage-graph drivers construct their runners this way.
+  /// Engine over an ExecContext: worker count from ctx.threads. The
+  /// stage-graph drivers construct their runners this way.
   explicit BatchRunner(const ExecContext& ctx);
 
   const BatchOptions& options() const { return opts_; }

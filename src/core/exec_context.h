@@ -11,7 +11,6 @@
 // in different processes.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <utility>
 
@@ -35,8 +34,6 @@ struct ExecContext {
   /// beside its maze route; at 1 the datasheet runs it on the calling
   /// thread, before the maze route.
   int threads = 0;
-  /// Root seed for stochastic stages that do not carry their own.
-  std::uint64_t seed = 1;
   /// Per-stage event sink; null = no tracing.
   util::Trace* trace = nullptr;
   /// Artifact store shared by all stages; null disables caching (every

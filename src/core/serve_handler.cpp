@@ -77,10 +77,10 @@ json::Value cache_delta_json(const ArtifactCacheStats& c0,
   // asserting result_fp across hosts read this to know which tier
   // produced the (bit-identical) result, and perf dashboards bucket
   // timings by it.
-  o.set("simd_tier", json::Value::make_string(
-                         util::simd::tier_name(util::simd::active_tier())));
-  o.set("simd_width", num(static_cast<std::uint64_t>(
-                          util::simd::active_width())));
+  const util::simd::Tier tier = util::simd::active_tier();
+  o.set("simd_tier", json::Value::make_string(util::simd::tier_name(tier)));
+  o.set("simd_width",
+        num(static_cast<std::uint64_t>(util::simd::tier_width(tier))));
   return o;
 }
 

@@ -2,8 +2,8 @@
 //
 // run_lockstep<W>() is a line-for-line transcription of
 // VcoDsmModulator::run() with every per-draw scalar replaced by a W-lane
-// structure-of-arrays value (util::simd::vec). It is compiled four times —
-// batched_tier_{scalar,sse2,avx2,avx512}.cpp — with different codegen flags
+// structure-of-arrays value (util::simd::vec). It is compiled three times —
+// batched_tier_{sse2,avx2,avx512}.cpp — with different codegen flags
 // and dispatched at runtime (see util/simd.h). The TUs never contract FMA
 // (the avx512 TU carries -ffp-contract=off because -mavx512f implies FMA),
 // so each lane's IEEE operation sequence is identical across tiers and
@@ -586,9 +586,6 @@ struct LockstepTable {
   LaneBitsFn lane_bits_w4 = nullptr;
   LaneBitsFn lane_bits_w8 = nullptr;
 };
-namespace tier_scalar {
-const LockstepTable& table();
-}
 namespace tier_sse2 {
 const LockstepTable& table();
 }

@@ -205,10 +205,9 @@ const lockstep::LockstepTable& tier_table(util::simd::Tier t) {
   switch (t) {
     case util::simd::Tier::kAvx512: return lockstep::tier_avx512::table();
     case util::simd::Tier::kAvx2: return lockstep::tier_avx2::table();
-    case util::simd::Tier::kSse2: return lockstep::tier_sse2::table();
-    case util::simd::Tier::kScalar: break;
+    case util::simd::Tier::kSse2: break;
   }
-  return lockstep::tier_scalar::table();
+  return lockstep::tier_sse2::table();
 }
 
 lockstep::LockstepFn pick_kernel(int width) {
@@ -221,8 +220,7 @@ lockstep::LockstepFn pick_kernel(int width) {
 }  // namespace
 
 int BatchedModulator::preferred_width() {
-  const int w = util::simd::active_width();
-  return width_supported(w) ? w : 2;
+  return util::simd::tier_width(util::simd::active_tier());
 }
 
 std::unique_ptr<BatchedModulator> BatchedModulator::create(

@@ -65,8 +65,8 @@ class BatchedModulator {
   /// Lane widths the kernels are instantiated for.
   static bool width_supported(int w) { return w == 2 || w == 4 || w == 8; }
 
-  /// The lane width core::monte_carlo should group draws by on this host
-  /// (util::simd::active_width, clamped to a supported width).
+  /// The lane width core::monte_carlo should group draws by on this host:
+  /// the active tier's util::simd::tier_width, always a supported width.
   static int preferred_width();
 
   /// Builds a batch of seeds.size() lanes over a shared config; lane k is

@@ -1,7 +1,7 @@
-// SSE2 tier of the lockstep kernel: baseline x86-64 codegen (SSE2 is
-// architectural there), which lets the auto-vectorizer pack 2 doubles per
-// operation. On non-x86 hosts this TU is plain portable C++ and the
-// dispatcher never selects it.
+// SSE2 tier of the lockstep kernel, the floor of the tier ladder: baseline
+// codegen with no -m flags. On x86-64 (SSE2 is architectural there) every
+// kernel vector operation packs 2 doubles; on other hosts this TU is plain
+// portable C++, and the dispatcher runs it there.
 #include "msim/batched_lockstep.h"
 
 namespace vcoadc::msim::lockstep::tier_sse2 {

@@ -1,10 +1,33 @@
 #include "util/cli.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <type_traits>
 
 #include "util/strings.h"
 
 namespace vcoadc::util {
+
+namespace {
+
+/// The whole of `text` as a T, or ArgError naming `--flag=text` and what
+/// was expected. from_chars takes no sign for unsigned types, reports
+/// out-of-range values, and reads doubles the same in every locale.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text,
+               const char* expected) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    throw ArgError("--" + flag + "=" + text + " is not " + expected);
+  }
+  return v;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const argv[]) {
   if (argc > 0) program_ = argv[0];
@@ -38,12 +61,25 @@ std::string ArgParser::get(const std::string& flag,
 
 double ArgParser::get_double(const std::string& flag, double fallback) const {
   auto it = flags_.find(flag);
-  return (it != flags_.end()) ? std::atof(it->second.c_str()) : fallback;
+  return (it != flags_.end())
+             ? parse_number<double>(flag, it->second, "a finite number")
+             : fallback;
 }
 
 int ArgParser::get_int(const std::string& flag, int fallback) const {
   auto it = flags_.find(flag);
-  return (it != flags_.end()) ? std::atoi(it->second.c_str()) : fallback;
+  return (it != flags_.end())
+             ? parse_number<int>(flag, it->second, "a 32-bit integer")
+             : fallback;
+}
+
+std::uint64_t ArgParser::get_u64(const std::string& flag,
+                                 std::uint64_t fallback) const {
+  auto it = flags_.find(flag);
+  return (it != flags_.end())
+             ? parse_number<std::uint64_t>(flag, it->second,
+                                           "a non-negative integer")
+             : fallback;
 }
 
 std::vector<std::string> ArgParser::unknown_flags(

@@ -3,11 +3,20 @@
 // positional arguments; unknown-flag detection for helpful errors.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace vcoadc::util {
+
+/// A numeric flag whose value does not parse completely or does not fit
+/// the type asked for; what() names the flag and the value.
+class ArgError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class ArgParser {
  public:
@@ -16,8 +25,14 @@ class ArgParser {
   bool has(const std::string& flag) const;
   std::string get(const std::string& flag,
                   const std::string& fallback = {}) const;
+  /// Numeric flags: an absent flag yields `fallback`. A present one must
+  /// parse completely ("16k", "1e3" for an integer, "two" and "" do not)
+  /// and fit the type (get_double: a finite double; get_u64: no sign);
+  /// otherwise the call throws ArgError.
   double get_double(const std::string& flag, double fallback) const;
   int get_int(const std::string& flag, int fallback) const;
+  std::uint64_t get_u64(const std::string& flag,
+                        std::uint64_t fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }

@@ -1,6 +1,7 @@
 #include "util/simd.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -8,17 +9,9 @@ namespace vcoadc::util::simd {
 
 namespace {
 
-// VCOADC_SIMD_CAP is injected by CMake (0 scalar, 1 sse2, 2 avx2,
-// 3 avx512); the default build carries the full ladder and relies on
-// runtime dispatch.
-#if !defined(VCOADC_SIMD_CAP)
-#define VCOADC_SIMD_CAP 3
-#endif
-
 Tier clamp_tier(int t) {
-  if (t <= 0) return Tier::kScalar;
-  if (t == 1) return Tier::kSse2;
-  if (t == 2) return Tier::kAvx2;
+  if (t <= 0) return Tier::kSse2;
+  if (t == 1) return Tier::kAvx2;
   return Tier::kAvx512;
 }
 
@@ -26,14 +19,20 @@ Tier min_tier(Tier a, Tier b) {
   return static_cast<int>(a) < static_cast<int>(b) ? a : b;
 }
 
-/// Parses a tier spelling; anything unrecognized (including "auto" and an
-/// unset variable) means "no ceiling".
+/// Parses a VCOADC_SIMD value; unset, empty and "auto" mean "no ceiling".
+/// An unknown spelling means no ceiling too, but says so: a stale or
+/// mistyped cap must not run silently at the top tier.
 Tier parse_tier(const char* s) {
-  if (s == nullptr) return Tier::kAvx512;
-  if (std::strcmp(s, "scalar") == 0) return Tier::kScalar;
+  if (s == nullptr || s[0] == '\0' || std::strcmp(s, "auto") == 0) {
+    return Tier::kAvx512;
+  }
   if (std::strcmp(s, "sse2") == 0) return Tier::kSse2;
   if (std::strcmp(s, "avx2") == 0) return Tier::kAvx2;
   if (std::strcmp(s, "avx512") == 0) return Tier::kAvx512;
+  std::fprintf(stderr,
+               "vcoadc: warning: VCOADC_SIMD=%s is not a tier (accepted: "
+               "auto, sse2, avx2, avx512); no tier cap applied\n",
+               s);
   return Tier::kAvx512;
 }
 
@@ -44,15 +43,12 @@ std::atomic<int> g_override{-1};
 
 const char* tier_name(Tier t) {
   switch (t) {
-    case Tier::kScalar: return "scalar";
     case Tier::kSse2: return "sse2";
     case Tier::kAvx2: return "avx2";
     case Tier::kAvx512: return "avx512";
   }
-  return "scalar";
+  return "sse2";
 }
-
-Tier compiled_cap() { return clamp_tier(VCOADC_SIMD_CAP); }
 
 Tier cpu_tier() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -71,10 +67,10 @@ Tier cpu_tier() {
   }();
   return t;
 #else
-  // Unknown ISA: the "sse2"/"avx2" TUs are portable C++ compiled without
-  // x86 flags, so any tier is safe to run; keep the scalar tier to make
-  // the dispatch decision honest about vector width.
-  return Tier::kScalar;
+  // Unknown ISA: every tier TU is portable C++ compiled without x86 flags,
+  // so any tier is safe to run; the floor keeps the dispatch decision
+  // honest about vector width.
+  return Tier::kSse2;
 #endif
 }
 
@@ -85,22 +81,9 @@ Tier env_cap() {
 
 Tier active_tier() {
   const int ov = g_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return min_tier(clamp_tier(ov), compiled_cap());
-  static const Tier t = min_tier(min_tier(compiled_cap(), cpu_tier()),
-                                 env_cap());
+  if (ov >= 0) return clamp_tier(ov);
+  static const Tier t = min_tier(cpu_tier(), env_cap());
   return t;
-}
-
-int active_width() {
-  // One vector register of lanes per tier: 8 at avx512 (32 zmm registers
-  // absorb the live values that spilled at W=8 on avx2), 4 at avx2 (one ymm
-  // per live value; W=8 spills the kernel's ~20 live values
-  // catastrophically), two lanes elsewhere (the narrower tiers hit xmm
-  // pressure already at W=4). All choices measured, not derived — see
-  // DESIGN.md 3i.
-  const Tier t = active_tier();
-  if (t == Tier::kAvx512) return 8;
-  return t == Tier::kAvx2 ? 4 : 2;
 }
 
 void set_tier_override_for_testing(int t) {
@@ -114,9 +97,7 @@ std::string runtime_summary() {
   s += tier_name(t);
   s += " (width ";
   s += std::to_string(tier_width(t));
-  s += ") | compiled cap ";
-  s += tier_name(compiled_cap());
-  s += " | cpu ";
+  s += ") | cpu ";
   s += tier_name(cpu_tier());
   s += " | env ";
   s += (env != nullptr && env[0] != '\0') ? env : "-";

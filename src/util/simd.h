@@ -1,32 +1,28 @@
 // SIMD dispatch shim for the batched (structure-of-arrays) transient engine.
 //
 // The batched modulator compiles one portable lane-lockstep kernel into
-// four translation units with different codegen flags — scalar (tree
-// vectorizer off), sse2 (baseline x86-64), avx2 (-mavx2), avx512
+// three translation units with different codegen flags — sse2 (baseline
+// codegen, the floor on every host), avx2 (-mavx2), avx512
 // (-mavx512f/dq/vl/bw) — and picks one at runtime. This header owns the
 // tier model:
 //
-//   * compiled_cap()  - the VCOADC_SIMD CMake option
-//                       (auto|avx512|avx2|sse2|scalar) baked in as a
-//                       compile-time ceiling.
 //   * cpu_tier()      - what the executing CPU supports (CPUID probe).
 //   * env_cap()       - the VCOADC_SIMD environment variable, so a test run
-//                       can force the portable path on an AVX2 host without
-//                       a rebuild (ctest's scalar-fallback variant).
-//   * active_tier()   - min of the three, cached; the dispatcher's choice.
+//                       can force a lower tier on an AVX-512 host without
+//                       a rebuild (ctest's fallback variants).
+//   * active_tier()   - min of the two, cached; the dispatcher's choice.
 //
 // Bit-identity contract: no tier TU may contract a*b+c. AVX2 is requested
 // without -mfma and baseline x86-64 has no FMA; -mavx512f *implies* 512-bit
 // FMA, so the avx512 TU is additionally built with -ffp-contract=off (see
 // src/msim/CMakeLists.txt). Every per-lane IEEE operation sequence is
-// therefore identical in all four TUs, and which tier runs can never change
+// therefore identical in all three TUs, and which tier runs can never change
 // a result bit — only how many lanes retire per cycle.
 //
 // vec<double, W> is the fixed-width value type the kernel's straight-line
 // arithmetic uses: a plain array with elementwise operators, written so the
 // auto-vectorizer can turn each operator into one packed instruction at the
-// TU's ISA level, and so the scalar TU lowers it to the exact same scalar
-// IEEE operations.
+// TU's ISA level.
 //
 // Intrinsics: the tier TUs are portable C++ except for one ISA-guarded
 // helper, lane_bits(), which turns a packed compare into a lane bitmask with
@@ -44,48 +40,43 @@
 namespace vcoadc::util::simd {
 
 /// Instruction-set tiers, ordered: a higher tier strictly contains the
-/// lower one. Values are stable (used in env/CMake parsing and BENCH JSON).
-enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
+/// lower one.
+enum class Tier : int { kSse2 = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Human name, e.g. for the CLI epilogue and BENCH_JSON.
 const char* tier_name(Tier t);
 
-/// Native doubles per vector register at this tier (1 / 2 / 4 / 8).
+/// Doubles per vector register at this tier (2 / 4 / 8), which is also the
+/// Monte-Carlo lane width the tier prefers: avx512's 32 zmm registers hold
+/// the kernel's live values at W=8 without the spills W=8 takes on avx2,
+/// avx2 holds one ymm per live value at W=4, and sse2 hits register
+/// pressure already at 4. Measured, not derived.
 constexpr int tier_width(Tier t) {
-  return t == Tier::kAvx512
-             ? 8
-             : (t == Tier::kAvx2 ? 4 : (t == Tier::kSse2 ? 2 : 1));
+  return t == Tier::kAvx512 ? 8 : (t == Tier::kAvx2 ? 4 : 2);
 }
 
-/// Ceiling baked in by the VCOADC_SIMD CMake option.
-Tier compiled_cap();
-
-/// Highest tier the executing CPU supports.
+/// Highest tier the executing CPU supports; sse2 off x86, where every tier
+/// TU is portable C++.
 Tier cpu_tier();
 
-/// Ceiling from the VCOADC_SIMD environment variable ("scalar" | "sse2" |
-/// "avx2" | "avx512" | "auto"/unset = no ceiling). Read once per process.
+/// Ceiling from the VCOADC_SIMD environment variable ("sse2" | "avx2" |
+/// "avx512"; "auto", empty or unset = no ceiling). Any other value also
+/// means no ceiling, with one stderr warning that names it and the
+/// accepted spellings. Read once per process.
 Tier env_cap();
 
-/// The dispatch decision: min(compiled_cap, cpu_tier, env_cap), cached
-/// after the first call (the test override below invalidates the cache).
+/// The dispatch decision: min(cpu_tier, env_cap), cached after the first
+/// call (the test override below invalidates the cache).
 Tier active_tier();
 
-/// Monte-Carlo lane width the active tier prefers: 8 on avx512 (32 zmm
-/// registers hold the kernel's live values without the spills PR 7 measured
-/// at W=8 on avx2), 4 on avx2 (one ymm per live kernel value; wider spills),
-/// 2 elsewhere (narrower tiers hit register pressure at 4, and even the
-/// scalar tier batches 2 lanes to amortize the shared input-signal
-/// evaluation). Measured, not derived.
-int active_width();
-
-/// Test hook: force active_tier() to `t` regardless of CPU/env (still
-/// clamped to compiled_cap); pass a negative value to restore automatic
-/// selection. Not thread-safe against concurrent active_tier() callers.
+/// Test hook: force active_tier() to `t` regardless of CPU/env; pass a
+/// negative value to restore automatic selection. The caller must not
+/// force a tier the CPU lacks. Not thread-safe against concurrent
+/// active_tier() callers.
 void set_tier_override_for_testing(int t);
 
 /// One-line summary for --cache-stats-style epilogues, e.g.
-/// "tier avx2 (width 4) | compiled cap avx2 | cpu avx2 | env -".
+/// "tier avx2 (width 4) | cpu avx2 | env -".
 std::string runtime_summary();
 
 // vec's methods must inline into each kernel tier's translation unit so
@@ -142,8 +133,7 @@ struct native_u64vec<8> {
 /// lowers the portable `for (w) bits |= (m[w] != 0) << w` to W scalar
 /// extract-and-compare steps; each ISA branch below is one instruction: a
 /// mask test at W=8 under AVX-512, movmskpd at W=4 under AVX and at W=2
-/// under SSE2 (every x86-64 TU, the scalar tier's too, whose native vectors
-/// already live in SSE2 registers). Any other width and ISA keeps the loop.
+/// under SSE2 (every x86-64 TU). Any other width and ISA keeps the loop.
 /// The preprocessor picks the branch per TU, under that tier's own -m flags
 /// (always-inline, like vec). The result only steers control flow into a
 /// per-lane fixup.

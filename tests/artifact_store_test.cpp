@@ -292,13 +292,14 @@ TEST(ArtifactStoreTest, NoteDecodeFailureDemotesHitToCorruptMiss) {
   core::ArtifactStore store(dir.str());
   ASSERT_TRUE(store.save(kKey, "unit", 1, make_payload(64, 4)));
   std::vector<std::uint8_t> loaded;
-  ASSERT_TRUE(store.load(kKey, "unit", 1, &loaded));
+  std::uint64_t record_bytes = 0;
+  ASSERT_TRUE(store.load(kKey, "unit", 1, &loaded, nullptr, &record_bytes));
   ASSERT_EQ(store.stats().hits, 1u);
   const std::uint64_t served = store.stats().bytes_read;
   ASSERT_GT(served, 0u);  // the hit counted its record bytes
 
   util::DiagSink diags;
-  store.note_decode_failure(kKey, "unit", &diags);
+  store.note_decode_failure(kKey, "unit", &diags, record_bytes);
   const core::ArtifactStoreStats st = store.stats();
   EXPECT_EQ(st.hits, 0u);  // the stage rebuilt after all: not an avoided build
   EXPECT_EQ(st.misses, 1u);

@@ -9,7 +9,11 @@
 #      naming the module, exit nonzero, and leave the store usable (a
 #      follow-up clean run still succeeds warm);
 #   4. emit-verilog into a directory that does not exist must name the
-#      path it could not write, exit nonzero and print no "wrote" line.
+#      path it could not write, exit nonzero and print no "wrote" line;
+#   5. a numeric flag that does not parse must stop the run with exit 2
+#      and an error naming the flag, before any output;
+#   6. an unknown VCOADC_SIMD spelling must warn, naming it and the
+#      accepted ones, and leave the tier ladder uncapped.
 #
 # Expects -DCLI=<vcoadc_cli path> -DWORK=<dir>.
 
@@ -97,5 +101,40 @@ if(EXISTS "${MISSING}")
   message(FATAL_ERROR "emit-verilog created ${MISSING}")
 endif()
 
+# --- 5. malformed number: refused before any work -------------------------
+execute_process(
+  COMMAND "${CLI}" simulate --slices=4 --samples=16k
+  OUTPUT_VARIABLE out6 ERROR_VARIABLE err6 RESULT_VARIABLE rc6)
+if(NOT rc6 EQUAL 2)
+  message(FATAL_ERROR
+    "simulate --samples=16k exited ${rc6}, not 2:\n${out6}\n${err6}")
+endif()
+if(NOT err6 MATCHES "--samples=16k")
+  message(FATAL_ERROR "the refusal did not name --samples:\n${err6}")
+endif()
+if(NOT out6 STREQUAL "")
+  message(FATAL_ERROR "simulate printed output before refusing:\n${out6}")
+endif()
+
+# --- 6. unknown tier cap: a warning, no cap --------------------------------
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env VCOADC_SIMD=scalar
+    "${CLI}" simulate ${SPEC} --cache-stats
+  OUTPUT_VARIABLE out7 ERROR_VARIABLE err7 RESULT_VARIABLE rc7)
+if(NOT rc7 EQUAL 0)
+  message(FATAL_ERROR "simulate under VCOADC_SIMD=scalar failed (${rc7}):\n"
+    "${out7}\n${err7}")
+endif()
+if(NOT err7 MATCHES "VCOADC_SIMD=scalar is not a tier"
+   OR NOT err7 MATCHES "auto, sse2, avx2, avx512")
+  message(FATAL_ERROR "no warning for VCOADC_SIMD=scalar:\n${err7}")
+endif()
+string(REGEX MATCH "tier ([a-z0-9]+) [^\n]*cpu ([a-z0-9]+)" simd "${out7}")
+if(simd STREQUAL "" OR NOT CMAKE_MATCH_1 STREQUAL CMAKE_MATCH_2)
+  message(FATAL_ERROR
+    "VCOADC_SIMD=scalar capped the tier below the CPU's:\n${out7}")
+endif()
+
 message(STATUS "cli gate commands: emit-verilog + gatesim pass, bad top "
-  "refused cleanly, unwritable output refused")
+  "refused cleanly, unwritable output and malformed numbers refused, "
+  "unknown tier cap warned")

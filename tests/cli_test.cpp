@@ -1,3 +1,7 @@
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "util/cli.h"
@@ -7,6 +11,17 @@ namespace {
 
 ArgParser parse(std::vector<const char*> argv) {
   return ArgParser(static_cast<int>(argv.size()), argv.data());
+}
+
+/// What a numeric getter throws, or "" when it returns a value.
+template <typename Get>
+std::string error_of(Get get) {
+  try {
+    get();
+  } catch (const ArgError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(ArgParser, EqualsForm) {
@@ -47,9 +62,53 @@ TEST(ArgParser, UnknownFlagDetection) {
 }
 
 TEST(ArgParser, NumericParsing) {
-  const auto a = parse({"prog", "--slices=16", "--bw=5e6"});
+  const auto a = parse({"prog", "--slices=16", "--bw=5e6", "--lo=-2147483648",
+                        "--hi=2147483647", "--tol=2.5e-1",
+                        "--max=18446744073709551615"});
   EXPECT_EQ(a.get_int("slices", 0), 16);
   EXPECT_DOUBLE_EQ(a.get_double("bw", 0), 5e6);
+  EXPECT_EQ(a.get_int("lo", 0), std::numeric_limits<int>::min());
+  EXPECT_EQ(a.get_int("hi", 0), std::numeric_limits<int>::max());
+  EXPECT_DOUBLE_EQ(a.get_double("tol", 0), 0.25);
+  EXPECT_EQ(a.get_u64("max", 0), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(a.get_u64("slices", 0), 16u);
+  EXPECT_EQ(a.get_u64("missing", 9), 9u);
+}
+
+TEST(ArgParser, MalformedNumbersAreRefusedNamingTheFlag) {
+  // Each of these once ran silently on a prefix, a default or undefined
+  // behaviour: 16 samples, 1 draw, every core, an atoi overflow, and a
+  // negative double cast to an unsigned size.
+  const auto a = parse({"prog", "--samples=16k", "--runs=1e3",
+                        "--threads=two", "--slices=99999999999",
+                        "--store-max-bytes=-1", "--fs=750e6Hz", "--bw=",
+                        "--node=nan", "--ring-tol=1e999", "--seed0=+7",
+                        "--over=18446744073709551616", "--flag"});
+  EXPECT_EQ(error_of([&] { return a.get_int("samples", 0); }),
+            "--samples=16k is not a 32-bit integer");
+  EXPECT_EQ(error_of([&] { return a.get_int("runs", 0); }),
+            "--runs=1e3 is not a 32-bit integer");
+  EXPECT_EQ(error_of([&] { return a.get_int("threads", 0); }),
+            "--threads=two is not a 32-bit integer");
+  EXPECT_EQ(error_of([&] { return a.get_int("slices", 0); }),
+            "--slices=99999999999 is not a 32-bit integer");
+  EXPECT_EQ(error_of([&] { return a.get_u64("store-max-bytes", 0); }),
+            "--store-max-bytes=-1 is not a non-negative integer");
+  EXPECT_EQ(error_of([&] { return a.get_double("fs", 0); }),
+            "--fs=750e6Hz is not a finite number");
+  EXPECT_EQ(error_of([&] { return a.get_double("bw", 0); }),
+            "--bw= is not a finite number");
+  EXPECT_EQ(error_of([&] { return a.get_double("node", 0); }),
+            "--node=nan is not a finite number");
+  EXPECT_EQ(error_of([&] { return a.get_double("ring-tol", 0); }),
+            "--ring-tol=1e999 is not a finite number");
+  EXPECT_EQ(error_of([&] { return a.get_u64("seed0", 0); }),
+            "--seed0=+7 is not a non-negative integer");
+  EXPECT_EQ(error_of([&] { return a.get_u64("over", 0); }),
+            "--over=18446744073709551616 is not a non-negative integer");
+  // A bare flag reads as "true", which is no number either.
+  EXPECT_EQ(error_of([&] { return a.get_int("flag", 0); }),
+            "--flag=true is not a 32-bit integer");
 }
 
 TEST(ArgParser, GateSimFlagVocabulary) {

@@ -7,7 +7,6 @@
 // short, fully-featured fixed-seed run so any future change to the hot loop
 // that silently perturbs results — RNG draw order, summation order, cached
 // constants — fails loudly instead of shifting SNDR statistics.
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -211,12 +210,12 @@ void check_batch_vs_serial(const std::vector<std::uint64_t>& seeds,
   check_lanes_vs_serial(cfgs, opts);
 }
 
-/// Every tier this build and CPU can execute, lowest first.
+/// Every tier this CPU can execute, lowest first.
 std::vector<int> runnable_tiers() {
-  const auto max_tier =
-      std::min(util::simd::compiled_cap(), util::simd::cpu_tier());
   std::vector<int> tiers;
-  for (int t = 0; t <= static_cast<int>(max_tier); ++t) tiers.push_back(t);
+  for (int t = 0; t <= static_cast<int>(util::simd::cpu_tier()); ++t) {
+    tiers.push_back(t);
+  }
   return tiers;
 }
 
@@ -248,10 +247,10 @@ TEST(BatchedModulatorTest, LaneZeroMatchesPinnedGolden) {
 }
 
 TEST(BatchedModulatorTest, AllCompiledTiersProduceIdenticalBits) {
-  // Which kernel TU runs (scalar / sse2 / avx2 / avx512) must never change
-  // a result bit — only throughput. Runs the same batch under every tier
-  // this build and CPU can execute, at every width (each has its own
-  // lane_bits body), and compares element-wise.
+  // Which kernel TU runs (sse2 / avx2 / avx512) must never change a result
+  // bit — only throughput. Runs the same batch under every tier this CPU
+  // can execute, at every width (each has its own lane_bits body), and
+  // compares element-wise.
   for (const int width : kWidths) {
     SCOPED_TRACE(::testing::Message() << "width " << width);
     std::vector<msim::SimConfig> cfgs(static_cast<std::size_t>(width),
@@ -357,8 +356,7 @@ TEST(BatchedModulatorTest, LaneBitsMatchesPerLaneLoopOnEveryTier) {
     const msim::lockstep::LockstepTable& table =
         tier == Tier::kAvx512 ? msim::lockstep::tier_avx512::table()
         : tier == Tier::kAvx2 ? msim::lockstep::tier_avx2::table()
-        : tier == Tier::kSse2 ? msim::lockstep::tier_sse2::table()
-                              : msim::lockstep::tier_scalar::table();
+                              : msim::lockstep::tier_sse2::table();
     for (const int width : kWidths) {
       const msim::lockstep::LaneBitsFn fn =
           width == 2 ? table.lane_bits_w2
