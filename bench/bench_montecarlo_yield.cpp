@@ -110,11 +110,10 @@ int main(int argc, char** argv) {
       mc.yield(65.0) * 100.0);
   std::printf(
       "engine: %d draws, %d threads | serial %.2f s -> parallel %.2f s | "
-      "speedup %.2fx | utilization %.0f%% | max queue depth %zu\n",
+      "speedup %.2fx | utilization %.0f%%\n",
       speed_req.monte_carlo.runs, mc_parallel.batch.threads,
       mc_serial.batch.wall_s, mc_parallel.batch.wall_s, speedup,
-      mc_parallel.batch.utilization * 100.0,
-      mc_parallel.batch.max_queue_depth);
+      mc_parallel.batch.utilization * 100.0);
   std::printf(
       "cache: cold %.2f s -> warm %.3f s | warm speedup %.1fx | hit rate "
       "%.0f%%\n",
@@ -294,7 +293,7 @@ int main(int argc, char** argv) {
       "{\"bench\":\"montecarlo_yield\",\"runs\":%d,\"speed_runs\":%d,"
       "\"threads\":%d,\"hardware_threads\":%d,"
       "\"wall_serial_s\":%.4f,\"wall_parallel_s\":%.4f,"
-      "\"speedup\":%.3f,\"utilization\":%.3f,\"max_queue_depth\":%zu,"
+      "\"speedup\":%.3f,\"utilization\":%.3f,"
       "\"bit_identical\":%s,\"mean_db\":%.3f,\"sigma_db\":%.3f,"
       "\"yield_65db\":%.3f,\"wall_warm_s\":%.4f,\"warm_speedup\":%.3f,"
       "\"cache_hit_rate\":%.3f,\"warm_identical\":%s,"
@@ -309,7 +308,7 @@ int main(int argc, char** argv) {
       req.monte_carlo.runs, speed_req.monte_carlo.runs,
       mc_parallel.batch.threads, hw, mc_serial.batch.wall_s,
       mc_parallel.batch.wall_s, speedup, mc_parallel.batch.utilization,
-      mc_parallel.batch.max_queue_depth, bit_identical ? "true" : "false",
+      bit_identical ? "true" : "false",
       mc.mean_db, mc.stddev_db, mc.yield(65.0), mc_warm.batch.wall_s,
       warm_speedup, cache_hit_rate, warm_identical ? "true" : "false",
       wall_persist_cold, wall_persist_warm, persistent_warm_speedup,

@@ -37,14 +37,16 @@
 //     --seed0=1000      seed of draw 0; draw i uses seed0 + i (montecarlo)
 //     --batch-width=0   SIMD lane width for the batched transient engine
 //                       (montecarlo/corners/datasheet): 0 = host-preferred,
-//                       1 = scalar, 2/4/8 = forced width; results are
-//                       bit-identical at every setting
+//                       1 = scalar, 2/4/8 = forced width, anything else is
+//                       refused; results are bit-identical at every setting
 //     --amp-sweep=0     SNDR-vs-amplitude sweep points (datasheet); 0 = off
 //     --top=<name>      top module for gatesim (default: the emitted top)
 //     --ring-tol=0.25   relative ring-period tolerance vs the stage-delay
 //                       prediction (gatesim)
 //     --out=.           artifact output directory
-//     --threads=0       worker threads (0 = hardware concurrency)
+//     --threads=0       threads per fan-out, this one included (0 =
+//                       hardware concurrency; never more than that; a
+//                       negative value is refused)
 //     --store=<dir>     persistent artifact store: stages load cached
 //                       artifacts written by earlier processes and save
 //                       their own (serve shares one store across requests)
@@ -300,6 +302,15 @@ int run(const util::ArgParser& args) {
   const int runs = args.get_int("runs", 20);
   const std::uint64_t seed0 = args.get_u64("seed0", 1000);
   const int batch_width = args.get_int("batch-width", 0);
+  if (!core::batch_width_valid(batch_width)) {
+    throw util::ArgError("--batch-width=" + args.get("batch-width", "") +
+                         " is not 0, 1, 2, 4 or 8");
+  }
+  const int threads = args.get_int("threads", 0);
+  if (threads < 0) {
+    throw util::ArgError("--threads=" + args.get("threads", "") +
+                         " is negative (0 = one per hardware thread)");
+  }
   const int amp_sweep = args.get_int("amp-sweep", 0);
   const double ring_tol = args.get_double("ring-tol", 0.25);
   const std::uint64_t store_max_bytes = args.get_u64("store-max-bytes", 0);
@@ -308,7 +319,7 @@ int run(const util::ArgParser& args) {
   util::Trace trace;
   util::DiagSink diags;
   core::ExecContext ctx;
-  ctx.threads = args.get_int("threads", 0);
+  ctx.threads = threads;
   ctx.diag = &diags;
   if (args.has("trace")) ctx.trace = &trace;
   std::optional<core::ArtifactStore> store;

@@ -12,9 +12,9 @@
 // an explicitly seeded util::Rng (no shared global generator), so task
 // order cannot leak into task results.
 //
-// Instrumentation rides along for free: per-task wall time, the queue
-// high-water mark and summed busy time are collected into BatchStats so
-// benchmark JSON can track speedup and worker utilization over time.
+// Instrumentation rides along for free: per-task wall time and their sum
+// are collected into BatchStats so benchmark JSON can track speedup and
+// worker utilization over time.
 #pragma once
 
 #include <chrono>
@@ -30,8 +30,10 @@ namespace vcoadc::core {
 
 /// Shared run-options bundle for the batch APIs.
 struct BatchOptions {
-  /// Worker threads; 0 = one per hardware thread. 1 runs inline on the
-  /// calling thread (no pool overhead) — the serial reference.
+  /// Threads working on one map() call, the calling thread included; 0 =
+  /// one per hardware thread. 1 runs inline on the calling thread (no
+  /// synchronization) — the serial reference. A call never uses more
+  /// threads than the hardware has, whatever the value.
   int threads = 0;
   /// Task i evaluates with seed0 + i (the deterministic seeding contract).
   std::uint64_t seed0 = 1000;
@@ -41,9 +43,8 @@ struct BatchOptions {
 struct BatchStats {
   int threads = 0;                 ///< resolved worker count
   double wall_s = 0;               ///< batch wall-clock time
-  double busy_s = 0;               ///< per-task wall time, summed
+  double busy_s = 0;               ///< sum of task_wall_s
   double utilization = 0;          ///< busy / (threads * wall), in [0, 1]
-  std::size_t max_queue_depth = 0; ///< pending-task high-water mark
   std::vector<double> task_wall_s; ///< per-task wall time, by task index
 
   /// Effective parallelism: how many workers were doing useful work on
@@ -69,10 +70,11 @@ class BatchRunner {
   /// Stats of the most recent map() call.
   const BatchStats& last_stats() const { return stats_; }
 
-  /// Evaluates fn(i, seed0 + i) for i in [0, n) across the pool and returns
-  /// the results ordered by i. fn must be safe to call concurrently (the
-  /// library's simulate() paths are: they share only immutable state). An
-  /// exception in any task propagates after all tasks finish.
+  /// Evaluates fn(i, seed0 + i) for i in [0, n) on the calling thread and
+  /// the process-wide helpers, and returns the results ordered by i. fn
+  /// must be safe to call concurrently (the library's simulate() paths
+  /// are: they share only immutable state). An exception in any task
+  /// propagates after all tasks finish.
   template <typename Fn>
   auto map(std::size_t n, Fn&& fn)
       -> std::vector<std::invoke_result_t<Fn&, std::size_t, std::uint64_t>> {
@@ -85,31 +87,24 @@ class BatchRunner {
     stats_ = BatchStats{};
     stats_.threads = threads_;
     stats_.task_wall_s.assign(n, 0.0);
-    // A fresh pool per batch keeps the stats per-batch. Its spawn and join
-    // are not free: map() over trivial tasks takes a median of 76-86 µs at
-    // 2 threads and 137-141 µs at 4 (Release, 4-vCPU avx512 host). That is
-    // noise next to a cold simulate() call (ms-s) but several times a warm
-    // cache hit (~10 µs) (ROADMAP item 2, warm path).
-    // threads_ == 1 or a single task uses the inline fallback: no pool, no
-    // synchronization, and the task's trace spans keep the caller's span
-    // as their parent.
-    util::ThreadPool pool(threads_ <= 1 || n <= 1
-                              ? 0
-                              : static_cast<std::size_t>(threads_));
+    // The calling thread works through the tasks with up to threads_ - 1
+    // of the process-wide helpers, so a call spawns no thread. threads_ == 1
+    // or a single task runs inline: no synchronization, and the task's
+    // trace spans keep the caller's span as their parent (as do the spans
+    // of every task the caller runs; a helper's spans are roots).
     const auto t0 = std::chrono::steady_clock::now();
-    util::parallel_for_each(pool, n, [&](std::size_t i) {
-      const auto s = std::chrono::steady_clock::now();
-      results[i] = fn(i, opts_.seed0 + static_cast<std::uint64_t>(i));
-      stats_.task_wall_s[i] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - s)
-              .count();
-    });
+    util::parallel_for_each(
+        static_cast<std::size_t>(threads_), n, [&](std::size_t i) {
+          const auto s = std::chrono::steady_clock::now();
+          results[i] = fn(i, opts_.seed0 + static_cast<std::uint64_t>(i));
+          stats_.task_wall_s[i] = std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() - s)
+                                      .count();
+        });
     stats_.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    const util::ThreadPoolStats ps = pool.stats();
-    stats_.busy_s = ps.busy_seconds;
-    stats_.max_queue_depth = ps.max_queue_depth;
+    for (const double w : stats_.task_wall_s) stats_.busy_s += w;
     stats_.utilization =
         stats_.wall_s > 0
             ? stats_.busy_s / (stats_.wall_s * static_cast<double>(threads_))

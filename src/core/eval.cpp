@@ -292,12 +292,21 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
   const auto field = [&](const char* key, auto* out) {
     ok = ok && read_field(o, "options", key, out, error);
   };
+  // A lane width sim_run_lanes() does not take would silently run scalar.
+  const auto width_field = [&](int* out) {
+    field("batch_width", out);
+    if (ok && !batch_width_valid(*out)) {
+      *error = util::format(
+          "\"options.batch_width\" must be 0, 1, 2, 4 or 8 (got %d)", *out);
+      ok = false;
+    }
+  };
   switch (req.kind) {
     case EvalKind::kDatasheet:
       field("n_samples", &req.datasheet.n_samples);
       field("mc_runs", &req.datasheet.mc_runs);
       field("amp_sweep_points", &req.datasheet.amp_sweep_points);
-      field("batch_width", &req.datasheet.batch_width);
+      width_field(&req.datasheet.batch_width);
       break;
     case EvalKind::kMonteCarlo:
       field("runs", &req.monte_carlo.runs);
@@ -305,11 +314,11 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
       field("fin", &req.monte_carlo.sim.fin_target_hz);
       field("amplitude_dbfs", &req.monte_carlo.sim.amplitude_dbfs);
       field("seed0", &req.monte_carlo.seed0);
-      field("batch_width", &req.monte_carlo.batch_width);
+      width_field(&req.monte_carlo.batch_width);
       break;
     case EvalKind::kCornerSweep:
       field("n_samples", &req.corners.n_samples);
-      field("batch_width", &req.corners.batch_width);
+      width_field(&req.corners.batch_width);
       break;
     case EvalKind::kSynthesize:
       field("target_utilization", &req.synthesis.target_utilization);

@@ -27,12 +27,15 @@ class ArtifactStore;
 ArtifactCache& default_artifact_cache();
 
 struct ExecContext {
-  /// Worker threads for batch fan-outs and the router's rip-up batches;
-  /// 0 = one per hardware thread, 1 = serial reference. Any value yields
-  /// bit-identical results. Any value but 1 also lets a cold datasheet run
-  /// its nominal simulation on the one process-wide datasheet worker,
-  /// beside its maze route; at 1 the datasheet runs it on the calling
-  /// thread, before the maze route.
+  /// Threads working on one batch fan-out or one of the router's rip-up
+  /// batches, the calling thread included; 0 = one per hardware thread,
+  /// 1 = serial reference. The helpers beyond the calling thread come from
+  /// one process-wide set of persistent threads (util::parallel_for_each),
+  /// so a fan-out never uses more threads than the hardware has. Any
+  /// value yields bit-identical results. Any value but 1 also lets a cold
+  /// datasheet run its nominal simulation on the one process-wide
+  /// datasheet worker, beside its maze route; at 1 the datasheet runs it
+  /// on the calling thread, before the maze route.
   int threads = 0;
   /// Per-stage event sink; null = no tracing.
   util::Trace* trace = nullptr;

@@ -543,8 +543,10 @@ CacheKey power_grid_key(const AdcSpec& spec,
 synth::SynthesisOptions Flow::exec_opts(
     const synth::SynthesisOptions& opts) const {
   synth::SynthesisOptions o = opts;
-  // ExecContext knobs only — neither may appear in a cache key.
-  o.threads = ctx_.threads;
+  // ExecContext knobs only — neither may appear in a cache key. The
+  // router reads threads 0 as "inline"; the context means one per hardware
+  // thread.
+  o.threads = BatchRunner::resolve_threads(ctx_.threads);
   // Flow spans cover the stage boundaries; the synth-internal spans are
   // for direct synth::synthesize() callers.
   o.trace = nullptr;
@@ -800,6 +802,11 @@ std::vector<std::shared_ptr<const RunResult>> Flow::sim_run_group(
         });
   }
   return out;
+}
+
+bool batch_width_valid(int batch_width) {
+  return batch_width == 0 || batch_width == 1 ||
+         msim::BatchedModulator::width_supported(batch_width);
 }
 
 BatchStats Flow::sim_run_lanes(const AdcDesign& design, std::size_t n,

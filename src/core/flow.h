@@ -142,6 +142,11 @@ struct MigratedDesign {
   MigrationResult result;
 };
 
+/// True for the `batch_width` values Flow::sim_run_lanes() takes: 0 (the
+/// host-preferred width), 1 (one scalar stage per entry) and the lane
+/// widths 2, 4 and 8. The request parser and the CLI refuse any other.
+bool batch_width_valid(int batch_width);
+
 /// Handle on the stage graph: runs stages on demand, memoizing through the
 /// ExecContext's cache and tracing through its sink. Cheap to construct;
 /// copies the context.

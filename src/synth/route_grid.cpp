@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <optional>
 
 #include "util/thread_pool.h"
 
@@ -342,10 +341,6 @@ MazeRouteResult route_nets(RouteGrid& g, std::vector<NetPins> nets,
     wins[i] = window_of(g, nets[i].pins, opts.window_margin);
   }
 
-  // Built at the first rip-up group of two or more nets; a group of one
-  // routes inline, so most routes never start a worker.
-  std::optional<util::ThreadPool> pool;
-
   auto overflowed = [&](const std::vector<GridPoint>& path) {
     for (std::size_t k = 1; k < path.size(); ++k) {
       const GridPoint& a = path[k - 1];
@@ -463,14 +458,9 @@ MazeRouteResult route_nets(RouteGrid& g, std::vector<NetPins> nets,
         route_net(g, thread_scratch(), nets[i], result.nets[i], opts,
                   pressure, wins[i], /*allow_escalate=*/false);
       };
-      if (grp.size() == 1) {
-        route_in_window(0);
-      } else {
-        if (!pool) {
-          pool.emplace(static_cast<std::size_t>(std::max(0, opts.threads)));
-        }
-        util::parallel_for_each(*pool, grp.size(), route_in_window);
-      }
+      util::parallel_for_each(
+          static_cast<std::size_t>(std::max(0, opts.threads)), grp.size(),
+          route_in_window);
       // Serial retries for in-window failures, in net order, with
       // escalation — still deterministic: the grid state after the batch
       // does not depend on the thread count.

@@ -14,9 +14,10 @@
 //   * Prim-style multi-pin decomposition (always connect the pin nearest to
 //     the *growing tree* next);
 //   * rip-up batches whose search windows are pairwise disjoint routed in
-//     parallel on a util::ThreadPool — disjoint windows cannot share a grid
-//     edge or node, so the parallel result is bit-identical to serial. A
-//     batch of one net routes inline.
+//     parallel by util::parallel_for_each (the calling thread plus the
+//     process-wide helpers) — disjoint windows cannot share a grid edge or
+//     node, so the parallel result is bit-identical to serial. A batch of
+//     one net routes inline.
 //
 // This header is independent of the netlist layer so the parallel-router
 // tests (including the TSan variant) can drive it with synthetic nets; the
@@ -75,9 +76,10 @@ struct MazeRouterOptions {
   /// grid is overflow-free, and keeps negotiating past this bound only
   /// while the overflow count still strictly shrinks.
   int max_iterations = 8;
-  /// Worker threads for rip-up batches. 0 = run inline on the calling
-  /// thread; any value produces bit-identical routing (batches only group
-  /// nets whose search windows are disjoint).
+  /// Threads routing one rip-up batch, the calling thread included; 0 and
+  /// 1 route inline on the calling thread, and a batch never uses more
+  /// threads than the hardware has. Any value produces bit-identical
+  /// routing (batches only group nets whose search windows are disjoint).
   int threads = 0;
   /// A* search-window margin around a net's pin bounding box, in grid
   /// cells. Failed searches escalate (double the margin, up to the whole

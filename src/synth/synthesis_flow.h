@@ -58,10 +58,11 @@ struct SynthesisOptions {
   /// Run the maze router after placement (per-net detailed routes, vias,
   /// overflow check) in addition to the HPWL/congestion estimate.
   bool detailed_route = true;
-  /// Worker threads for the router's rip-up batches; 0 runs inline. The
-  /// stage graph overwrites this with core::ExecContext::threads — set it
-  /// only when calling synth::synthesize() directly. Any value yields
-  /// bit-identical routing (see route_grid.h).
+  /// Threads routing one of the router's rip-up batches, the calling
+  /// thread included; 0 and 1 run inline. The stage graph overwrites this
+  /// with core::ExecContext::threads resolved (0 there becomes one per
+  /// hardware thread) — set it only when calling synth::synthesize()
+  /// directly. Any value yields bit-identical routing (see route_grid.h).
   int threads = 0;
   std::uint64_t seed = 1;
   /// Per-stage event sink (floorplan/placement/route/drc spans); null =

@@ -1,16 +1,30 @@
-// Fixed-size work-queue thread pool for the parallel evaluation engine.
+// The evaluation engine's two concurrency primitives.
 //
-// Design constraints, in order:
-//   * deterministic callers: the pool never reorders *results* (callers
-//     index their output by task id), only execution;
-//   * exception transparency: a task that throws surfaces the exception at
-//     future::get() / parallel_for_each(), never std::terminate;
-//   * zero-worker fallback: ThreadPool(0) executes every task inline on the
-//     submitting thread, so serial and parallel paths share one code path
-//     (and `threads = 1` configurations carry no synchronization cost);
-//   * instrumentation: executed-task count, summed busy time and the
-//     high-water queue depth are cheap to collect and exposed via stats(),
-//     so batch drivers can report worker utilization.
+// parallel_for_each(threads, n, body) is the fan-out every batch uses
+// (Monte-Carlo draws, PVT corners, lane groups, batch envelopes, the
+// router's rip-up batches). The calling thread claims task indices itself,
+// and up to min(threads, n) - 1 helpers join it. The helpers come from one
+// process-wide set of persistent threads, so a call spawns and joins
+// nothing:
+//   * deterministic callers: tasks are claimed in any order, never
+//     reordered in their *results* (callers index their output by task
+//     id);
+//   * bounded: the set grows on demand to the largest helper count any
+//     call has asked for, capped at hardware_workers() - 1, so one fan-out
+//     never uses more threads than the hardware has;
+//   * nestable: a helper only ever joins a call that is still running, and
+//     the caller works through every unclaimed index itself, so a task
+//     that fans out again finishes even when every helper is busy;
+//   * exception transparency: every task runs, then the first exception by
+//     index is rethrown to the caller, never std::terminate;
+//   * inline fallback: at threads <= 1, or for a single task, every task
+//     runs on the calling thread with no synchronization at all.
+//
+// ThreadPool is a fixed work queue with futures, for work that outlives
+// the call that queues it (the datasheet's early nominal run). Its
+// zero-worker form runs every task inline on the submitting thread, and
+// stats() reports executed tasks, summed busy time and the high-water
+// queue depth.
 #pragma once
 
 #include <chrono>
@@ -44,7 +58,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// max(1, std::thread::hardware_concurrency()).
+  /// max(1, std::thread::hardware_concurrency()), read once per process.
   static std::size_t hardware_workers();
 
   std::size_t num_workers() const { return workers_.size(); }
@@ -102,25 +116,26 @@ class ThreadPool {
   std::size_t max_queue_depth_ = 0;
 };
 
-/// Runs body(i) for i in [0, n) across the pool and waits for all of them.
-/// If any task throws, every task still runs to completion and the first
-/// exception (by index) is rethrown here.
+namespace detail {
+/// The untyped core of parallel_for_each: call(body, i) for every i.
+void fan_out(std::size_t threads, std::size_t n,
+             void (*call)(void* body, std::size_t i), void* body);
+}  // namespace detail
+
+/// Runs body(i) for every i in [0, n) on the calling thread plus up to
+/// min(threads, n) - 1 persistent helpers (never more than
+/// hardware_workers() - 1, and fewer when the others are busy on other
+/// calls), and returns when every task has run. `threads` counts
+/// the caller; 0 and 1 run every task inline. body must be safe to call
+/// concurrently for distinct i. If any task throws, every task still runs
+/// to completion and the first exception (by index) is rethrown here.
 template <typename F>
-void parallel_for_each(ThreadPool& pool, std::size_t n, F&& body) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&body, i] { body(i); }));
-  }
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
+void parallel_for_each(std::size_t threads, std::size_t n, F&& body) {
+  using Body = std::remove_reference_t<F>;
+  detail::fan_out(
+      threads, n,
+      [](void* b, std::size_t i) { (*static_cast<Body*>(b))(i); },
+      const_cast<void*>(static_cast<const void*>(std::addressof(body))));
 }
 
 }  // namespace vcoadc::util

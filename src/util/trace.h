@@ -5,8 +5,10 @@
 // Spans nest per thread: a span opened while another span of the same
 // Trace is open on the same thread becomes its child, which is how one
 // `report` span ends up owning `synthesis` which owns `floorplan` /
-// `placement` / `route`. Spans opened on worker threads (batch fan-outs)
-// have no parent and list at the root.
+// `placement` / `route`. In a fan-out (util::parallel_for_each), the spans
+// of tasks the calling thread runs nest under its open span; spans opened
+// on a helper thread (or the datasheet worker) have no parent and list at
+// the root.
 //
 // Two renderings:
 //   * render_tree(): human-readable indented summary. Sibling spans with

@@ -13,7 +13,10 @@
 #   5. a numeric flag that does not parse must stop the run with exit 2
 #      and an error naming the flag, before any output;
 #   6. an unknown VCOADC_SIMD spelling must warn, naming it and the
-#      accepted ones, and leave the tier ladder uncapped.
+#      accepted ones, and leave the tier ladder uncapped;
+#   7. a --batch-width outside 0/1/2/4/8 and a negative --threads must
+#      stop the run with exit 2 and an error naming the flag, before any
+#      output.
 #
 # Expects -DCLI=<vcoadc_cli path> -DWORK=<dir>.
 
@@ -135,6 +138,23 @@ if(simd STREQUAL "" OR NOT CMAKE_MATCH_1 STREQUAL CMAKE_MATCH_2)
     "VCOADC_SIMD=scalar capped the tier below the CPU's:\n${out7}")
 endif()
 
+# --- 7. out-of-range lane width and thread count: refused ----------------
+foreach(bad --batch-width=3 --threads=-3)
+  execute_process(
+    COMMAND "${CLI}" montecarlo ${SPEC} --runs=3 ${bad}
+    OUTPUT_VARIABLE out8 ERROR_VARIABLE err8 RESULT_VARIABLE rc8)
+  if(NOT rc8 EQUAL 2)
+    message(FATAL_ERROR
+      "montecarlo ${bad} exited ${rc8}, not 2:\n${out8}\n${err8}")
+  endif()
+  if(NOT err8 MATCHES "${bad}")
+    message(FATAL_ERROR "the refusal did not name ${bad}:\n${err8}")
+  endif()
+  if(NOT out8 STREQUAL "")
+    message(FATAL_ERROR "montecarlo ${bad} printed output:\n${out8}")
+  endif()
+endforeach()
+
 message(STATUS "cli gate commands: emit-verilog + gatesim pass, bad top "
   "refused cleanly, unwritable output and malformed numbers refused, "
-  "unknown tier cap warned")
+  "unknown tier cap warned, bad lane width and thread count refused")

@@ -190,6 +190,28 @@ TEST(EvalRequestJsonTest, WireCountsKeepEveryInRangeInteger) {
             std::string::npos);
 }
 
+// A lane width the batched engine does not take used to run the scalar
+// path silently (width 3 ran every draw scalar, with ok:true).
+TEST(EvalRequestJsonTest, UnsupportedBatchWidthIsRefused) {
+  for (const char* cmd : {"datasheet", "monte_carlo", "corner_sweep"}) {
+    SCOPED_TRACE(cmd);
+    for (int width : {3, 5, 16}) {
+      const std::string line = std::string(R"({"cmd":")") + cmd +
+                               R"(","options":{"batch_width":)" +
+                               std::to_string(width) + "}}";
+      EXPECT_NE(request_error(line.c_str()).find("\"options.batch_width\""),
+                std::string::npos)
+          << line;
+    }
+    for (int width : {0, 1, 2, 4, 8}) {
+      const std::string line = std::string(R"({"cmd":")") + cmd +
+                               R"(","options":{"batch_width":)" +
+                               std::to_string(width) + "}}";
+      EXPECT_EQ(request_error(line.c_str()), "") << line;
+    }
+  }
+}
+
 // A known key of the wrong JSON type refuses the request with an error
 // naming it: keeping the default would silently run a different request
 // than the one sent (`"runs":"5"` would run the default run count).

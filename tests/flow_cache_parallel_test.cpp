@@ -34,9 +34,8 @@ TEST(KeyHasherParallel, DigestIsPureFunctionOfInput) {
   // fed bytes, so every thread must compute the same keys.
   const CacheKey expect0 = key_of(0);
   const CacheKey expect7 = key_of(7);
-  vcoadc::util::ThreadPool pool(8);
   std::atomic<int> mismatches{0};
-  vcoadc::util::parallel_for_each(pool, 64, [&](std::size_t i) {
+  vcoadc::util::parallel_for_each(8, 64, [&](std::size_t i) {
     if (key_of(0) != expect0) ++mismatches;
     if (key_of(7) != expect7) ++mismatches;
     if (key_of(i) == key_of(i + 1)) ++mismatches;  // no trivial collisions
@@ -69,9 +68,8 @@ TEST(ArtifactCacheParallel, SingleFlightBuildsOnce) {
   std::atomic<int> builds{0};
   const CacheKey key = key_of(42);
 
-  vcoadc::util::ThreadPool pool(8);
   std::vector<std::shared_ptr<const int>> got(64);
-  vcoadc::util::parallel_for_each(pool, 64, [&](std::size_t i) {
+  vcoadc::util::parallel_for_each(8, 64, [&](std::size_t i) {
     got[i] = cache.get_or_build<int>(key, [&builds]() {
       ++builds;
       // Widen the race window so concurrent callers really do pile onto
@@ -94,8 +92,7 @@ TEST(ArtifactCacheParallel, SingleFlightBuildsOnce) {
 TEST(ArtifactCacheParallel, DistinctKeysBuildIndependently) {
   ArtifactCache cache(256);
   std::atomic<int> builds{0};
-  vcoadc::util::ThreadPool pool(8);
-  vcoadc::util::parallel_for_each(pool, 128, [&](std::size_t i) {
+  vcoadc::util::parallel_for_each(8, 128, [&](std::size_t i) {
     const auto v = cache.get_or_build<std::uint64_t>(
         key_of(i % 32), [&builds, i]() {
           ++builds;
@@ -113,8 +110,7 @@ TEST(ArtifactCacheParallel, DistinctKeysBuildIndependently) {
 
 TEST(ArtifactCacheParallel, LruStaysBoundedUnderChurn) {
   ArtifactCache cache(8);
-  vcoadc::util::ThreadPool pool(8);
-  vcoadc::util::parallel_for_each(pool, 512, [&](std::size_t i) {
+  vcoadc::util::parallel_for_each(8, 512, [&](std::size_t i) {
     cache.get_or_build<std::size_t>(key_of(i), [i]() {
       return std::make_shared<const std::size_t>(i);
     });
@@ -152,8 +148,7 @@ TEST(ArtifactCacheParallel, ApproxBytesFeedStats) {
 
 TEST(TraceParallel, ConcurrentSpansStayWellFormed) {
   vcoadc::util::Trace trace;
-  vcoadc::util::ThreadPool pool(8);
-  vcoadc::util::parallel_for_each(pool, 64, [&](std::size_t i) {
+  vcoadc::util::parallel_for_each(8, 64, [&](std::size_t i) {
     vcoadc::util::TraceSpan outer(&trace, "outer");
     vcoadc::util::TraceSpan inner(&trace, "inner");
     inner.cache(i % 2 == 0, 10);
@@ -164,8 +159,8 @@ TEST(TraceParallel, ConcurrentSpansStayWellFormed) {
   for (const auto& e : evs) {
     if (e.name == "outer") {
       ++outers;
-      // Worker-thread roots: an outer span never nests under another
-      // thread's span.
+      // Roots: no span is open on the calling thread, and an outer span
+      // never nests under another thread's span.
       EXPECT_EQ(e.parent, -1);
     }
     if (e.name == "inner") {
@@ -185,11 +180,37 @@ TEST(TraceParallel, ConcurrentSpansStayWellFormed) {
   EXPECT_NE(jsonl.find("\"name\":\"inner\""), std::string::npos);
 }
 
+TEST(TraceParallel, CallerRunTasksNestUnderTheCallersSpan) {
+  // A fan-out's tasks run on the calling thread and on helpers: the spans
+  // of the caller's tasks nest under its open span, a helper's are roots.
+  vcoadc::util::Trace trace;
+  const auto caller = std::this_thread::get_id();
+  std::vector<char> on_caller(16);  // not vector<bool>: a byte per task
+  std::vector<int> tokens(16);
+  int request = -1;
+  {
+    vcoadc::util::TraceSpan span(&trace, "request");
+    request = static_cast<int>(trace.events().size()) - 1;
+    vcoadc::util::parallel_for_each(2, 16, [&](std::size_t i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      on_caller[i] = std::this_thread::get_id() == caller;
+      tokens[i] = trace.begin("task");
+      trace.end(tokens[i]);
+    });
+  }
+  const auto evs = trace.events();
+  ASSERT_EQ(evs[static_cast<std::size_t>(request)].name, "request");
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(evs[static_cast<std::size_t>(tokens[i])].parent,
+              on_caller[i] ? request : -1)
+        << "task " << i;
+  }
+}
+
 TEST(TraceParallel, NullTraceIsANoOp) {
   // The flow traces unconditionally; a null sink must cost nothing and
   // crash nowhere, including from worker threads.
-  vcoadc::util::ThreadPool pool(4);
-  vcoadc::util::parallel_for_each(pool, 32, [&](std::size_t) {
+  vcoadc::util::parallel_for_each(4, 32, [&](std::size_t) {
     vcoadc::util::TraceSpan span(nullptr, "ghost");
     span.note("ignored");
     span.cache(true, 1);
