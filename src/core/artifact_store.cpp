@@ -226,8 +226,9 @@ bool ArtifactStore::load(const CacheKey& key, std::string_view type_tag,
     return false;
   };
 
-  // The record is read straight into the caller's buffer; on a hit the
-  // frame is cut off in place, so the payload is never copied.
+  // The record is read straight into the caller's buffer, with no second
+  // buffer. On a hit the frame is cut off in place: `erase` moves the
+  // payload down over the frame, one memmove of the payload.
   std::vector<std::uint8_t>& record = *payload;
   if (!ok_ || !read_file(path_for(key), &record)) {
     return miss(Miss::kAbsent, {});

@@ -292,7 +292,8 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
   const auto field = [&](const char* key, auto* out) {
     ok = ok && read_field(o, "options", key, out, error);
   };
-  // A lane width sim_run_lanes() does not take would silently run scalar.
+  // A lane width sim_run_lanes() does not take is refused here, naming the
+  // field, before the request does any work.
   const auto width_field = [&](int* out) {
     field("batch_width", out);
     if (ok && !batch_width_valid(*out)) {

@@ -812,9 +812,17 @@ bool batch_width_valid(int batch_width) {
 BatchStats Flow::sim_run_lanes(const AdcDesign& design, std::size_t n,
                                int batch_width, const LaneOptionsFn& opts_of,
                                const LaneResultFn& on_result) {
-  int width = batch_width == 0 ? msim::BatchedModulator::preferred_width()
-                               : batch_width;
-  if (!msim::BatchedModulator::width_supported(width)) width = 1;
+  if (!batch_width_valid(batch_width)) {
+    report_diags(ctx_, {error_diag("sim_run", "batch_width",
+                                   util::format("must be 0, 1, 2, 4 or 8 "
+                                                "(got %d); nothing simulated",
+                                                batch_width))});
+    for (std::size_t i = 0; i < n; ++i) on_result(i, nullptr);
+    return {};
+  }
+  const int width = batch_width == 0
+                        ? msim::BatchedModulator::preferred_width()
+                        : batch_width;
   struct Group {
     std::size_t start;
     std::size_t len;

@@ -144,7 +144,8 @@ struct MigratedDesign {
 
 /// True for the `batch_width` values Flow::sim_run_lanes() takes: 0 (the
 /// host-preferred width), 1 (one scalar stage per entry) and the lane
-/// widths 2, 4 and 8. The request parser and the CLI refuse any other.
+/// widths 2, 4 and 8. sim_run_lanes() refuses any other, and the request
+/// parser and the CLI refuse it before any work starts.
 bool batch_width_valid(int batch_width);
 
 /// Handle on the stage graph: runs stages on demand, memoizing through the
@@ -225,7 +226,10 @@ class Flow {
   /// modulator, and a group's first cold entry simulates all its lanes in
   /// SIMD lockstep (AdcDesign::simulate_batch, bit-identical per lane to
   /// the scalar path). Returns the fan-out's stats with per-entry wall
-  /// times (a group's time split evenly over its lanes).
+  /// times (a group's time split evenly over its lanes). A `batch_width`
+  /// that batch_width_valid() rejects simulates nothing: one error
+  /// diagnostic (stage sim_run, item batch_width), every entry null, and
+  /// empty stats.
   BatchStats sim_run_lanes(const AdcDesign& design, std::size_t n,
                            int batch_width, const LaneOptionsFn& opts_of,
                            const LaneResultFn& on_result);

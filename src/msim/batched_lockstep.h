@@ -204,11 +204,10 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
   auto sync_dac_levels = [&]() {
     g_on_p = V::splat(0.0);
     g_on_n = V::splat(0.0);
-#if VCOADC_SIMD_NATIVE
-    // Branch-free: the DAC word bits are effectively random, so the
-    // per-lane ternary below is an unpredictable branch 2*W*n_slices times
-    // per clock. The masked adds accumulate the identical partial sums
-    // (+0.0 for the off term, exactly as the scalar code's ternary).
+    // Branch-free: the DAC word bits are effectively random, so a per-lane
+    // ternary would be an unpredictable branch 2*W*n_slices times per
+    // clock. The masked adds accumulate the identical partial sums (+0.0
+    // for the off term, exactly as the scalar code's ternary).
     typename util::simd::native_u64vec<W>::type dv;
     for (int w = 0; w < W; ++w) dv[w] = d[w];
     const V zero = V::splat(0.0);
@@ -219,17 +218,6 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
       g_on_p.v += on ? zero.v : gp.v;
       g_on_n.v += on ? gn.v : zero.v;
     }
-#else
-    for (int k = 0; k < n_slices; ++k) {
-      const double* gp = &g_p_data[static_cast<std::size_t>(k * W)];
-      const double* gn = &g_n_data[static_cast<std::size_t>(k * W)];
-      for (int w = 0; w < W; ++w) {
-        const bool on = (d[w] >> k) & 1ULL;
-        g_on_p.v[w] += on ? 0.0 : gp[w];
-        g_on_n.v[w] += on ? gn[w] : 0.0;
-      }
-    }
-#endif
   };
   sync_dac_levels();
 
@@ -241,9 +229,6 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
   };
 
   double lanes_buf[W], lanes_buf2[W];
-#if !VCOADC_SIMD_NATIVE
-  bool s1[W], s2[W];
-#endif
 
   std::size_t sub_k = 0;
   for (std::size_t n = 0; n < s.n_samples; ++n) {
@@ -295,17 +280,9 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
       ph2 = util::simd::select_lt(p2, 0.0, p2 + kTwoPi,
                                   util::simd::select_ge(p2, kTwoPi,
                                                         p2 - kTwoPi, p2));
-#if VCOADC_SIMD_NATIVE
       const int wrap_rare = util::simd::lane_bits<W>(
           (ph1.v >= kTwoPi) | (ph1.v < 0.0) | (ph2.v >= kTwoPi) |
           (ph2.v < 0.0));
-#else
-      int wrap_rare = 0;
-      for (int w = 0; w < W; ++w) {
-        wrap_rare |= (ph1.v[w] >= kTwoPi) | (ph1.v[w] < 0.0) |
-                     (ph2.v[w] >= kTwoPi) | (ph2.v[w] < 0.0);
-      }
-#endif
       if (wrap_rare != 0) [[unlikely]] {
         for (int w = 0; w < W; ++w) {
           double p = p1.v[w];
@@ -354,7 +331,7 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
     // re-loads every by-reference capture through the frame on each of the
     // 2 * n_slices calls per clock, which costs more than the sampling math
     // itself.
-#if VCOADC_SIMD_NATIVE
+    //
     // Packed comparator path: the decision leaves each sample_ring call as
     // a 0/1 lane-mask vector, the two-ring XOR happens packed, and the
     // decision bit is gathered into the per-lane DAC words with one packed
@@ -364,7 +341,7 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
     using MV = typename util::simd::native_u64vec<W>::type;
     auto sample_ring = [&](const V& ph, const double* tap, const double* offt,
                            const V& omega, const V& fe, util::LaneRng<W>& rng,
-                           MV* outm) VCOADC_LANE_INLINE_LAMBDA {
+                           MV* outm) __attribute__((always_inline)) {
       V t_eff = (V::load(offt) + comp_buffer_delay) + jit;
       if (has_comp_noise) {
         rng.gaussian_lanes(lanes_buf);
@@ -448,86 +425,6 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
     }
     std::uint64_t raw[W];
     for (int w = 0; w < W; ++w) raw[w] = raw_v[w];
-#else
-    auto sample_ring = [&](const V& ph, const double* tap, const double* offt,
-                           const V& omega, const V& fe, util::LaneRng<W>& rng,
-                           bool out[W]) VCOADC_LANE_INLINE_LAMBDA {
-      V t_eff = (V::load(offt) + comp_buffer_delay) + jit;
-      if (has_comp_noise) {
-        rng.gaussian_lanes(lanes_buf);
-        t_eff += (0.0 + comp_noise_sigma * V::load(lanes_buf)) /
-                 comp_slew_div;
-      }
-      const V arg = (ph + V::load(tap)) + omega * t_eff;
-      V wr = util::simd::select_ge(arg, kTwoPi, arg - kTwoPi, arg);
-      wr = util::simd::select_ge(wr, kTwoPi, wr - kTwoPi, wr);
-      wr = util::simd::select_lt(wr, 0.0, wr + kTwoPi, wr);
-      int rare = 0;
-      for (int w = 0; w < W; ++w) {
-        rare |= (wr.v[w] >= kTwoPi) | (wr.v[w] < 0.0);
-      }
-      if (rare != 0) [[unlikely]] {
-        for (int w = 0; w < W; ++w) wr.v[w] = wrap_2pi(arg.v[w]);
-      }
-      for (int w = 0; w < W; ++w) out[w] = wr.v[w] < kPi;
-      if (has_meta) {
-        const V p0 = ph + V::load(tap);
-        V p = util::simd::select_ge(p0, kPi, p0 - kPi, p0);
-        p = util::simd::select_ge(p, kPi, p - kPi, p);
-        p = util::simd::select_ge(p, kPi, p - kPi, p);
-        int wrap_more = 0;
-        for (int w = 0; w < W; ++w) wrap_more |= (p.v[w] >= kPi);
-        if (wrap_more != 0) [[unlikely]] {
-          for (int w = 0; w < W; ++w) {
-            double pw = p0.v[w];
-            while (pw >= kPi) pw -= kPi;
-            p.v[w] = pw;
-          }
-        }
-        const V lhs = kPi - p;
-        const V bnd = (kTwoPi * fe) * meta_margin;
-        int cand = 0;
-        for (int w = 0; w < W; ++w) {
-          cand |= (lhs.v[w] < bnd.v[w]) << w;
-        }
-        if (cand != 0) [[unlikely]] {
-          for (int w = 0; w < W; ++w) {
-            if (((cand >> w) & 1) == 0) continue;
-            const double tte = lhs.v[w] / (kTwoPi * fe.v[w]);
-            if (tte < meta_window_data[w]) {
-              out[w] = rng.bernoulli_lane(w, 0.5);
-            }
-          }
-        }
-      }
-      if (has_cm_error) {
-        rng.uniform_lanes(lanes_buf);
-        for (int w = 0; w < W; ++w) {
-          if (lanes_buf[w] < cm_error_data[w]) out[w] = !out[w];
-        }
-      }
-    };
-    std::uint64_t raw[W];
-    for (int w = 0; w < W; ++w) raw[w] = 0;
-    for (int i = 0; i < n_slices; ++i) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      sample_ring(ph1, &tap_off1_data[static_cast<std::size_t>(i * W)],
-                  &offt1_data[static_cast<std::size_t>(i * W)], w1, f1e,
-                  rng_fe1[si], s1);
-      sample_ring(ph2, &tap_off2_data[static_cast<std::size_t>(i * W)],
-                  &offt2_data[static_cast<std::size_t>(i * W)], w2, f2e,
-                  rng_fe2[si], s2);
-      for (int w = 0; w < W; ++w) {
-        const bool di = s1[w] != s2[w];
-        // Branch-free: di is the modulator's output bit, i.e. unpredictable.
-        raw[w] |= static_cast<std::uint64_t>(di) << i;
-        if (record_bits) {
-          ws.results[static_cast<std::size_t>(w)].slice_bits[si].push_back(
-              di);
-        }
-      }
-    }
-#endif
     for (int w = 0; w < W; ++w) {
       const int count = std::popcount(raw[w]);
       toggles[w] += static_cast<std::size_t>(std::popcount(raw[w] ^ d[w]));
@@ -565,14 +462,8 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
 /// helper, not only the one the test's own TU compiles.
 template <int W>
 static int lane_bits_lt(const double* a, const double* b) {
-#if VCOADC_SIMD_NATIVE
   using V = util::simd::vec<W>;
   return util::simd::lane_bits<W>(V::load(a).v < V::load(b).v);
-#else
-  int bits = 0;
-  for (int w = 0; w < W; ++w) bits |= static_cast<int>(a[w] < b[w]) << w;
-  return bits;
-#endif
 }
 
 /// Per-tier entry points (one TU per tier; see batched_tier_*.cpp).

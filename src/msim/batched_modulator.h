@@ -23,9 +23,8 @@
 //      the serial ones even when a ziggurat rejection or a data-dependent
 //      metastability draw fires in only one lane.
 //
-// The kernel itself (batched_lockstep.h) is portable C++ compiled into
-// scalar/sse2/avx2/avx512 translation units and dispatched per util::simd
-// tier.
+// The kernel itself (batched_lockstep.h) is portable GNU C++ compiled into
+// sse2/avx2/avx512 translation units and dispatched per util::simd tier.
 #pragma once
 
 #include <cstdint>

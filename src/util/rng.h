@@ -166,23 +166,12 @@ class Rng {
 /// batched (lane-lockstep) transient engine. Lane w is seeded from a scalar
 /// Rng and from then on produces the exact draw sequence that Rng would
 /// have produced on its own: next_lanes() runs the identical state update
-/// per lane (one packed instruction per line once vectorized), and the
-/// ziggurat rejection path falls back to the scalar Rng::gaussian_slow_ on
-/// the extracted lane state. Lanes are independent streams — a slow-path
-/// retry in one lane never advances another — so "lockstep" refers only to
-/// the call structure, not to shared state.
-// The lane-batch hot path must inline into each kernel tier's translation
-// unit so it is compiled under that TU's codegen flags (the out-of-line
-// template instantiation would be a comdat symbol: one TU's codegen would
-// silently serve every tier, and the state-update loops would never pack).
-#if defined(__GNUC__) || defined(__clang__)
-#define VCOADC_LANE_INLINE inline __attribute__((always_inline))
-#define VCOADC_LANE_INLINE_LAMBDA __attribute__((always_inline))
-#else
-#define VCOADC_LANE_INLINE inline
-#define VCOADC_LANE_INLINE_LAMBDA
-#endif
-
+/// per lane (one packed instruction per line), and the ziggurat rejection
+/// path falls back to the scalar Rng::gaussian_slow_ on the extracted lane
+/// state. Lanes are independent streams — a slow-path retry in one lane
+/// never advances another — so "lockstep" refers only to the call
+/// structure, not to shared state. The lane-batch methods are
+/// VCOADC_SIMD_INLINE for the reason util/simd.h gives for vec's.
 template <int W>
 class LaneRng {
  public:
@@ -193,37 +182,21 @@ class LaneRng {
     for (int j = 0; j < 4; ++j) s_[j][w] = r.state_[j];
   }
 
-  /// Advances every lane one step and returns the raw 64-bit draws.
-  /// With native vectors the whole xoshiro update is a handful of packed
-  /// integer instructions; the per-lane bit pattern is identical either way
-  /// (shifts, xors and adds have no rounding or ordering freedom).
-  VCOADC_LANE_INLINE void next_lanes(std::uint64_t out[W]) {
-#if VCOADC_SIMD_NATIVE
+  /// Advances every lane one step and returns the raw 64-bit draws. The
+  /// whole xoshiro update is a handful of packed integer instructions, and
+  /// each lane's bits are the ones Rng::next_u64 returns (shifts, xors and
+  /// adds have no rounding or ordering freedom).
+  VCOADC_SIMD_INLINE void next_lanes(std::uint64_t out[W]) {
     UV r;
     next_v_(&r);
     for (int w = 0; w < W; ++w) out[w] = r[w];
-#else
-    for (int w = 0; w < W; ++w) {
-      out[w] = Rng::rotl_(s_[0][w] + s_[3][w], 23) + s_[0][w];
-    }
-    for (int w = 0; w < W; ++w) {
-      const std::uint64_t t = s_[1][w] << 17;
-      s_[2][w] ^= s_[0][w];
-      s_[3][w] ^= s_[1][w];
-      s_[1][w] ^= s_[2][w];
-      s_[0][w] ^= s_[3][w];
-      s_[2][w] ^= t;
-      s_[3][w] = Rng::rotl_(s_[3][w], 45);
-    }
-#endif
   }
 
   /// One standard-normal draw per lane; identical per-lane sequence to
   /// Rng::gaussian(). The ~99% ziggurat accept path runs packed across all
   /// W lanes on the SoA tables; only rejected lanes round-trip the scalar
   /// slow path.
-  VCOADC_LANE_INLINE void gaussian_lanes(double out[W]) {
-#if VCOADC_SIMD_NATIVE
+  VCOADC_SIMD_INLINE void gaussian_lanes(double out[W]) {
     // Lane-transposed fast path over the SoA ziggurat layout: one packed
     // xoshiro step, per-lane gathers of the layer threshold/scale columns
     // (the layer index is a random byte, so those two loads are the only
@@ -264,29 +237,10 @@ class LaneRng {
         if (rej[w] != 0) out[w] = slow_lane_(w, u[w]);
       }
     }
-#else
-    std::uint64_t u[W];
-    next_lanes(u);
-    for (int w = 0; w < W; ++w) {
-      const std::size_t idx = static_cast<std::size_t>(u[w] & 255u);
-      const std::uint64_t rabs = u[w] >> 12;
-      if (rabs < detail::kZig.k[idx]) [[likely]] {
-        const double x = static_cast<double>(rabs) * detail::kZig.w[idx];
-        // Branchless sign, as in Rng::gaussian: x >= 0 here, so flipping
-        // the sign bit is exactly `(u & 256u) ? -x : x`, without a 50/50
-        // data-dependent branch per lane per draw.
-        out[w] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
-                                       ((u[w] & 256u) << 55));
-      } else {
-        out[w] = slow_lane_(w, u[w]);
-      }
-    }
-#endif
   }
 
   /// One uniform [0,1) draw per lane (Rng::uniform's mantissa mapping).
-  VCOADC_LANE_INLINE void uniform_lanes(double out[W]) {
-#if VCOADC_SIMD_NATIVE
+  VCOADC_SIMD_INLINE void uniform_lanes(double out[W]) {
     // Packed throughout: the mantissa shift, the u64->double conversion
     // (identical to static_cast per lane) and the 2^-53 scale have no
     // rejection path, so no scalar tail exists at all.
@@ -294,13 +248,6 @@ class LaneRng {
     next_v_(&u);
     const DV r = __builtin_convertvector(u >> 11, DV) * 0x1.0p-53;
     for (int w = 0; w < W; ++w) out[w] = r[w];
-#else
-    std::uint64_t u[W];
-    next_lanes(u);
-    for (int w = 0; w < W; ++w) {
-      out[w] = static_cast<double>(u[w] >> 11) * 0x1.0p-53;
-    }
-#endif
   }
 
   /// Advances only lane `w` (scalar xoshiro step). Used for the data-
@@ -338,7 +285,6 @@ class LaneRng {
     return x;
   }
 
-#if VCOADC_SIMD_NATIVE
   using UV = typename simd::native_u64vec<W>::type;
   using DV = typename simd::native_vec<W>::type;
 
@@ -346,7 +292,7 @@ class LaneRng {
   /// rotates are spelled out and the result leaves through a pointer: a
   /// helper returning the vector type by value would draw -Wpsabi at every
   /// instantiation point, pragma regions notwithstanding.
-  VCOADC_LANE_INLINE void next_v_(UV* out) {
+  VCOADC_SIMD_INLINE void next_v_(UV* out) {
     const UV sum = s_[0] + s_[3];
     *out = ((sum << 23) | (sum >> 41)) + s_[0];
     const UV t = s_[1] << 17;
@@ -359,9 +305,6 @@ class LaneRng {
   }
 
   UV s_[4] = {};  // state word j of lane w at s_[j][w]
-#else
-  std::uint64_t s_[4][W] = {};  // state word j of lane w at s_[j][w]
-#endif
 };
 
 /// 64-bit FNV-1a hash, used to derive fork seeds from tags.

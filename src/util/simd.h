@@ -19,12 +19,11 @@
 // therefore identical in all three TUs, and which tier runs can never change
 // a result bit — only how many lanes retire per cycle.
 //
-// vec<double, W> is the fixed-width value type the kernel's straight-line
-// arithmetic uses: a plain array with elementwise operators, written so the
-// auto-vectorizer can turn each operator into one packed instruction at the
-// TU's ISA level.
+// vec<W> is the fixed-width value type the kernel's straight-line
+// arithmetic uses: a GCC vector type, so every elementwise operator and
+// select is one packed instruction at the TU's ISA level.
 //
-// Intrinsics: the tier TUs are portable C++ except for one ISA-guarded
+// Intrinsics: the tier TUs are portable GNU C++ except for one ISA-guarded
 // helper, lane_bits(), which turns a packed compare into a lane bitmask with
 // one movemask/test instruction. It only decides whether a rare per-lane
 // fixup runs — control flow, never a lane value — so it cannot move a bit.
@@ -79,22 +78,21 @@ void set_tier_override_for_testing(int t);
 /// "tier avx2 (width 4) | cpu avx2 | env -".
 std::string runtime_summary();
 
-// vec's methods must inline into each kernel tier's translation unit so
-// they compile under that TU's -m flags (an out-of-line instantiation would
-// be a comdat symbol: one TU's codegen would silently serve every tier).
-#if defined(__GNUC__) || defined(__clang__)
-#define VCOADC_SIMD_INLINE inline __attribute__((always_inline))
-// Native GCC/Clang vector types: every elementwise operator and select is a
-// guaranteed packed instruction at the TU's ISA level — the kernel's codegen
-// no longer depends on the auto-vectorizer's if-conversion heuristics (GCC
-// 12 fully unrolls W-sized loops and then refuses to if-convert the wrap
-// selects, leaving data-dependent branches on the hot path).
-#define VCOADC_SIMD_NATIVE 1
-#else
-#define VCOADC_SIMD_INLINE inline
+// GNU C++ is required (Clang defines __GNUC__ too): vector types keep the
+// kernel's codegen independent of the auto-vectorizer's if-conversion
+// heuristics (GCC 12 fully unrolls W-sized loops and then refuses to
+// if-convert the wrap selects, leaving data-dependent branches on the hot
+// path).
+#ifndef __GNUC__
+#error "vcoadc needs GNU C++ (GCC vector types); Clang defines __GNUC__ too"
 #endif
 
-#if VCOADC_SIMD_NATIVE
+// vec's and LaneRng's lane-batch methods must inline into each kernel
+// tier's translation unit so they compile under that TU's -m flags (an
+// out-of-line instantiation would be a comdat symbol: one TU's codegen
+// would silently serve every tier).
+#define VCOADC_SIMD_INLINE inline __attribute__((always_inline))
+
 // vector_size cannot take a template-dependent size in GCC, so the three
 // kernel widths are enumerated. native_u64vec is the matching integer-lane
 // type (xoshiro state words, DAC bit masks).
@@ -155,20 +153,15 @@ VCOADC_SIMD_INLINE int lane_bits(const M& m) {
   for (int w = 0; w < W; ++w) bits |= static_cast<int>(m[w] != 0) << w;
   return bits;
 }
-#endif
 
 /// Fixed-width elementwise value type for the lockstep kernels. Each
 /// operator performs the identical per-lane IEEE operation the scalar
 /// modulator performs (contraction is never enabled — see the FMA note
-/// above), so the representation can never change a result bit; with native
-/// vectors it retires tier_width lanes per instruction.
+/// above), so the representation can never change a result bit; it retires
+/// tier_width lanes per instruction.
 template <int W>
 struct vec {
-#if VCOADC_SIMD_NATIVE
   typename native_vec<W>::type v;
-#else
-  double v[W];
-#endif
 
   static VCOADC_SIMD_INLINE vec splat(double x) {
     vec r;
@@ -184,44 +177,25 @@ struct vec {
     for (int w = 0; w < W; ++w) p[w] = v[w];
   }
   double operator[](int w) const { return v[w]; }
-#if !VCOADC_SIMD_NATIVE
-  double& operator[](int w) { return v[w]; }
-#endif
 
   friend VCOADC_SIMD_INLINE vec operator+(const vec& a, const vec& b) {
     vec r;
-#if VCOADC_SIMD_NATIVE
     r.v = a.v + b.v;
-#else
-    for (int w = 0; w < W; ++w) r.v[w] = a.v[w] + b.v[w];
-#endif
     return r;
   }
   friend VCOADC_SIMD_INLINE vec operator-(const vec& a, const vec& b) {
     vec r;
-#if VCOADC_SIMD_NATIVE
     r.v = a.v - b.v;
-#else
-    for (int w = 0; w < W; ++w) r.v[w] = a.v[w] - b.v[w];
-#endif
     return r;
   }
   friend VCOADC_SIMD_INLINE vec operator*(const vec& a, const vec& b) {
     vec r;
-#if VCOADC_SIMD_NATIVE
     r.v = a.v * b.v;
-#else
-    for (int w = 0; w < W; ++w) r.v[w] = a.v[w] * b.v[w];
-#endif
     return r;
   }
   friend VCOADC_SIMD_INLINE vec operator/(const vec& a, const vec& b) {
     vec r;
-#if VCOADC_SIMD_NATIVE
     r.v = a.v / b.v;
-#else
-    for (int w = 0; w < W; ++w) r.v[w] = a.v[w] / b.v[w];
-#endif
     return r;
   }
   friend VCOADC_SIMD_INLINE vec operator+(const vec& a, double b) {
@@ -259,11 +233,7 @@ template <int W>
 VCOADC_SIMD_INLINE vec<W> select_ge(const vec<W>& a, double c,
                                     const vec<W>& t, const vec<W>& f) {
   vec<W> r;
-#if VCOADC_SIMD_NATIVE
   r.v = (a.v >= c) ? t.v : f.v;
-#else
-  for (int w = 0; w < W; ++w) r.v[w] = a.v[w] >= c ? t.v[w] : f.v[w];
-#endif
   return r;
 }
 
@@ -272,11 +242,7 @@ template <int W>
 VCOADC_SIMD_INLINE vec<W> select_lt(const vec<W>& a, double c,
                                     const vec<W>& t, const vec<W>& f) {
   vec<W> r;
-#if VCOADC_SIMD_NATIVE
   r.v = (a.v < c) ? t.v : f.v;
-#else
-  for (int w = 0; w < W; ++w) r.v[w] = a.v[w] < c ? t.v[w] : f.v[w];
-#endif
   return r;
 }
 
@@ -300,11 +266,7 @@ template <int W>
 VCOADC_SIMD_INLINE vec<W> select_ge(const vec<W>& a, const vec<W>& c,
                                     const vec<W>& t, const vec<W>& f) {
   vec<W> r;
-#if VCOADC_SIMD_NATIVE
   r.v = (a.v >= c.v) ? t.v : f.v;
-#else
-  for (int w = 0; w < W; ++w) r.v[w] = a.v[w] >= c.v[w] ? t.v[w] : f.v[w];
-#endif
   return r;
 }
 
@@ -313,11 +275,7 @@ template <int W>
 VCOADC_SIMD_INLINE vec<W> select_lt(const vec<W>& a, const vec<W>& c,
                                     const vec<W>& t, const vec<W>& f) {
   vec<W> r;
-#if VCOADC_SIMD_NATIVE
   r.v = (a.v < c.v) ? t.v : f.v;
-#else
-  for (int w = 0; w < W; ++w) r.v[w] = a.v[w] < c.v[w] ? t.v[w] : f.v[w];
-#endif
   return r;
 }
 

@@ -32,40 +32,10 @@ std::size_t ThreadPool::hardware_workers() {
   return workers;
 }
 
-std::size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-ThreadPoolStats ThreadPool::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ThreadPoolStats s;
-  s.tasks_executed = tasks_executed_;
-  s.busy_seconds = busy_seconds_;
-  s.max_queue_depth = max_queue_depth_;
-  return s;
-}
-
-void ThreadPool::record_task(std::chrono::steady_clock::time_point start) {
-  const double dt =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++tasks_executed_;
-  busy_seconds_ += dt;
-}
-
 void ThreadPool::enqueue(std::function<void()> job) {
-  if (workers_.empty()) {
-    // Serial fallback: run inline. packaged_task still captures exceptions,
-    // so the future contract is identical to the threaded path.
-    job();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(job));
-    max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   }
   cv_.notify_one();
 }

@@ -21,15 +21,13 @@
 //     runs on the calling thread with no synchronization at all.
 //
 // ThreadPool is a fixed work queue with futures, for work that outlives
-// the call that queues it (the datasheet's early nominal run). Its
-// zero-worker form runs every task inline on the submitting thread, and
-// stats() reports executed tasks, summed busy time and the high-water
-// queue depth.
+// the call that queues it (the datasheet's early nominal run). A task's
+// exception travels through its future, and the destructor runs every
+// task still queued before it joins the workers.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -41,17 +39,10 @@
 
 namespace vcoadc::util {
 
-/// Counters accumulated over the pool's lifetime.
-struct ThreadPoolStats {
-  std::uint64_t tasks_executed = 0;
-  double busy_seconds = 0;         ///< wall time inside tasks, summed
-  std::size_t max_queue_depth = 0; ///< high-water mark of pending tasks
-};
-
 class ThreadPool {
  public:
-  /// Spawns `num_workers` threads; 0 means "run every task inline on the
-  /// submitting thread" (the serial fallback).
+  /// Spawns `num_workers` threads, at least one: a pool of none never runs
+  /// a task.
   explicit ThreadPool(std::size_t num_workers);
   ~ThreadPool();
 
@@ -61,39 +52,13 @@ class ThreadPool {
   /// max(1, std::thread::hardware_concurrency()), read once per process.
   static std::size_t hardware_workers();
 
-  std::size_t num_workers() const { return workers_.size(); }
-
-  /// Pending (not yet started) tasks.
-  std::size_t queue_depth() const;
-
-  ThreadPoolStats stats() const;
-
   /// Schedules `f` and returns a future for its result. Exceptions thrown
   /// by the task are captured and rethrown from future::get().
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    // Stats are recorded inside the wrapper, *before* the packaged_task
-    // fulfils its promise: anyone who observed the future as ready then
-    // also observes this task in stats().
-    auto timed = [this, fn = std::forward<F>(f)]() mutable -> R {
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        if constexpr (std::is_void_v<R>) {
-          fn();
-          record_task(start);
-        } else {
-          R r = fn();
-          record_task(start);
-          return r;
-        }
-      } catch (...) {
-        record_task(start);  // a throwing task still executed
-        throw;               // packaged_task stores it for future::get()
-      }
-    };
     auto task =
-        std::make_shared<std::packaged_task<R()>>(std::move(timed));
+        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> future = task->get_future();
     enqueue([task] { (*task)(); });
     return future;
@@ -102,18 +67,12 @@ class ThreadPool {
  private:
   void enqueue(std::function<void()> job);
   void worker_loop();
-  void record_task(std::chrono::steady_clock::time_point start);
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   bool stop_ = false;
-
-  // Stats, guarded by mutex_.
-  std::uint64_t tasks_executed_ = 0;
-  double busy_seconds_ = 0;
-  std::size_t max_queue_depth_ = 0;
 };
 
 namespace detail {

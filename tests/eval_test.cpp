@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/artifact_cache.h"
 #include "util/json.h"
+#include "util/trace.h"
 
 using namespace vcoadc;
 namespace json = util::json;
@@ -349,6 +351,37 @@ TEST(EvalTest, InvalidSpecFailsWithRequestLocalDiagnostics) {
     if (d.severity == util::Severity::kError) found_error = true;
   }
   EXPECT_TRUE(found_error);
+}
+
+// The C++ API refuses a lane width Flow::sim_run_lanes() does not take, as
+// the request parser refuses it on the wire: such a batch used to run at
+// width 1 and answer ok.
+TEST(EvalTest, UnsupportedBatchWidthFailsWithoutSimulating) {
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.spec = small_spec();
+  req.spec.num_slices = 4;
+  req.monte_carlo.sim.n_samples = 256;
+  req.monte_carlo.runs = 3;
+  req.monte_carlo.batch_width = 3;
+
+  util::Trace trace;
+  core::ExecContext ctx;
+  ctx.trace = &trace;
+  const core::EvalResponse resp = core::evaluate(req, ctx);
+  EXPECT_FALSE(resp.ok);
+  bool named = false;
+  for (const auto& d : resp.diagnostics) {
+    if (d.severity == util::Severity::kError && d.stage == "sim_run" &&
+        d.item == "batch_width") {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named);
+  // Every draw came back refused, and no run was simulated.
+  ASSERT_EQ(resp.monte_carlo.sndr_db.size(), 3u);
+  for (double s : resp.monte_carlo.sndr_db) EXPECT_TRUE(std::isnan(s));
+  for (const auto& e : trace.events()) EXPECT_NE(e.name, "sim_run");
 }
 
 TEST(EvalTest, DiagnosticsAreReEmittedIntoTheContextSink) {
