@@ -130,7 +130,7 @@ static void BM_NetlistFlatten(benchmark::State& state) {
   core::AdcDesign adc(core::AdcSpec::paper_40nm());
   for (auto _ : state) {
     auto flat = adc.netlist().flatten();
-    benchmark::DoNotOptimize(flat.data());
+    benchmark::DoNotOptimize(flat.connections().data());
   }
 }
 BENCHMARK(BM_NetlistFlatten);

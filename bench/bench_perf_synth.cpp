@@ -3,14 +3,19 @@
 // both paper nodes, the per-stage throughput
 // (NetDb build, placement, detailed maze routing, STA, DRC), and the
 // interned-HPWL evaluation against an in-bench string-map reference (the
-// pre-NetDb implementation, kept here as the speedup baseline).
+// pre-NetDb implementation, kept here as the speedup baseline). The
+// summary also prints the heap each cached stage artifact holds (a
+// mallinfo2 delta per stage, built in turn into one cache) for the paper
+// 40 nm spec at 6, 16 and 26 slices.
 //
 // The custom main() emits a BENCH_JSON summary line plus the [shape OK]
 // self-checks that gate the fast path: the interned HPWL must not be slower
 // than the string-map reference, both nodes must synthesize DRC-clean with
-// zero routing overflow, and 4-thread routing must be bit-identical to
-// serial (each side a fresh build).
+// zero routing overflow, 4-thread routing must be bit-identical to serial
+// (each side a fresh build), and the route artifact must share the
+// floorplan artifact's netlist and the placement artifact.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdio>
@@ -41,7 +46,7 @@ core::AdcSpec paper_spec(double nm) {
 /// Everything the per-stage benchmarks need, built once per node.
 struct NodeFixture {
   core::AdcDesign adc;
-  std::vector<netlist::FlatInstance> flat;
+  netlist::FlatNetlist flat;
   synth::NetDb db;
   synth::Floorplan fp;
   synth::Placement pl;
@@ -70,12 +75,14 @@ struct NodeFixture {
 };
 
 /// The pre-NetDb total-HPWL implementation: rebuild the name-keyed member
-/// map, then walk it. Kept verbatim as the speedup reference.
-double total_hpwl_string_map(const std::vector<netlist::FlatInstance>& flat,
+/// map from every pin's net name, then walk it. Kept as the speedup
+/// reference.
+double total_hpwl_string_map(const netlist::FlatNetlist& flat,
                              const synth::Placement& pl) {
   std::map<std::string, std::vector<int>> nets;
   for (int i = 0; i < static_cast<int>(flat.size()); ++i) {
-    for (const auto& [pin, net] : flat[static_cast<std::size_t>(i)].conn) {
+    for (const auto& p : flat.pins(static_cast<std::size_t>(i))) {
+      const std::string& net = flat.net_name(p.net);
       if (netlist::is_supply_net(net)) continue;
       nets[net].push_back(i);
     }
@@ -198,6 +205,63 @@ bool routing_identical(const synth::MazeRouteResult& a,
   return true;
 }
 
+/// Bytes malloc has handed out, from its arenas and mapped on their own.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+/// The heap (kB) each stage artifact of the paper 40 nm spec at `slices`
+/// holds while cached: the stages are built in turn into one cache, so
+/// each delta is that stage's artifact (its inputs are already cached) plus
+/// whatever scratch the build leaves behind. `shared` is whether the route
+/// artifact's layout holds the floorplan artifact's netlist and the
+/// placement artifact itself rather than copies.
+struct StageHeap {
+  double netlist_kb = 0;
+  double floorplan_kb = 0;
+  double placement_kb = 0;
+  double route_kb = 0;
+  double sim_run_kb = 0;
+  bool shared = false;
+};
+
+StageHeap stage_heap(int slices) {
+  core::AdcSpec spec = core::AdcSpec::paper_40nm();
+  spec.num_slices = slices;
+  core::SimulationOptions sim;
+  sim.n_samples = 1 << 14;
+  core::ArtifactCache cache(64);
+  core::ExecContext ctx;
+  ctx.cache = &cache;
+  ctx.threads = 1;
+  core::Flow flow(ctx);
+  flow.tech_library(spec);
+  std::size_t heap = heap_in_use();
+  auto delta_kb = [&heap]() {
+    const std::size_t now = heap_in_use();
+    const double kb =
+        (static_cast<double>(now) - static_cast<double>(heap)) / 1e3;
+    heap = now;
+    return kb;
+  };
+  StageHeap out;
+  flow.netlist(spec);
+  out.netlist_kb = delta_kb();
+  const auto fp = flow.floorplan(spec);
+  out.floorplan_kb = delta_kb();
+  const auto pl = flow.placement(spec);
+  out.placement_kb = delta_kb();
+  const auto syn = flow.synthesis(spec);
+  out.route_kb = delta_kb();
+  flow.sim_run(spec, sim);
+  out.sim_run_kb = delta_kb();
+  out.shared = fp != nullptr && pl != nullptr && syn != nullptr &&
+               &syn->layout->flat() == fp->flat.get() &&
+               &syn->layout->placement() == pl.get();
+  return out;
+}
+
 void emit_summary() {
   bench::header("Layout-synthesis fast path",
                 "Sec. 3 flow (Fig. 9) as an engine benchmark");
@@ -258,6 +322,28 @@ void emit_summary() {
       0.2);
   const double hpwl_speedup = strmap_ms / netdb_ms;
 
+  // Per-stage artifact heap. A first pass in a throwaway cache leaves the
+  // process's lazily grown scratch (per-thread workspaces, FFT plans) at
+  // full size, so the measured pass counts artifacts, not warm-up.
+  const int heap_slices[] = {6, 16, 26};
+  for (const int slices : heap_slices) stage_heap(slices);
+  StageHeap heap[3];
+  bool heap_shared = true;
+  std::printf("\n  cached artifact heap, paper 40 nm (kB; mallinfo2 delta per"
+              " stage, sim_run at 2^14 samples)\n");
+  std::printf("  %6s %9s %10s %10s %9s %9s %9s\n", "slices", "netlist",
+              "floorplan", "placement", "route", "sim_run", "total");
+  for (int k = 0; k < 3; ++k) {
+    const StageHeap& h = heap[k] = stage_heap(heap_slices[k]);
+    heap_shared &= h.shared;
+    std::printf("  %6d %9.0f %10.0f %10.0f %9.0f %9.0f %9.0f\n",
+                heap_slices[k], h.netlist_kb, h.floorplan_kb, h.placement_kb,
+                h.route_kb, h.sim_run_kb,
+                h.netlist_kb + h.floorplan_kb + h.placement_kb + h.route_kb +
+                    h.sim_run_kb);
+  }
+  std::printf("\n");
+
   bench::shape_check("interned HPWL matches the string-map value exactly",
                      hpwl_db == hpwl_ref);
   bench::shape_check("interned HPWL is not slower than the string-map path",
@@ -268,15 +354,20 @@ void emit_summary() {
   bench::shape_check(
       "4-thread routing bit-identical to serial (both sides built)",
       parallel_ok);
+  bench::shape_check(
+      "the route artifact shares the floorplan's netlist and the placement",
+      heap_shared);
 
   std::printf(
       "\nBENCH_JSON {\"bench\":\"perf_synth\","
       "\"synth_40nm_ms\":%.2f,\"synth_180nm_ms\":%.2f,"
       "\"place_40nm_ms\":%.2f,\"route_40nm_ms\":%.2f,"
       "\"route_180nm_ms\":%.2f,\"hpwl_speedup\":%.1f,"
+      "\"floorplan_heap_16_kb\":%.0f,\"route_heap_16_kb\":%.0f,"
       "\"drc_clean\":%s,\"parallel_identical\":%s}\n",
       synth_ms[0], synth_ms[1], place_ms[0], route_ms[0], route_ms[1],
-      hpwl_speedup, drc_clean && no_overflow ? "true" : "false",
+      hpwl_speedup, heap[1].floorplan_kb, heap[1].route_kb,
+      drc_clean && no_overflow ? "true" : "false",
       parallel_ok ? "true" : "false");
 }
 

@@ -89,13 +89,17 @@ std::shared_ptr<CellLibrary> decode_library(serde::Reader& r) {
 
 // --- names: one table per record ------------------------------------------
 //
-// The design_bundle, floorplan and synthesis records (type_version 2) keep
-// one name table each: every distinct module, port, net, pin, instance,
-// master, domain, group and region name once, in first-use order, followed
-// by a body that refers to the names by u32 index. The encoder interns
-// names while it writes the body, then inserts the table ahead of it, so a
-// decoder holds every name before the first index. Decoded names are
-// views into the payload, copied only into the objects that carry them.
+// The design_bundle (type_version 2), floorplan and synthesis (3) records
+// keep one name table each, followed by a body that refers to the names by
+// u32 index. The encoder interns names while it writes the body, then
+// inserts the table ahead of it, so a decoder holds every name before the
+// first index. A flat netlist's own tables lead the table as they are (its
+// nets, then its pin names), so its connections are written as the
+// netlist's ids with no name looked up; its cell paths follow, added
+// without interning, as no other name repeats them. Every other name
+// (module, port, instance, master, domain, group, region, routed net)
+// appears once, in first-use order. Decoded names are views into the
+// payload, copied only into the objects that carry them.
 
 /// A name's length and two words of its bytes, loaded so that they
 /// overlap: between them they hold every byte of a name of up to 16 bytes,
@@ -119,6 +123,8 @@ struct NameKey {
       lo = byte(p[0]) | byte(p[n / 2]) << 8 | byte(p[n - 1]) << 16;
     }
   }
+
+  NameKey() = default;
 
   bool operator==(const NameKey&) const = default;
 
@@ -161,6 +167,38 @@ class NameTableWriter {
   /// Writes the index of `s`.
   void put(std::string_view s, serde::Writer& w) { w.u32(id(s)); }
 
+  /// The index of `s`, interned on first use.
+  std::uint32_t id(std::string_view s) {
+    if (2 * (interned_ + 1) > slots_.size()) grow(2 * slots_.size());
+    const NameKey key(s);
+    const std::uint64_t h = key.hash(s);
+    const auto tag = static_cast<std::uint32_t>(h);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h >> shift_;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id1 == 0) {
+        names_.push_back(s);
+        keys_.push_back(key);
+        ++interned_;
+        slot = {static_cast<std::uint32_t>(names_.size()), tag};
+        return slot.id1 - 1;
+      }
+      if (slot.hash == tag && keys_[slot.id1 - 1] == key &&
+          (key.size <= 16 || names_[slot.id1 - 1] == s)) {
+        return slot.id1 - 1;
+      }
+    }
+  }
+
+  /// Adds `s` at the next index without interning it: a later id() of the
+  /// same name gets an entry of its own. For names the caller indexes
+  /// itself.
+  std::uint32_t append(std::string_view s) {
+    names_.push_back(s);
+    keys_.emplace_back();
+    return static_cast<std::uint32_t>(names_.size() - 1);
+  }
+
   /// Inserts the table at byte offset `at` of `w`, ahead of the body
   /// written since: the name count, then each name as a Writer::str.
   void insert(serde::Writer& w, std::size_t at) const {
@@ -176,44 +214,24 @@ class NameTableWriter {
     std::uint32_t hash = 0;  ///< the hash's low bits
   };
 
-  std::uint32_t id(std::string_view s) {
-    if (2 * (names_.size() + 1) > slots_.size()) grow(2 * slots_.size());
-    const NameKey key(s);
-    const std::uint64_t h = key.hash(s);
-    const auto tag = static_cast<std::uint32_t>(h);
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = h >> shift_;; i = (i + 1) & mask) {
-      Slot& slot = slots_[i];
-      if (slot.id1 == 0) {
-        names_.push_back(s);
-        keys_.push_back(key);
-        slot = {static_cast<std::uint32_t>(names_.size()), tag};
-        return slot.id1 - 1;
-      }
-      if (slot.hash == tag && keys_[slot.id1 - 1] == key &&
-          (key.size <= 16 || names_[slot.id1 - 1] == s)) {
-        return slot.id1 - 1;
-      }
-    }
-  }
-
-  /// Rehashes into n slots, a power of two.
+  /// Rehashes the interned names into n slots, a power of two.
   void grow(std::size_t n) {
-    slots_.assign(n, Slot{});
+    const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(n));
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
-    for (std::size_t k = 0; k < names_.size(); ++k) {
-      const std::uint64_t h = keys_[k].hash(names_[k]);
+    for (const Slot& s : old) {
+      if (s.id1 == 0) continue;
+      const std::uint64_t h = keys_[s.id1 - 1].hash(names_[s.id1 - 1]);
       std::size_t i = h >> shift_;
       while (slots_[i].id1 != 0) i = (i + 1) & (n - 1);
-      slots_[i] = {static_cast<std::uint32_t>(k + 1),
-                   static_cast<std::uint32_t>(h)};
+      slots_[i] = {s.id1, static_cast<std::uint32_t>(h)};
     }
   }
 
   std::vector<std::string_view> names_;
-  std::vector<NameKey> keys_;
+  std::vector<NameKey> keys_;  ///< default-constructed for appended names
   std::vector<Slot> slots_;
-  unsigned shift_ = 0;  ///< 64 - log2(slot count)
+  std::size_t interned_ = 0;  ///< names that have a slot
+  unsigned shift_ = 0;        ///< 64 - log2(slot count)
 };
 
 /// The decoder's side: the table's names as views into the payload, valid
@@ -274,17 +292,17 @@ void decode_conn(serde::Reader& r, const NameTable& names,
   }
 }
 
-/// The StdCells a flat vector references, as the self-contained library a
-/// flat-carrying record embeds (distinct by name, first-reference order, so
-/// the bytes are deterministic), plus each instance's cell as an index into
-/// it: 0 for none, else the cell's position + 1. The embedded cells carry
-/// everything downstream stages read through FlatInstance::cell.
+/// The StdCells a flat netlist references, as the self-contained library
+/// a flat-carrying record embeds (distinct by name, first-reference order,
+/// so the bytes are deterministic), plus each cell's StdCell as an index
+/// into it: 0 for none, else the cell's position + 1. The embedded cells
+/// carry everything downstream stages read through FlatInstance::cell.
 struct ReferencedCells {
   CellLibrary lib{"store"};
-  std::vector<std::uint32_t> index;  ///< one per flat instance
+  std::vector<std::uint32_t> index;  ///< one per flat cell
 };
 
-ReferencedCells referenced_cells(const std::vector<FlatInstance>& flat) {
+ReferencedCells referenced_cells(const netlist::FlatNetlist& flat) {
   ReferencedCells out;
   out.index.reserve(flat.size());
   // By pointer first; a cell seen at a new address is matched by name.
@@ -309,38 +327,110 @@ ReferencedCells referenced_cells(const std::vector<FlatInstance>& flat) {
   return out;
 }
 
-void encode_flat(const std::vector<FlatInstance>& flat,
-                 const ReferencedCells& cells, NameTableWriter& names,
-                 serde::Writer& w) {
-  w.size(flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    const FlatInstance& fi = flat[i];
-    names.put(fi.path, w);
-    w.u32(cells.index[i]);
-    encode_conn(fi.conn, names, w);
-    names.put(fi.power_domain, w);
-    names.put(fi.group, w);
+/// A vector of u32 words, or of structs of them with no padding
+/// (FlatPin), each word little-endian: one memcpy on a little-endian host.
+template <typename T>
+void put_words(const std::vector<T>& v, serde::Writer& w) {
+  static_assert(sizeof(T) % 4 == 0 && std::is_trivially_copyable_v<T>);
+  const std::size_t bytes = v.size() * sizeof(T);
+  if (bytes == 0) return;
+  std::uint8_t* out = w.raw(bytes);
+  std::memcpy(out, v.data(), bytes);
+  if constexpr (!serde::kNativeLittleEndian) {
+    for (std::size_t i = 0; i < bytes; i += 4) {
+      std::uint32_t x = 0;
+      std::memcpy(&x, out + i, 4);
+      for (std::size_t b = 0; b < 4; ++b) {
+        out[i + b] = static_cast<std::uint8_t>(x >> (8 * b));
+      }
+    }
   }
 }
 
-/// Re-points each instance into `lib`, the record's embedded library.
-bool decode_flat(serde::Reader& r, const CellLibrary& lib,
-                 const NameTable& names, std::vector<FlatInstance>& flat) {
-  const std::vector<StdCell>& cells = lib.cells();
-  const std::size_t n = r.size();
-  flat.clear();
-  flat.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    FlatInstance& fi = flat.emplace_back();
-    fi.path = names.get(r);
-    if (const std::uint32_t c = r.index(cells.size() + 1); c != 0) {
-      fi.cell = &cells[c - 1];
+/// Reads `n` put_words elements into `v`, checking the bytes before it
+/// allocates; false (with !ok() latched) when fewer remain.
+template <typename T>
+bool get_words(serde::Reader& r, std::size_t n, std::vector<T>& v) {
+  const std::uint8_t* in = r.raw(n * sizeof(T));
+  if (in == nullptr) return false;
+  v.resize(n);
+  if (n == 0) return true;
+  std::memcpy(v.data(), in, n * sizeof(T));
+  if constexpr (!serde::kNativeLittleEndian) {
+    auto* bytes = reinterpret_cast<std::uint8_t*>(v.data());
+    for (std::size_t i = 0; i < n * sizeof(T); i += 4) {
+      const auto x = serde::load_le<std::uint32_t>(bytes + i);
+      std::memcpy(bytes + i, &x, 4);
     }
-    decode_conn(r, names, fi.conn);
+  }
+  return true;
+}
+
+static_assert(sizeof(netlist::FlatPin) == 8 &&
+              offsetof(netlist::FlatPin, net) == 4);
+
+/// A flat netlist, written first into `names`: its nets and pin names open
+/// the table, then each cell's path, cell index, domain and group, the two
+/// table sizes, the CSR offsets (cells + 1 words) and every connection as
+/// a (pin id, net id) word pair.
+void encode_flat(const netlist::FlatNetlist& flat,
+                 const ReferencedCells& cells, NameTableWriter& names,
+                 serde::Writer& w) {
+  for (const std::string& net : flat.nets()) names.id(net);
+  for (const std::string& pin : flat.pin_names()) names.append(pin);
+  w.size(flat.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    const FlatInstance& fi = flat[i];
+    w.u32(names.append(fi.path));
+    w.u32(cells.index[i]);
+    names.put(fi.power_domain, w);
+    names.put(fi.group, w);
+  }
+  w.size(flat.nets().size());
+  w.size(flat.pin_names().size());
+  put_words(flat.pin_offsets(), w);
+  put_words(flat.connections(), w);
+}
+
+/// Re-points each cell into `lib`, the record's embedded library.
+std::shared_ptr<const netlist::FlatNetlist> decode_flat(
+    serde::Reader& r, const CellLibrary& lib, const NameTable& names) {
+  const std::vector<StdCell>& lib_cells = lib.cells();
+  const std::size_t n = r.size();
+  std::vector<FlatInstance> cells;
+  cells.reserve(n);
+  for (std::size_t i = 0; i < n && r.ok(); ++i) {
+    FlatInstance& fi = cells.emplace_back();
+    fi.path = names.get(r);
+    if (const std::uint32_t c = r.index(lib_cells.size() + 1); c != 0) {
+      fi.cell = &lib_cells[c - 1];
+    }
     fi.power_domain = names.get(r);
     fi.group = names.get(r);
   }
-  return r.ok();
+  const std::uint64_t n_nets = r.u64();
+  const std::uint64_t n_pins = r.u64();
+  if (!r.ok() || n_nets > names.size() || n_pins > names.size() - n_nets) {
+    return nullptr;
+  }
+  std::vector<std::string> nets(n_nets);
+  for (std::size_t k = 0; k < n_nets; ++k) {
+    nets[k] = names[static_cast<std::uint32_t>(k)];
+  }
+  std::vector<std::string> pins(n_pins);
+  for (std::size_t k = 0; k < n_pins; ++k) {
+    pins[k] = names[static_cast<std::uint32_t>(n_nets + k)];
+  }
+  std::vector<std::uint32_t> offsets;
+  if (!get_words(r, n + 1, offsets)) return nullptr;
+  // The last offset is the connection count; from_parts checks the rest.
+  std::vector<netlist::FlatPin> conn;
+  if (!get_words(r, offsets.back(), conn)) return nullptr;
+  auto flat = netlist::FlatNetlist::from_parts(
+      std::move(cells), std::move(nets), std::move(pins), std::move(offsets),
+      std::move(conn));
+  if (!flat.has_value()) return nullptr;
+  return std::make_shared<const netlist::FlatNetlist>(std::move(*flat));
 }
 
 void encode_rect(const synth::Rect& rect, serde::Writer& w) {
@@ -720,13 +810,23 @@ std::shared_ptr<const DesignBundle> decode_design_bundle(serde::Reader& r) {
   return b;
 }
 
+/// Names a record holding `flat` starts its table with: the netlist's
+/// nets, pin names and paths, and a few dozen domains, groups and regions.
+std::size_t expected_names(const netlist::FlatNetlist& flat) {
+  return flat.nets().size() + flat.pin_names().size() + flat.size() + 32;
+}
+
 void encode_floorplan_artifact(const synth::FloorplanStageResult& a,
                                serde::Writer& w) {
-  const ReferencedCells cells = referenced_cells(a.flat);
+  // A floorplan artifact without a netlist is never cached (the floorplan
+  // stage refuses it); encode an empty one so decode still succeeds.
+  const netlist::FlatNetlist empty;
+  const netlist::FlatNetlist& flat = a.flat != nullptr ? *a.flat : empty;
+  const ReferencedCells cells = referenced_cells(flat);
   encode_library(cells.lib, w);
   const std::size_t table_at = w.length();
-  NameTableWriter names(2 * a.flat.size());
-  encode_flat(a.flat, cells, names, w);
+  NameTableWriter names(expected_names(flat));
+  encode_flat(flat, cells, names, w);
   encode_floorplan(a.fp, names, w);
   w.str(a.floorplan_spec);
   names.insert(w, table_at);
@@ -739,7 +839,8 @@ std::shared_ptr<const synth::FloorplanStageResult> decode_floorplan_artifact(
   NameTable names;
   if (!names.read(r)) return nullptr;
   auto a = std::make_shared<synth::FloorplanStageResult>();
-  if (!decode_flat(r, *lib, names, a->flat)) return nullptr;
+  a->flat = decode_flat(r, *lib, names);
+  if (a->flat == nullptr) return nullptr;
   if (!decode_floorplan(r, names, a->fp)) return nullptr;
   a->floorplan_spec = r.str();
   if (!r.ok() || !r.at_end()) return nullptr;
@@ -767,7 +868,7 @@ void encode_synthesis_artifact(const synth::SynthesisResult& s,
   // hand-damaged record fails decode instead of crashing.
   w.boolean(s.layout != nullptr);
   std::size_t table_at = w.length();
-  NameTableWriter names(s.layout != nullptr ? 2 * s.layout->flat().size()
+  NameTableWriter names(s.layout != nullptr ? expected_names(s.layout->flat())
                                             : s.routing.nets.size());
   if (s.layout != nullptr) {
     const ReferencedCells cells = referenced_cells(s.layout->flat());
@@ -793,12 +894,12 @@ std::shared_ptr<const synth::SynthesisResult> decode_synthesis_artifact(
   if (lib == nullptr) return nullptr;
   NameTable names;
   if (!names.read(r)) return nullptr;
-  std::vector<FlatInstance> flat;
-  if (!decode_flat(r, *lib, names, flat)) return nullptr;
+  auto flat = decode_flat(r, *lib, names);
+  if (flat == nullptr) return nullptr;
   synth::Floorplan fp;
   if (!decode_floorplan(r, names, fp)) return nullptr;
-  synth::Placement pl;
-  if (!decode_placement(r, names, pl)) return nullptr;
+  auto pl = std::make_shared<synth::Placement>();
+  if (!decode_placement(r, names, *pl)) return nullptr;
   s->layout = std::make_unique<synth::Layout>(std::move(flat), std::move(fp),
                                               std::move(pl));
   if (!decode_routing_estimate(r, names, s->routing)) return nullptr;
@@ -1228,7 +1329,7 @@ const ArtifactCodec<DesignBundle>& design_bundle_codec() {
 
 const ArtifactCodec<synth::FloorplanStageResult>& floorplan_codec() {
   static const ArtifactCodec<synth::FloorplanStageResult> codec{
-      "floorplan", 2, &encode_floorplan_artifact, &decode_floorplan_artifact};
+      "floorplan", 3, &encode_floorplan_artifact, &decode_floorplan_artifact};
   return codec;
 }
 
@@ -1240,7 +1341,7 @@ const ArtifactCodec<synth::Placement>& placement_codec() {
 
 const ArtifactCodec<synth::SynthesisResult>& synthesis_codec() {
   static const ArtifactCodec<synth::SynthesisResult> codec{
-      "synthesis", 2, &encode_synthesis_artifact, &decode_synthesis_artifact};
+      "synthesis", 3, &encode_synthesis_artifact, &decode_synthesis_artifact};
   return codec;
 }
 

@@ -211,7 +211,8 @@ bool ArtifactStore::save(const CacheKey& key, std::string_view type_tag,
 bool ArtifactStore::load(const CacheKey& key, std::string_view type_tag,
                          std::uint32_t type_version,
                          std::vector<std::uint8_t>* payload,
-                         util::DiagSink* diag, std::uint64_t* record_bytes) {
+                         util::DiagSink* diag, std::uint64_t* record_bytes,
+                         std::size_t* payload_at) {
   enum class Miss { kAbsent, kCorrupt, kVersionSkew };
   auto miss = [&](Miss why, std::string reason) {
     payload->clear();
@@ -227,8 +228,9 @@ bool ArtifactStore::load(const CacheKey& key, std::string_view type_tag,
   };
 
   // The record is read straight into the caller's buffer, with no second
-  // buffer. On a hit the frame is cut off in place: `erase` moves the
-  // payload down over the frame, one memmove of the payload.
+  // buffer. On a hit the checksum is cut off the end; the frame in front
+  // stays when the caller takes the payload's offset, and otherwise
+  // `erase` moves the payload down over it, one memmove of the payload.
   std::vector<std::uint8_t>& record = *payload;
   if (!ok_ || !read_file(path_for(key), &record)) {
     return miss(Miss::kAbsent, {});
@@ -287,7 +289,12 @@ bool ArtifactStore::load(const CacheKey& key, std::string_view type_tag,
   }
   const std::uint64_t size = record.size();
   record.resize(record.size() - 8);
-  record.erase(record.begin(), record.end() - static_cast<std::ptrdiff_t>(n));
+  if (payload_at != nullptr) {
+    *payload_at = record.size() - static_cast<std::size_t>(n);
+  } else {
+    record.erase(record.begin(),
+                 record.end() - static_cast<std::ptrdiff_t>(n));
+  }
   if (record_bytes != nullptr) *record_bytes = size;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -108,11 +108,15 @@ class ArtifactStore {
   /// a miss (`payload` left empty): absent records silently,
   /// corrupt/version-skewed/mistagged records with a kWarning through
   /// `diag`. On a hit `record_bytes`, when given, receives the record's
-  /// size on disk. Never throws.
+  /// size on disk. With `payload_at` given, a hit leaves the record's
+  /// frame in front of the payload, whose first byte it receives the
+  /// offset of (the payload runs to the end of the buffer); without it the
+  /// frame is cut off, moving the payload down. Never throws.
   bool load(const CacheKey& key, std::string_view type_tag,
             std::uint32_t type_version, std::vector<std::uint8_t>* payload,
             util::DiagSink* diag = nullptr,
-            std::uint64_t* record_bytes = nullptr);
+            std::uint64_t* record_bytes = nullptr,
+            std::size_t* payload_at = nullptr);
 
   /// Demotes an already-counted hit to a corrupt-miss: called by the flow
   /// when a record's frame verified but its payload failed to decode (the

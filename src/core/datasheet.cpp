@@ -150,6 +150,7 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
       return -3.0 - 6.0 * static_cast<double>(k);
     };
     ds.amp_sweep.resize(static_cast<std::size_t>(opts.amp_sweep_points));
+    std::atomic<bool> refused{false};
     flow.sim_run_lanes(
         adc, ds.amp_sweep.size(), opts.batch_width,
         [&sim, &amplitude](std::size_t k) {
@@ -157,13 +158,16 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
           point.amplitude_dbfs = amplitude(k);
           return point;
         },
-        [&ds, &amplitude](std::size_t k, const RunResult* run) {
+        [&ds, &amplitude, &refused](std::size_t k, const RunResult* run) {
           constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
           AmplitudePoint& pt = ds.amp_sweep[k];
           pt.amplitude_dbfs = amplitude(k);
           pt.sndr_db = run != nullptr ? run->sndr.sndr_db : kNaN;
           pt.enob = run != nullptr ? run->sndr.enob : kNaN;
+          if (run == nullptr) refused = true;
         });
+    // A refused point already reported why; the sweep is incomplete.
+    if (refused) return ds;
   }
 
   if (opts.mc_runs > 0) {

@@ -160,14 +160,16 @@ std::shared_ptr<const T> run_stage(const ExecContext& ctx, Stage stage,
   std::size_t payload_bytes = 0;
   auto build_or_load = [&]() -> std::shared_ptr<const T> {
     if (ctx.store != nullptr) {
-      std::vector<std::uint8_t> payload;
+      std::vector<std::uint8_t> record;
       std::uint64_t record_bytes = 0;
-      if (ctx.store->load(key, codec.type_tag, codec.type_version, &payload,
-                          ctx.diag, &record_bytes)) {
-        serde::Reader r(payload);
+      std::size_t payload_at = 0;
+      if (ctx.store->load(key, codec.type_tag, codec.type_version, &record,
+                          ctx.diag, &record_bytes, &payload_at)) {
+        serde::Reader r(record.data() + payload_at,
+                        record.size() - payload_at);
         if (std::shared_ptr<const T> loaded = codec.decode(r)) {
           from_store = true;
-          payload_bytes = payload.size();
+          payload_bytes = record.size() - payload_at;
           return loaded;
         }
         ctx.store->note_decode_failure(key, codec.type_tag, ctx.diag,
@@ -616,7 +618,6 @@ std::shared_ptr<const synth::FloorplanStageResult> Flow::floorplan(
           report_diags(ctx_, out);
           return nullptr;  // never cached
         }
-        art->flat.shrink_to_fit();
         // The flat instances point into the bundle's StdCells; pin the
         // bundle so the artifact survives netlist-artifact eviction (and
         // cache-less flows, where the bundle would otherwise die here).
@@ -628,7 +629,7 @@ std::shared_ptr<const synth::FloorplanStageResult> Flow::floorplan(
   // here, not a crash two stages later.
   if (art != nullptr) {
     std::vector<Diagnostic> post;
-    if (art->flat.empty()) {
+    if (art->flat == nullptr || art->flat->empty()) {
       post.push_back(error_diag("floorplan", "", "no leaf instances"));
     }
     if (art->fp.regions.empty()) {
@@ -655,29 +656,30 @@ std::shared_ptr<const synth::Placement> Flow::placement(
       [this, &spec, &opts, &o]() -> std::shared_ptr<const synth::Placement> {
         auto art = floorplan(spec, opts);
         if (art == nullptr) return nullptr;  // upstream already reported
-        // The NetDb borrows pin-name storage from `flat`, so it is rebuilt
+        // The NetDb borrows the netlist's name tables, so it is rebuilt
         // over the cached artifact rather than cached itself.
-        const synth::NetDb db(art->flat);
+        const synth::NetDb db(*art->flat);
         auto pl = std::make_shared<synth::Placement>(
             synth::run_placement_stage(*art, o, db));
         // Post-conditions: one placed cell per flat instance, finite
         // coordinates — anything else poisons routing and DRC downstream.
         // Checked on build; a cache hit was validated when it was built.
         std::vector<Diagnostic> post;
-        if (pl->cells.size() != art->flat.size()) {
+        const netlist::FlatNetlist& flat = *art->flat;
+        if (pl->cells.size() != flat.size()) {
           post.push_back(error_diag(
               "placement", "",
               util::format("placed %zu of %zu instances", pl->cells.size(),
-                           art->flat.size())));
+                           flat.size())));
         }
         for (const synth::PlacedCell& c : pl->cells) {
           if (!(std::isfinite(c.rect.x) && std::isfinite(c.rect.y))) {
             const bool known =
                 c.flat_index >= 0 &&
-                static_cast<std::size_t>(c.flat_index) < art->flat.size();
+                static_cast<std::size_t>(c.flat_index) < flat.size();
             post.push_back(
                 error_diag("placement",
-                           known ? art->flat[c.flat_index].path : "?",
+                           known ? flat[c.flat_index].path : "?",
                            "non-finite placement coordinates"));
             break;
           }
@@ -702,17 +704,17 @@ std::shared_ptr<const synth::SynthesisResult> Flow::synthesis(
         if (art == nullptr) return nullptr;  // upstream already reported
         auto pl = placement(spec, opts);
         if (pl == nullptr) return nullptr;
-        if (pl->cells.size() != art->flat.size()) {
+        if (pl->cells.size() != art->flat->size()) {
           report_diags(
               ctx_, {error_diag("route", "",
                                 util::format(
                                     "placement covers %zu of %zu instances",
-                                    pl->cells.size(), art->flat.size()))});
+                                    pl->cells.size(), art->flat->size()))});
           return nullptr;
         }
-        const synth::NetDb db(art->flat);
+        const synth::NetDb db(*art->flat);
         return std::make_shared<const synth::SynthesisResult>(
-            synth::run_route_stage(*art, *pl, o, db, on_estimate));
+            synth::run_route_stage(*art, std::move(pl), o, db, on_estimate));
       });
 }
 

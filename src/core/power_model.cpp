@@ -29,7 +29,7 @@ double vdd_domain_activity(const std::string& function) {
 PowerLoad power_load(const netlist::Design& design) {
   using Domain = PowerLoad::Domain;
   PowerLoad load;
-  const std::vector<netlist::FlatInstance> flat = design.flatten();
+  const netlist::FlatNetlist flat = design.flatten();
   load.leaves.reserve(flat.size());
   for (const netlist::FlatInstance& fi : flat) {
     const netlist::StdCell& cell = *fi.cell;

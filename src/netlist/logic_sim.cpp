@@ -64,7 +64,13 @@ Logic logic_not(Logic v) {
 
 LogicSim::LogicSim(const Design& design, const tech::TechNode& node) {
   const double inv_delay = node.fo4_delay_s / 4.0;
-  for (const FlatInstance& fi : design.flatten()) {
+  const FlatNetlist flat = design.flatten();
+  // Each netlist net's simulator id, given on its first use below (so ids
+  // run in first-use order), or -1 for a supply-class net.
+  constexpr int kUnseen = -2;
+  std::vector<int> sim_id(flat.nets().size(), kUnseen);
+  for (std::size_t c = 0; c < flat.size(); ++c) {
+    const FlatInstance& fi = flat[c];
     if (fi.cell->is_resistor) continue;  // analog-only element
     Gate g;
     g.fn = resolve_function(fi.cell->function);
@@ -73,10 +79,15 @@ LogicSim::LogicSim(const Design& design, const tech::TechNode& node) {
     g.delay = inv_delay * model.delay_factor /
               std::max(1.0, std::sqrt(static_cast<double>(fi.cell->drive)));
     for (const PinSpec& pin : fi.cell->pins) {
-      auto it = fi.conn.find(pin.name);
-      if (it == fi.conn.end()) continue;
-      if (is_supply_net(it->second)) continue;
-      const int id = net_id(it->second);
+      const int net = flat.net_on(c, pin.name);
+      if (net < 0) continue;
+      int& id = sim_id[static_cast<std::size_t>(net)];
+      if (id == kUnseen) {
+        const std::string& name =
+            flat.net_name(static_cast<std::uint32_t>(net));
+        id = is_supply_net(name) ? -1 : net_id(name);
+      }
+      if (id < 0) continue;
       if (pin.dir == PortDir::kOutput) {
         g.output = id;
       } else if (pin.dir == PortDir::kInput) {

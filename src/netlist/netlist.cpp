@@ -153,38 +153,35 @@ std::vector<std::string> Design::validate() const {
   return problems;
 }
 
-void Design::flatten_into(const Module& mod, const std::string& path_prefix,
-                          const std::map<std::string, std::string>& port_to_net,
-                          const std::string& inherited_pd,
-                          const std::string& inherited_group,
-                          std::vector<FlatInstance>& out) const {
-  auto resolve_net = [&](const std::string& local) -> std::string {
-    auto it = port_to_net.find(local);
-    if (it != port_to_net.end()) return it->second;
-    return path_prefix.empty() ? local : path_prefix + "/" + local;
+void Design::flatten_into(
+    const Module& mod, const std::string& path_prefix,
+    const std::map<std::string_view, std::uint32_t>& port_nets,
+    const std::string& inherited_pd, const std::string& inherited_group,
+    FlatNetlistBuilder& out) const {
+  auto resolve_net = [&](const std::string& local) -> std::uint32_t {
+    auto it = port_nets.find(local);
+    if (it != port_nets.end()) return it->second;
+    return path_prefix.empty() ? out.net(local)
+                               : out.net(path_prefix + "/" + local);
   };
 
   for (const Instance& inst : mod.instances()) {
-    const std::string pd =
+    const std::string& pd =
         inst.power_domain.empty() ? inherited_pd : inst.power_domain;
-    const std::string grp = inst.group.empty() ? inherited_group : inst.group;
-    const std::string child_path =
+    const std::string& grp =
+        inst.group.empty() ? inherited_group : inst.group;
+    std::string child_path =
         path_prefix.empty() ? inst.name : path_prefix + "/" + inst.name;
 
     if (const StdCell* cell = lib_->find(inst.master)) {
-      FlatInstance fi;
-      fi.path = child_path;
-      fi.cell = cell;
-      fi.power_domain = pd;
-      fi.group = grp;
+      out.add_cell({std::move(child_path), cell, pd, grp});
       for (const auto& [pin, net] : inst.conn) {
-        fi.conn[pin] = resolve_net(net);
+        out.connect(pin, resolve_net(net));
       }
-      out.push_back(std::move(fi));
     } else if (const Module* sub = find_module(inst.master)) {
-      std::map<std::string, std::string> child_ports;
+      std::map<std::string_view, std::uint32_t> child_ports;
       for (const auto& [pin, net] : inst.conn) {
-        child_ports[pin] = resolve_net(net);
+        child_ports.emplace(pin, resolve_net(net));
       }
       flatten_into(*sub, child_path, child_ports, pd, grp, out);
     }
@@ -192,29 +189,37 @@ void Design::flatten_into(const Module& mod, const std::string& path_prefix,
   }
 }
 
-std::vector<FlatInstance> Design::flatten() const {
-  std::vector<FlatInstance> out;
+FlatNetlist Design::flatten() const {
   const Module* top_mod = find_module(top_);
-  if (top_mod == nullptr) return out;
-  // Reserve the exact leaf count up front: a FlatInstance move drags a
-  // whole connection map along, so growth reallocations are not cheap.
-  auto count_leaves = [&](auto&& self, const Module& mod) -> std::size_t {
-    std::size_t n = 0;
+  if (top_mod == nullptr) return {};
+  // Reserve the exact leaf and connection counts up front, so the
+  // netlist's arrays are allocated once at their final size.
+  struct Counts {
+    std::size_t cells = 0;
+    std::size_t pins = 0;
+  };
+  auto count_leaves = [&](auto&& self, const Module& mod) -> Counts {
+    Counts n;
     for (const Instance& inst : mod.instances()) {
       if (lib_->find(inst.master) != nullptr) {
-        ++n;
+        ++n.cells;
+        n.pins += inst.conn.size();
       } else if (const Module* sub = find_module(inst.master)) {
-        n += self(self, *sub);
+        const Counts c = self(self, *sub);
+        n.cells += c.cells;
+        n.pins += c.pins;
       }
     }
     return n;
   };
-  out.reserve(count_leaves(count_leaves, *top_mod));
+  const Counts counts = count_leaves(count_leaves, *top_mod);
+  FlatNetlistBuilder out;
+  out.reserve(counts.cells, counts.pins);
   // Top ports map to themselves (flat net name == port name).
-  std::map<std::string, std::string> ports;
-  for (const Port& p : top_mod->ports()) ports[p.name] = p.name;
+  std::map<std::string_view, std::uint32_t> ports;
+  for (const Port& p : top_mod->ports()) ports.emplace(p.name, out.net(p.name));
   flatten_into(*top_mod, "", ports, "PD_VDD", "", out);
-  return out;
+  return std::move(out).build();
 }
 
 DesignStats Design::stats() const {

@@ -10,11 +10,14 @@
 // MSV-style region constraints of Sec. 3.3 / Fig. 12.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/cell_library.h"
+#include "netlist/flat_netlist.h"
 
 namespace vcoadc::netlist {
 
@@ -59,15 +62,6 @@ class Module {
   std::vector<Instance> instances_;
 };
 
-/// A leaf cell instance after flattening, with hierarchical names.
-struct FlatInstance {
-  std::string path;          ///< e.g. "slice3/I7"
-  const StdCell* cell = nullptr;
-  std::map<std::string, std::string> conn;  ///< pin -> flat net name
-  std::string power_domain;
-  std::string group;
-};
-
 /// True if `net` is distributed as a supply (rail/mesh) rather than routed
 /// or simulated as a signal: VDD/VSS/VREFP/VREFN/VBUF/VCTRL* leaf names,
 /// also when hierarchical ("slice3/VCTRLP").
@@ -107,7 +101,7 @@ class Design {
   /// "inst/net"; nets tied to parent ports take the parent net name.
   /// Instances inherit power_domain/group from their enclosing instance if
   /// they don't set their own.
-  std::vector<FlatInstance> flatten() const;
+  FlatNetlist flatten() const;
 
   DesignStats stats() const;
 
@@ -115,11 +109,13 @@ class Design {
   const std::vector<Module>& modules() const { return modules_; }
 
  private:
+  /// `port_nets` maps each of `mod`'s connected ports to the builder's id
+  /// of the parent net it is tied to.
   void flatten_into(const Module& mod, const std::string& path_prefix,
-                    const std::map<std::string, std::string>& port_to_net,
+                    const std::map<std::string_view, std::uint32_t>& port_nets,
                     const std::string& inherited_pd,
                     const std::string& inherited_group,
-                    std::vector<FlatInstance>& out) const;
+                    FlatNetlistBuilder& out) const;
 
   const CellLibrary* lib_;
   std::vector<Module> modules_;

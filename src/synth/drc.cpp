@@ -31,7 +31,7 @@ int DrcReport::count(DrcKind kind) const {
   return n;
 }
 
-DrcReport run_drc(const std::vector<netlist::FlatInstance>& flat,
+DrcReport run_drc(const netlist::FlatNetlist& flat,
                   const Placement& pl, const Floorplan& fp) {
   DrcReport rep;
   auto add = [&](DrcKind kind, std::string detail) {

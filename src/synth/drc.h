@@ -41,7 +41,7 @@ struct DrcReport {
 
 /// Runs all checks. `flat` supplies instance names and power domains;
 /// `pl.cells` must be index-aligned with `flat`.
-DrcReport run_drc(const std::vector<netlist::FlatInstance>& flat,
+DrcReport run_drc(const netlist::FlatNetlist& flat,
                   const Placement& pl, const Floorplan& fp);
 
 }  // namespace vcoadc::synth

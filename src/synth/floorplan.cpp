@@ -29,7 +29,7 @@ struct Job {
 }  // namespace
 
 std::vector<RegionSpec> partition_into_regions(
-    const std::vector<netlist::FlatInstance>& flat) {
+    const netlist::FlatNetlist& flat) {
   std::map<std::string, RegionSpec> by_name;
   for (int i = 0; i < static_cast<int>(flat.size()); ++i) {
     const auto& fi = flat[static_cast<std::size_t>(i)];

@@ -25,14 +25,14 @@ namespace vcoadc::synth {
 struct RegionSpec {
   std::string name;             ///< e.g. "PD_VCTRLP" or "GRP_DAC_RES1"
   bool is_group = false;        ///< true for supply-less component groups
-  std::vector<int> members;     ///< indices into the flat instance vector
+  std::vector<int> members;     ///< cell indices into the flat netlist
   double cell_area_m2 = 0;      ///< sum of member cell areas
   double max_cell_width_m = 0;  ///< widest member (regions must fit it)
 };
 
 /// Partitions flat instances into RegionSpecs by power_domain / group.
 std::vector<RegionSpec> partition_into_regions(
-    const std::vector<netlist::FlatInstance>& flat);
+    const netlist::FlatNetlist& flat);
 
 /// A placed region in the floorplan.
 struct PlacedRegion {

@@ -9,17 +9,17 @@
 
 namespace vcoadc::synth {
 
-Layout::Layout(std::vector<netlist::FlatInstance> flat, Floorplan fp,
-               Placement pl)
+Layout::Layout(std::shared_ptr<const netlist::FlatNetlist> flat, Floorplan fp,
+               std::shared_ptr<const Placement> pl)
     : flat_(std::move(flat)), fp_(std::move(fp)), pl_(std::move(pl)) {}
 
 LayoutStats Layout::stats() const {
   LayoutStats s;
   s.die_area_m2 = fp_.die.area();
   std::set<int> rows;
-  for (std::size_t i = 0; i < pl_.cells.size(); ++i) {
-    s.cell_area_m2 += flat_[i].cell->area_m2();
-    rows.insert(pl_.cells[i].row);
+  for (std::size_t i = 0; i < pl_->cells.size(); ++i) {
+    s.cell_area_m2 += flat()[i].cell->area_m2();
+    rows.insert(pl_->cells[i].row);
     ++s.num_cells;
   }
   s.utilization = (s.die_area_m2 > 0) ? s.cell_area_m2 / s.die_area_m2 : 0;
@@ -39,9 +39,9 @@ std::string Layout::write_gds_text(const std::string& design_name) const {
     os << "  REGION " << r.spec.name << " " << um(r.rect.x) << " "
        << um(r.rect.y) << " " << um(r.rect.w) << " " << um(r.rect.h) << "\n";
   }
-  for (std::size_t i = 0; i < pl_.cells.size(); ++i) {
-    const PlacedCell& pc = pl_.cells[i];
-    os << "  SREF " << flat_[i].cell->name << " " << flat_[i].path << " "
+  for (std::size_t i = 0; i < pl_->cells.size(); ++i) {
+    const PlacedCell& pc = pl_->cells[i];
+    os << "  SREF " << flat()[i].cell->name << " " << flat()[i].path << " "
        << um(pc.rect.x) << " " << um(pc.rect.y) << "\n";
   }
   os << "ENDSTR\n";

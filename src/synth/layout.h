@@ -1,8 +1,13 @@
 // Layout database and serialization: the "resulting layout" of Fig. 9.
 // Includes a GDS-like text writer and an ASCII floorplan renderer that
 // reproduces the Fig. 13/14 screenshots in terminal form.
+//
+// A Layout shares its flat netlist and placement with the stage artifacts
+// that built them (the floorplan and placement artifacts) rather than
+// holding copies: both are immutable once built.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +28,8 @@ struct LayoutStats {
 
 class Layout {
  public:
-  Layout(std::vector<netlist::FlatInstance> flat, Floorplan fp, Placement pl);
+  Layout(std::shared_ptr<const netlist::FlatNetlist> flat, Floorplan fp,
+         std::shared_ptr<const Placement> pl);
 
   LayoutStats stats() const;
 
@@ -35,13 +41,13 @@ class Layout {
   std::string render_ascii(int width = 100) const;
 
   const Floorplan& floorplan() const { return fp_; }
-  const Placement& placement() const { return pl_; }
-  const std::vector<netlist::FlatInstance>& flat() const { return flat_; }
+  const Placement& placement() const { return *pl_; }
+  const netlist::FlatNetlist& flat() const { return *flat_; }
 
  private:
-  std::vector<netlist::FlatInstance> flat_;
+  std::shared_ptr<const netlist::FlatNetlist> flat_;
   Floorplan fp_;
-  Placement pl_;
+  std::shared_ptr<const Placement> pl_;
 };
 
 }  // namespace vcoadc::synth

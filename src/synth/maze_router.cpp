@@ -4,14 +4,14 @@
 
 namespace vcoadc::synth {
 
-MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
+MazeRouteResult maze_route(const netlist::FlatNetlist& flat,
                            const Placement& pl, const Rect& die,
                            const MazeRouterOptions& opts) {
   const NetDb db(flat);
   return maze_route(flat, pl, die, opts, db);
 }
 
-MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
+MazeRouteResult maze_route(const netlist::FlatNetlist& flat,
                            const Placement& pl, const Rect& die,
                            const MazeRouterOptions& opts, const NetDb& db) {
   double pitch = opts.grid_pitch_m;

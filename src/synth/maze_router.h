@@ -25,12 +25,12 @@
 namespace vcoadc::synth {
 
 /// Routes all multi-pin signal nets of a placed design.
-MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
+MazeRouteResult maze_route(const netlist::FlatNetlist& flat,
                            const Placement& pl, const Rect& die,
                            const MazeRouterOptions& opts = {});
 
-/// As above, with a prebuilt net database over the same `flat` vector.
-MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
+/// As above, with a prebuilt net database over the same `flat` netlist.
+MazeRouteResult maze_route(const netlist::FlatNetlist& flat,
                            const Placement& pl, const Rect& die,
                            const MazeRouterOptions& opts, const NetDb& db);
 

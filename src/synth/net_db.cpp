@@ -4,23 +4,18 @@
 
 namespace vcoadc::synth {
 
-NetDb::NetDb(const std::vector<netlist::FlatInstance>& flat) {
+NetDb::NetDb(const netlist::FlatNetlist& flat) : flat_(&flat) {
   num_cells_ = static_cast<int>(flat.size());
 
-  // Collect every signal-net name once, then sort: the dense id of a net is
-  // its rank in lexicographic order (see header for why that matters).
-  for (const auto& fi : flat) {
-    for (const auto& [pin, net] : fi.conn) {
-      (void)pin;
-      if (netlist::is_supply_net(net)) continue;
-      if (id_.emplace(net, 0).second) names_.push_back(net);
-    }
+  // The netlist's net table is name-sorted, so numbering its signal nets
+  // in table order gives each its lexicographic rank (see header).
+  signal_id_.assign(flat.nets().size(), -1);
+  for (std::size_t t = 0; t < flat.nets().size(); ++t) {
+    if (netlist::is_supply_net(flat.nets()[t])) continue;
+    signal_id_[t] = static_cast<int>(table_id_.size());
+    table_id_.push_back(static_cast<std::uint32_t>(t));
   }
-  std::sort(names_.begin(), names_.end());
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    id_[names_[i]] = static_cast<int>(i);
-  }
-  const std::size_t n_nets = names_.size();
+  const std::size_t n_nets = table_id_.size();
   const std::size_t n_cells = flat.size();
 
   // Counting pass for the three CSR structures.
@@ -29,11 +24,10 @@ NetDb::NetDb(const std::vector<netlist::FlatInstance>& flat) {
   cell_pin_off_.assign(n_cells + 1, 0);
   cell_net_off_.assign(n_cells + 1, 0);
   for (std::size_t c = 0; c < n_cells; ++c) {
-    for (const auto& [pin, net] : flat[c].conn) {
-      (void)pin;
-      const auto it = id_.find(net);
-      if (it == id_.end()) continue;
-      ++conn_count_[static_cast<std::size_t>(it->second)];
+    for (const netlist::FlatPin& p : flat.pins(c)) {
+      const int net = signal_id_[p.net];
+      if (net < 0) continue;
+      ++conn_count_[static_cast<std::size_t>(net)];
       ++cell_pin_off_[c + 1];
     }
   }
@@ -48,11 +42,11 @@ NetDb::NetDb(const std::vector<netlist::FlatInstance>& flat) {
   for (std::size_t c = 0; c < n_cells; ++c) {
     std::size_t w = cell_pin_off_[c];
     scratch.clear();
-    for (const auto& [pin, net] : flat[c].conn) {
-      const auto it = id_.find(net);
-      if (it == id_.end()) continue;
-      cell_pins_[w++] = CellPin{it->second, &pin};
-      scratch.push_back(it->second);
+    for (const netlist::FlatPin& p : flat.pins(c)) {
+      const int net = signal_id_[p.net];
+      if (net < 0) continue;
+      cell_pins_[w++] = CellPin{net, &flat.pin_name(p.pin)};
+      scratch.push_back(net);
     }
     std::sort(scratch.begin(), scratch.end());
     scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
@@ -80,9 +74,10 @@ NetDb::NetDb(const std::vector<netlist::FlatInstance>& flat) {
   }
 }
 
-int NetDb::id_of(const std::string& net_name) const {
-  const auto it = id_.find(net_name);
-  return it == id_.end() ? -1 : it->second;
+int NetDb::id_of(std::string_view net_name) const {
+  if (flat_ == nullptr) return -1;
+  const int t = flat_->find_net(net_name);
+  return t < 0 ? -1 : signal_id_[static_cast<std::size_t>(t)];
 }
 
 }  // namespace vcoadc::synth

@@ -12,14 +12,18 @@
 // pre-NetDb stage iterated a name-keyed `std::map`, so iterating nets in
 // ascending id order reproduces the exact historical visit order — which is
 // what keeps NetDb-based results bit-identical to the string-map era
-// (summation order, tie-breaks, RNG consumption all depend on it).
+// (summation order, tie-breaks, RNG consumption all depend on it). The
+// flat netlist's net table is already in that order, so a signal net's id
+// is its rank among the table's signal nets: one pass over the table, no
+// name hashed.
 //
-// NetDb borrows `flat`: the flat instance vector must outlive the database
-// (pin-name pointers alias the instances' connection maps).
+// NetDb borrows `flat`: the netlist must outlive the database (names and
+// pin-name pointers alias its tables).
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -41,25 +45,25 @@ class NetDb {
   };
 
   /// One signal-pin connection of a cell, in the cell's pin-name-sorted
-  /// connection order. `pin` aliases the FlatInstance's connection map key.
+  /// connection order. `pin` aliases the netlist's pin-name table.
   struct CellPin {
     int net = -1;
     const std::string* pin = nullptr;
   };
 
   NetDb() = default;
-  explicit NetDb(const std::vector<netlist::FlatInstance>& flat);
+  explicit NetDb(const netlist::FlatNetlist& flat);
 
-  int num_nets() const { return static_cast<int>(names_.size()); }
+  int num_nets() const { return static_cast<int>(table_id_.size()); }
   int num_cells() const { return num_cells_; }
 
   /// Net name for an id (ids are dense, name-sorted).
   const std::string& name(int net) const {
-    return names_[static_cast<std::size_t>(net)];
+    return flat_->net_name(table_id_[static_cast<std::size_t>(net)]);
   }
 
   /// Dense id for a signal-net name; -1 for unknown or supply-class nets.
-  int id_of(const std::string& net_name) const;
+  int id_of(std::string_view net_name) const;
 
   /// Pin connections on `net`, counted with multiplicity (two pins of the
   /// same cell on one net count twice) — the router estimator's pin count.
@@ -89,10 +93,11 @@ class NetDb {
   }
 
  private:
+  const netlist::FlatNetlist* flat_ = nullptr;
   int num_cells_ = 0;
-  std::vector<std::string> names_;                // id -> name
-  std::unordered_map<std::string, int> id_;       // name -> id
-  std::vector<int> conn_count_;                   // id -> pin connections
+  std::vector<std::uint32_t> table_id_;  // id -> the netlist's net id
+  std::vector<int> signal_id_;           // netlist net id -> id, -1 supply
+  std::vector<int> conn_count_;          // id -> pin connections
 
   // CSR: net id -> unique member cells.
   std::vector<std::size_t> member_off_;

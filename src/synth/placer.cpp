@@ -105,7 +105,7 @@ RegionRows make_rows(const Rect& region, const Rect& die, double row_h) {
 }
 
 /// Packs `order` into a region's rows, serpentine. Returns overflow flag.
-bool pack_region(const std::vector<netlist::FlatInstance>& flat,
+bool pack_region(const netlist::FlatNetlist& flat,
                  const PlacedRegion& region, const RegionRows& rows,
                  const std::vector<int>& order, const Floorplan& fp,
                  Placement& pl) {
@@ -286,13 +286,13 @@ void refine_equal_width_swaps(const NetDb& db,
   }
 }
 
-Placement place(const std::vector<netlist::FlatInstance>& flat,
+Placement place(const netlist::FlatNetlist& flat,
                 const Floorplan& fp, const PlacementOptions& opts) {
   const NetDb db(flat);
   return place(flat, fp, opts, db);
 }
 
-Placement place(const std::vector<netlist::FlatInstance>& flat,
+Placement place(const netlist::FlatNetlist& flat,
                 const Floorplan& fp, const PlacementOptions& opts,
                 const NetDb& db) {
   const std::vector<int> multi = multi_pin_nets(db);
@@ -354,7 +354,7 @@ Placement place(const std::vector<netlist::FlatInstance>& flat,
   return pl;
 }
 
-double total_hpwl(const std::vector<netlist::FlatInstance>& flat,
+double total_hpwl(const netlist::FlatNetlist& flat,
                   const Placement& pl) {
   const NetDb db(flat);
   return total_hpwl(db, pl);

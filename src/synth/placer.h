@@ -31,7 +31,7 @@ class Rng;
 namespace vcoadc::synth {
 
 struct PlacedCell {
-  int flat_index = -1;  ///< index into the flat instance vector
+  int flat_index = -1;  ///< index of the cell in the flat netlist
   Rect rect;
   int row = -1;               ///< global row index on the die row grid
   std::string region;         ///< region the cell was assigned to
@@ -49,21 +49,21 @@ struct Placement {
   bool overflow = false;  ///< true if some region could not hold its cells
 };
 
-/// Places every flat instance. `flat` and the floorplan's RegionSpec member
-/// indices must refer to the same vector.
-Placement place(const std::vector<netlist::FlatInstance>& flat,
+/// Places every flat cell. The floorplan's RegionSpec member indices must
+/// be cell indices of `flat`.
+Placement place(const netlist::FlatNetlist& flat,
                 const Floorplan& fp, const PlacementOptions& opts);
 
-/// As above, with a prebuilt net database over the same `flat` vector (the
+/// As above, with a prebuilt net database over the same `flat` netlist (the
 /// flow builds one NetDb and shares it across all stages).
-Placement place(const std::vector<netlist::FlatInstance>& flat,
+Placement place(const netlist::FlatNetlist& flat,
                 const Floorplan& fp, const PlacementOptions& opts,
                 const NetDb& db);
 
 /// Total half-perimeter wirelength of all signal nets for a placement.
 /// Supply-class nets (VDD/VSS/VREFP/VCTRL*/VBUF and their hierarchical
 /// aliases) are excluded - they route as rails/meshes, not signal wires.
-double total_hpwl(const std::vector<netlist::FlatInstance>& flat,
+double total_hpwl(const netlist::FlatNetlist& flat,
                   const Placement& pl);
 
 /// The one HPWL definition every stage shares: for each signal net, the

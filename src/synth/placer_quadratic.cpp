@@ -38,14 +38,14 @@ std::vector<std::vector<Spring>> build_springs(const NetDb& db) {
 
 }  // namespace
 
-Placement place_quadratic(const std::vector<netlist::FlatInstance>& flat,
+Placement place_quadratic(const netlist::FlatNetlist& flat,
                           const Floorplan& fp,
                           const QuadraticPlacerOptions& opts) {
   const NetDb db(flat);
   return place_quadratic(flat, fp, opts, db);
 }
 
-Placement place_quadratic(const std::vector<netlist::FlatInstance>& flat,
+Placement place_quadratic(const netlist::FlatNetlist& flat,
                           const Floorplan& fp,
                           const QuadraticPlacerOptions& opts,
                           const NetDb& db) {

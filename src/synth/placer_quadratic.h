@@ -28,12 +28,12 @@ struct QuadraticPlacerOptions {
 
 /// Places every flat instance with quadratic global placement followed by
 /// row legalization inside the floorplan regions.
-Placement place_quadratic(const std::vector<netlist::FlatInstance>& flat,
+Placement place_quadratic(const netlist::FlatNetlist& flat,
                           const Floorplan& fp,
                           const QuadraticPlacerOptions& opts = {});
 
-/// As above, with a prebuilt net database over the same `flat` vector.
-Placement place_quadratic(const std::vector<netlist::FlatInstance>& flat,
+/// As above, with a prebuilt net database over the same `flat` netlist.
+Placement place_quadratic(const netlist::FlatNetlist& flat,
                           const Floorplan& fp,
                           const QuadraticPlacerOptions& opts,
                           const NetDb& db);

@@ -62,7 +62,7 @@ PowerGrid generate_power_grid(const Floorplan& fp,
 }
 
 PowerGridCheck check_power_grid(const PowerGrid& grid,
-                                const std::vector<netlist::FlatInstance>& flat,
+                                const netlist::FlatNetlist& flat,
                                 const Placement& pl, const Floorplan& fp,
                                 double current_per_cell_a) {
   PowerGridCheck check;

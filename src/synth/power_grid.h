@@ -67,7 +67,7 @@ struct PowerGridCheck {
 /// Verifies supply connectivity of every non-resistor cell and computes
 /// IR drop with `current_per_cell_a` drawn uniformly by each cell.
 PowerGridCheck check_power_grid(const PowerGrid& grid,
-                                const std::vector<netlist::FlatInstance>& flat,
+                                const netlist::FlatNetlist& flat,
                                 const Placement& pl, const Floorplan& fp,
                                 double current_per_cell_a = 10e-6);
 

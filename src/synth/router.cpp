@@ -7,14 +7,14 @@
 
 namespace vcoadc::synth {
 
-RoutingEstimate estimate_routing(const std::vector<netlist::FlatInstance>& flat,
+RoutingEstimate estimate_routing(const netlist::FlatNetlist& flat,
                                  const Placement& pl, const Rect& die,
                                  const RouterOptions& opts) {
   const NetDb db(flat);
   return estimate_routing(flat, pl, die, opts, db);
 }
 
-RoutingEstimate estimate_routing(const std::vector<netlist::FlatInstance>& flat,
+RoutingEstimate estimate_routing(const netlist::FlatNetlist& flat,
                                  const Placement& pl, const Rect& die,
                                  const RouterOptions& opts, const NetDb& db) {
   (void)flat;  // net topology comes interned through `db`

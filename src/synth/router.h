@@ -48,12 +48,12 @@ struct RouterOptions {
   double cap_per_m = 1.5e-10;
 };
 
-RoutingEstimate estimate_routing(const std::vector<netlist::FlatInstance>& flat,
+RoutingEstimate estimate_routing(const netlist::FlatNetlist& flat,
                                  const Placement& pl, const Rect& die,
                                  const RouterOptions& opts);
 
-/// As above, with a prebuilt net database over the same `flat` vector.
-RoutingEstimate estimate_routing(const std::vector<netlist::FlatInstance>& flat,
+/// As above, with a prebuilt net database over the same `flat` netlist.
+RoutingEstimate estimate_routing(const netlist::FlatNetlist& flat,
                                  const Placement& pl, const Rect& die,
                                  const RouterOptions& opts, const NetDb& db);
 

@@ -54,8 +54,8 @@ FloorplanStageResult run_floorplan_stage(const netlist::Design& design,
     return art;
   }
 
-  art.flat = design.flatten();
-  const auto regions = partition_into_regions(art.flat);
+  art.flat = std::make_shared<const netlist::FlatNetlist>(design.flatten());
+  const auto regions = partition_into_regions(*art.flat);
 
   FloorplanOptions fopts;
   fopts.target_utilization = opts.target_utilization;
@@ -73,7 +73,7 @@ FloorplanStageResult run_floorplan_stage(const netlist::Design& design,
 
   art.fp = make_floorplan(regions, fopts);
   art.floorplan_spec = write_floorplan_spec(art.fp);
-  span.note(std::to_string(art.flat.size()) + " cells, " +
+  span.note(std::to_string(art.flat->size()) + " cells, " +
             std::to_string(art.fp.regions.size()) + " regions");
   return art;
 }
@@ -86,14 +86,14 @@ Placement run_placement_stage(const FloorplanStageResult& art,
     QuadraticPlacerOptions qopts;
     qopts.refine_passes = opts.refine_passes;
     qopts.seed = opts.seed;
-    pl = place_quadratic(art.flat, art.fp, qopts, db);
+    pl = place_quadratic(*art.flat, art.fp, qopts, db);
   } else {
     PlacementOptions popts;
     popts.respect_regions = opts.respect_power_domains;
     popts.barycenter_passes = opts.barycenter_passes;
     popts.refine_passes = opts.refine_passes;
     popts.seed = opts.seed;
-    pl = place(art.flat, art.fp, popts, db);
+    pl = place(*art.flat, art.fp, popts, db);
   }
   span.note(opts.placer == PlacerKind::kQuadratic ? "quadratic"
                                                   : "serpentine");
@@ -101,23 +101,25 @@ Placement run_placement_stage(const FloorplanStageResult& art,
 }
 
 SynthesisResult run_route_stage(const FloorplanStageResult& art,
-                                const Placement& pl,
+                                std::shared_ptr<const Placement> placement,
                                 const SynthesisOptions& opts,
                                 const NetDb& db,
                                 const RoutingEstimateFn& on_estimate) {
+  const netlist::FlatNetlist& flat = *art.flat;
+  const Placement& pl = *placement;
   SynthesisResult result;
   result.floorplan_spec = art.floorplan_spec;
   result.owner = art.owner;
   {
     util::TraceSpan span(opts.trace, "route");
     RouterOptions ropts;
-    result.routing = estimate_routing(art.flat, pl, art.fp.die, ropts, db);
+    result.routing = estimate_routing(flat, pl, art.fp.die, ropts, db);
     if (on_estimate) on_estimate(result.routing);
     if (opts.detailed_route) {
       MazeRouterOptions mopts;
       mopts.threads = opts.threads;
       result.detailed_routing =
-          maze_route(art.flat, pl, art.fp.die, mopts, db);
+          maze_route(flat, pl, art.fp.die, mopts, db);
       span.note(std::to_string(result.detailed_routing.nets.size()) +
                 " nets, " +
                 std::to_string(result.detailed_routing.overflowed_edges) +
@@ -128,10 +130,11 @@ SynthesisResult run_route_stage(const FloorplanStageResult& art,
     util::TraceSpan span(opts.trace, "drc");
     // DRC violations are signoff findings, not flow failures: they are
     // reported through the DrcReport, never as diagnostics.
-    result.drc = run_drc(art.flat, pl, art.fp);
+    result.drc = run_drc(flat, pl, art.fp);
     span.note(std::to_string(result.drc.violations.size()) + " violations");
   }
-  result.layout = std::make_unique<Layout>(art.flat, art.fp, pl);
+  result.layout =
+      std::make_unique<Layout>(art.flat, art.fp, std::move(placement));
   result.stats = result.layout->stats();
   return result;
 }
@@ -150,9 +153,10 @@ SynthesisResult synthesize(const netlist::Design& design,
   // One interned net database feeds every downstream stage (placement,
   // routing estimate, detailed routing) instead of each stage rebuilding
   // its own string-keyed net maps.
-  const NetDb netdb(art.flat);
-  const Placement pl = run_placement_stage(art, opts, netdb);
-  return run_route_stage(art, pl, opts, netdb);
+  const NetDb netdb(*art.flat);
+  auto pl = std::make_shared<const Placement>(
+      run_placement_stage(art, opts, netdb));
+  return run_route_stage(art, std::move(pl), opts, netdb);
 }
 
 }  // namespace vcoadc::synth

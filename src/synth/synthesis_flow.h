@@ -96,16 +96,18 @@ struct SynthesisResult {
 
   bool ok() const { return diagnostics.empty(); }
 
-  /// Deep copy (the layout pointer is cloned). Lets callers that hold a
-  /// shared cached result hand out an owned copy.
+  /// Copy with an owned layout (the layout is cloned; its immutable
+  /// netlist and placement stay shared). Lets callers that hold a shared
+  /// cached result hand out an owned copy.
   SynthesisResult clone() const;
 };
 
-/// Floorplan-stage artifact: the flattened leaf instances plus the
-/// regioned die they floorplan into. `flat` index order is the order every
-/// downstream stage (placement, routing, DRC) refers to.
+/// Floorplan-stage artifact: the flattened netlist plus the regioned die
+/// it floorplans into. `flat` cell order is the order every downstream
+/// stage (placement, routing, DRC) refers to. The netlist is shared, not
+/// copied, by the route stage's Layout; null when validation failed.
 struct FloorplanStageResult {
-  std::vector<netlist::FlatInstance> flat;
+  std::shared_ptr<const netlist::FlatNetlist> flat;
   Floorplan fp;
   std::string floorplan_spec;
   /// Shared ownership of the library (and design) the `flat` entries'
@@ -117,7 +119,7 @@ struct FloorplanStageResult {
 };
 
 /// Validates + flattens + partitions + floorplans. On validation failure
-/// appends diagnostics and returns an empty artifact (flat empty).
+/// appends diagnostics and returns an empty artifact (flat null).
 FloorplanStageResult run_floorplan_stage(const netlist::Design& design,
                                          const SynthesisOptions& opts,
                                          std::vector<FlowDiagnostic>& diags);
@@ -130,13 +132,14 @@ Placement run_placement_stage(const FloorplanStageResult& art,
 using RoutingEstimateFn = std::function<void(const RoutingEstimate&)>;
 
 /// Routing estimate + optional detailed maze route + DRC, assembled into
-/// the final result (copies the floorplan artifact and placement into the
-/// owned Layout). `on_estimate`, when set, is called once with the
-/// estimate (the value the result's `routing` holds), right after
-/// estimate_routing and before maze_route, so work that needs only the
-/// estimated wire load can run beside the router.
+/// the final result, whose Layout shares the floorplan artifact's netlist
+/// and the placement (it copies only the small Floorplan). `on_estimate`,
+/// when set, is called once with the estimate (the value the result's
+/// `routing` holds), right after estimate_routing and before maze_route,
+/// so work that needs only the estimated wire load can run beside the
+/// router.
 SynthesisResult run_route_stage(const FloorplanStageResult& art,
-                                const Placement& pl,
+                                std::shared_ptr<const Placement> pl,
                                 const SynthesisOptions& opts,
                                 const NetDb& db,
                                 const RoutingEstimateFn& on_estimate = {});

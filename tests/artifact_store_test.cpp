@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -139,6 +140,47 @@ TEST(ArtifactStoreTest, SaveThenLoadRoundTripsBytes) {
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 0u);
   EXPECT_GT(st.bytes_written, payload.size());
+}
+
+// A load that takes the payload's offset leaves the frame in front of the
+// payload instead of moving the payload down over it: the payload is the
+// buffer's tail from that offset, byte for byte, at every payload size (an
+// empty one, the checksum's tail lengths, a page and then some).
+TEST(ArtifactStoreTest, LoadAtPayloadOffsetRoundTripsEverySize) {
+  TempStoreDir dir("offset");
+  core::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.ok());
+  std::uint64_t hits = 0;
+  for (const std::size_t n : {0, 1, 7, 4099}) {
+    SCOPED_TRACE(n);
+    const core::CacheKey key{kKey.lo + n, kKey.hi};
+    const auto payload = make_payload(n, static_cast<std::uint8_t>(n));
+    ASSERT_TRUE(store.save(key, "unit", 1, payload));
+    std::vector<std::uint8_t> record;
+    std::uint64_t record_bytes = 0;
+    std::size_t at = 0;
+    ASSERT_TRUE(store.load(key, "unit", 1, &record, nullptr, &record_bytes,
+                           &at));
+    ++hits;
+    ASSERT_LE(at, record.size());
+    EXPECT_EQ(record.size() - at, n);
+    EXPECT_TRUE(std::equal(record.begin() + static_cast<std::ptrdiff_t>(at),
+                           record.end(), payload.begin(), payload.end()));
+    // The frame is what stays in front: the record on disk less its
+    // 8-byte checksum is exactly the buffer.
+    EXPECT_EQ(record_bytes, record.size() + 8);
+    const std::vector<std::uint8_t> on_disk = read_bytes(store.path_for(key));
+    EXPECT_TRUE(std::equal(record.begin(), record.end(), on_disk.begin(),
+                           on_disk.end() - 8));
+
+    // Without the offset the same record loads as the bare payload.
+    std::vector<std::uint8_t> bare;
+    ASSERT_TRUE(store.load(key, "unit", 1, &bare));
+    ++hits;
+    EXPECT_EQ(bare, payload);
+  }
+  EXPECT_EQ(store.stats().hits, hits);
+  EXPECT_EQ(store.stats().misses, 0u);
 }
 
 TEST(ArtifactStoreTest, AbsentRecordIsSilentMiss) {
@@ -1328,20 +1370,24 @@ void expect_same_cell(const netlist::StdCell& a, const netlist::StdCell& b) {
   EXPECT_EQ(a.ground_pin, b.ground_pin);
 }
 
-/// Every field of two flat vectors; the cells are compared by value, as
-/// decoded instances point into the record's own library.
-void expect_same_flat(const std::vector<netlist::FlatInstance>& a,
-                      const std::vector<netlist::FlatInstance>& b) {
+/// Every field of two flat netlists: the cells (compared by value, as
+/// decoded cells point into the record's own library), both name tables
+/// and the connection array with its offsets.
+void expect_same_flat(const netlist::FlatNetlist& a,
+                      const netlist::FlatNetlist& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(a[i].path);
     EXPECT_EQ(a[i].path, b[i].path);
     ASSERT_EQ(a[i].cell == nullptr, b[i].cell == nullptr);
     if (a[i].cell != nullptr) expect_same_cell(*a[i].cell, *b[i].cell);
-    EXPECT_EQ(a[i].conn, b[i].conn);
     EXPECT_EQ(a[i].power_domain, b[i].power_domain);
     EXPECT_EQ(a[i].group, b[i].group);
   }
+  EXPECT_EQ(a.nets(), b.nets());
+  EXPECT_EQ(a.pin_names(), b.pin_names());
+  EXPECT_EQ(a.pin_offsets(), b.pin_offsets());
+  EXPECT_EQ(a.connections(), b.connections());
 }
 
 void expect_same_rect(const synth::Rect& a, const synth::Rect& b) {
@@ -1517,7 +1563,8 @@ TEST(ArtifactSerdeNameTable, FloorplanRoundTripsEveryField) {
     std::vector<std::uint8_t> bytes;
     const auto back = round_trip(core::floorplan_codec(), *fp, &bytes);
     ASSERT_NE(back, nullptr);
-    expect_same_flat(back->flat, fp->flat);
+    ASSERT_NE(back->flat, nullptr);
+    expect_same_flat(*back->flat, *fp->flat);
     expect_same_floorplan(back->fp, fp->fp);
     EXPECT_EQ(back->floorplan_spec, fp->floorplan_spec);
     EXPECT_NE(back->owner, nullptr);
@@ -1583,6 +1630,18 @@ void expect_rejected(const core::ArtifactCodec<T>& codec,
   EXPECT_FALSE(r.ok());
 }
 
+/// The cells `flat` uses, distinct, in first-use order: the library a
+/// flat-carrying record embeds.
+netlist::CellLibrary used_cells(const netlist::FlatNetlist& flat) {
+  netlist::CellLibrary used("store");
+  for (const netlist::FlatInstance& fi : flat) {
+    if (fi.cell != nullptr && !used.contains(fi.cell->name)) {
+      used.add(*fi.cell);
+    }
+  }
+  return used;
+}
+
 TEST(ArtifactSerdeNameTable, IndexPastItsTableDecodesToNull) {
   core::ExecContext ctx;
   core::Flow flow(ctx);
@@ -1607,15 +1666,10 @@ TEST(ArtifactSerdeNameTable, IndexPastItsTableDecodesToNull) {
   const auto fp = flow.floorplan(spec);
   ASSERT_NE(fp, nullptr);
   ASSERT_NE(round_trip(core::floorplan_codec(), *fp, &bytes), nullptr);
-  netlist::CellLibrary used("store");
-  for (const netlist::FlatInstance& fi : fp->flat) {
-    if (fi.cell != nullptr && !used.contains(fi.cell->name)) {
-      used.add(*fi.cell);
-    }
-  }
+  const netlist::CellLibrary used = used_cells(*fp->flat);
   layout = layout_of(bytes, 0, used);
   ASSERT_EQ(core::serde::load_le<std::uint64_t>(bytes.data() + layout.body),
-            fp->flat.size());
+            fp->flat->size());
   const std::size_t path_at = layout.body + 8;
   const std::size_t cell_at = path_at + 4;
   ASSERT_GT(core::serde::load_le<std::uint32_t>(bytes.data() + cell_at), 0u);
@@ -1623,6 +1677,47 @@ TEST(ArtifactSerdeNameTable, IndexPastItsTableDecodesToNull) {
   expect_rejected(core::floorplan_codec(), bytes, cell_at,
                   used.cells().size() + 1);
   expect_rejected(core::floorplan_codec(), bytes, cell_at, 0xffffffffu);
+}
+
+/// In a floorplan record the flat cells (16 bytes each) are followed by
+/// the net and pin table sizes, the CSR offsets and the (pin, net) words,
+/// which index the record's first names. A record whose words break the
+/// netlist's invariants decodes to null.
+TEST(ArtifactSerdeNameTable, FlatNetlistWordsOutsideTheirTablesDecodeToNull) {
+  core::ExecContext ctx;
+  core::Flow flow(ctx);
+  const auto fp = flow.floorplan(small_spec());
+  ASSERT_NE(fp, nullptr);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_NE(round_trip(core::floorplan_codec(), *fp, &bytes), nullptr);
+  const netlist::FlatNetlist& flat = *fp->flat;
+  const RecordLayout layout = layout_of(bytes, 0, used_cells(flat));
+  const std::size_t sizes_at = layout.body + 8 + 16 * flat.size();
+  const std::size_t offsets_at = sizes_at + 16;
+  const std::size_t conn_at = offsets_at + 4 * (flat.size() + 1);
+  ASSERT_EQ(core::serde::load_le<std::uint64_t>(bytes.data() + sizes_at),
+            flat.nets().size());
+  ASSERT_EQ(core::serde::load_le<std::uint64_t>(bytes.data() + sizes_at + 8),
+            flat.pin_names().size());
+  ASSERT_EQ(core::serde::load_le<std::uint32_t>(bytes.data() + conn_at + 4),
+            flat.connections().front().net);
+
+  /// Whether the record decodes with the `width` bytes at `at` set to
+  /// `value`.
+  auto decodes = [&](std::size_t at, std::uint64_t value, int width) {
+    std::vector<std::uint8_t> b = bytes;
+    for (int k = 0; k < width; ++k) {
+      b[at + k] = static_cast<std::uint8_t>(value >> (8 * k));
+    }
+    core::serde::Reader r(b);
+    return core::floorplan_codec().decode(r) != nullptr;
+  };
+  EXPECT_TRUE(decodes(conn_at + 4, flat.connections().front().net, 4));
+  EXPECT_FALSE(decodes(sizes_at, layout.names + 1, 8));  // nets past names
+  EXPECT_FALSE(decodes(sizes_at, flat.nets().size() - 1, 8));
+  EXPECT_FALSE(decodes(offsets_at, 1, 4));  // the first offset is not 0
+  EXPECT_FALSE(decodes(conn_at, flat.pin_names().size(), 4));  // pin id
+  EXPECT_FALSE(decodes(conn_at + 4, flat.nets().size(), 4));    // net id
 }
 
 TEST(ArtifactSerdeNameTable, PathLengthPastThePayloadDecodesToNull) {
@@ -1803,13 +1898,19 @@ TEST(ArtifactStoreTest, RunResultV1RecordIsVersionSkewMissRebuiltBitIdentical) {
   EXPECT_EQ(warm.writes, 0u);
 }
 
-/// A store written before the name-table codecs holds its netlist,
-/// floorplan and route records as type_version 1. A new process reads each
-/// as a version-skew miss (a route miss rebuilds from the floorplan, which
-/// rebuilds from the netlist), rebuilds them to the same result fingerprint
-/// and writes them back as v2, so the process after that builds nothing.
-TEST(ArtifactStoreTest, NameTableV1RecordsAreVersionSkewMissesRebuiltBitIdentical) {
-  TempStoreDir dir("names_v1");
+/// Re-frames the records of each codec in `tags` at `old_version` after a
+/// cold datasheet: a new process must read each as a version-skew miss (a
+/// route miss rebuilds from the floorplan, which may rebuild from the
+/// netlist), rebuild it to the same result fingerprint and write it back at
+/// the codec's current version, so the process after that builds nothing.
+void expect_old_records_rebuilt(const char* dir_name,
+                                const std::vector<std::string>& tags,
+                                std::uint32_t old_version) {
+  const std::map<std::string, std::uint32_t> current = {
+      {"design_bundle", core::design_bundle_codec().type_version},
+      {"floorplan", core::floorplan_codec().type_version},
+      {"synthesis", core::synthesis_codec().type_version}};
+  TempStoreDir dir(dir_name);
   core::EvalRequest req;
   req.kind = core::EvalKind::kDatasheet;
   req.spec = small_spec();
@@ -1831,10 +1932,9 @@ TEST(ArtifactStoreTest, NameTableV1RecordsAreVersionSkewMissesRebuiltBitIdentica
   const std::string fp = run_process(&cold);
   ASSERT_GT(cold.writes, 0u);
 
-  // Re-frame each of the three codecs' records as type_version 1.
   struct Reframed {
     core::CacheKey key;
-    const char* tag;
+    std::string tag;
   };
   std::vector<Reframed> reframed;
   core::ArtifactStore store(dir.str());
@@ -1843,18 +1943,17 @@ TEST(ArtifactStoreTest, NameTableV1RecordsAreVersionSkewMissesRebuiltBitIdentica
     const std::string hex = entry.path().stem().string();
     const core::CacheKey key{std::stoull(hex.substr(16), nullptr, 16),
                              std::stoull(hex.substr(0, 16), nullptr, 16)};
-    for (const char* tag : {"design_bundle", "floorplan", "synthesis"}) {
+    for (const std::string& tag : tags) {
+      ASSERT_LT(old_version, current.at(tag)) << tag;
       std::vector<std::uint8_t> payload;
-      if (!store.load(key, tag, 2, &payload)) continue;
-      ASSERT_TRUE(store.save(key, tag, 1, payload));
+      if (!store.load(key, tag, current.at(tag), &payload)) continue;
+      ASSERT_TRUE(store.save(key, tag, old_version, payload));
       reframed.push_back({key, tag});
     }
   }
-  for (const char* tag : {"design_bundle", "floorplan", "synthesis"}) {
+  for (const std::string& tag : tags) {
     EXPECT_TRUE(std::any_of(reframed.begin(), reframed.end(),
-                            [&](const Reframed& r) {
-                              return std::string(r.tag) == tag;
-                            }))
+                            [&](const Reframed& r) { return r.tag == tag; }))
         << "no " << tag << " record to re-frame";
   }
 
@@ -1865,13 +1964,26 @@ TEST(ArtifactStoreTest, NameTableV1RecordsAreVersionSkewMissesRebuiltBitIdentica
   EXPECT_EQ(skewed.writes, reframed.size());
   for (const Reframed& r : reframed) {
     std::vector<std::uint8_t> payload;
-    EXPECT_TRUE(store.load(r.key, r.tag, 2, &payload))
-        << r.tag << " was not rewritten as v2";
+    EXPECT_TRUE(store.load(r.key, r.tag, current.at(r.tag), &payload))
+        << r.tag << " was not rewritten at its current version";
   }
   core::ArtifactStoreStats warm;
   EXPECT_EQ(run_process(&warm), fp);
   EXPECT_EQ(warm.misses, 0u);
   EXPECT_EQ(warm.writes, 0u);
+}
+
+/// A store written before the name-table codecs holds its netlist,
+/// floorplan and route records as type_version 1.
+TEST(ArtifactStoreTest, NameTableV1RecordsAreVersionSkewMissesRebuiltBitIdentical) {
+  expect_old_records_rebuilt("names_v1",
+                             {"design_bundle", "floorplan", "synthesis"}, 1);
+}
+
+/// A store written before the flat netlist's tables led the record's name
+/// table holds its floorplan and route records as type_version 2.
+TEST(ArtifactStoreTest, FlatNetlistV2RecordsAreVersionSkewMissesRebuiltBitIdentical) {
+  expect_old_records_rebuilt("flat_v2", {"floorplan", "synthesis"}, 2);
 }
 
 /// A corrupted record in the store must not poison a warm run: the stage

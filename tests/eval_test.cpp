@@ -384,6 +384,32 @@ TEST(EvalTest, UnsupportedBatchWidthFailsWithoutSimulating) {
   for (const auto& e : trace.events()) EXPECT_NE(e.name, "sim_run");
 }
 
+// A datasheet whose amplitude sweep is refused is incomplete: the response
+// is not ok, and the one error names the refused width.
+TEST(EvalTest, DatasheetWithRefusedSweepIsNotOk) {
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kDatasheet;
+  req.spec = small_spec();
+  req.spec.num_slices = 4;
+  req.datasheet.n_samples = 1 << 10;
+  req.datasheet.amp_sweep_points = 3;
+  req.datasheet.batch_width = 3;
+
+  core::ExecContext ctx;
+  ctx.threads = 1;
+  const core::EvalResponse resp = core::evaluate(req, ctx);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_FALSE(resp.datasheet.complete);
+  int errors = 0;
+  for (const auto& d : resp.diagnostics) {
+    if (d.severity != util::Severity::kError) continue;
+    ++errors;
+    EXPECT_EQ(d.stage, "sim_run");
+    EXPECT_EQ(d.item, "batch_width");
+  }
+  EXPECT_EQ(errors, 1);
+}
+
 TEST(EvalTest, DiagnosticsAreReEmittedIntoTheContextSink) {
   core::EvalRequest req;
   req.kind = core::EvalKind::kMigrate;

@@ -16,7 +16,7 @@ namespace {
 struct TinyFixture {
   netlist::CellLibrary lib;
   netlist::Design design;
-  std::vector<netlist::FlatInstance> flat;
+  netlist::FlatNetlist flat;
   Placement pl;
   Rect die{0, 0, 20e-6, 20e-6};
 
@@ -119,7 +119,7 @@ TEST(MazeRouter, CapacityForcesDetours) {
       netlist::make_standard_library(tech::TechDatabase::standard().at(40));
   netlist::Design design(&lib);
   netlist::Module& m = design.add_module("bus");
-  std::vector<netlist::FlatInstance> flat;
+  netlist::FlatNetlist flat;
   Placement pl;
   const double h = lib.row_height_m();
   const int kNets = 6;

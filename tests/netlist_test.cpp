@@ -311,11 +311,9 @@ TEST(Design, FlattenNetNamesAreHierarchical) {
   const Design d = build_adc_design(lib, {});
   const auto flat = d.flatten();
   bool found_local = false, found_global = false;
-  for (const auto& fi : flat) {
-    for (const auto& [pin, net] : fi.conn) {
-      if (net == "VDD") found_global = true;
-      if (net.find("slice0/") == 0) found_local = true;
-    }
+  for (const std::string& net : flat.nets()) {
+    if (net == "VDD") found_global = true;
+    if (net.find("slice0/") == 0) found_local = true;
   }
   EXPECT_TRUE(found_global);  // top-level supply visible everywhere
   EXPECT_TRUE(found_local);   // slice-internal nets got prefixed

@@ -29,7 +29,7 @@
 namespace vcoadc::synth {
 namespace {
 
-std::vector<netlist::FlatInstance> flat_adc(double node_nm) {
+netlist::FlatNetlist flat_adc(double node_nm) {
   core::AdcDesign adc(node_nm == 40 ? core::AdcSpec::paper_40nm()
                                     : core::AdcSpec::paper_180nm());
   return adc.netlist().flatten();
@@ -41,10 +41,10 @@ struct StringMapReference {
   std::map<std::string, std::vector<int>> members;
   std::map<std::string, int> conn_count;
 
-  explicit StringMapReference(
-      const std::vector<netlist::FlatInstance>& flat) {
+  explicit StringMapReference(const netlist::FlatNetlist& flat) {
     for (int i = 0; i < static_cast<int>(flat.size()); ++i) {
-      for (const auto& [pin, net] : flat[static_cast<std::size_t>(i)].conn) {
+      for (const auto& p : flat.pins(static_cast<std::size_t>(i))) {
+        const std::string& net = flat.net_name(p.net);
         if (netlist::is_supply_net(net)) continue;
         members[net].push_back(i);
         ++conn_count[net];
@@ -93,9 +93,9 @@ TEST(NetDb, MatchesStringMapsAtBothNodes) {
         EXPECT_TRUE(std::find(span.begin(), span.end(), c) != span.end());
       }
       for (const auto& cp : db.cell_pins(c)) {
-        const auto& net =
-            flat[static_cast<std::size_t>(c)].conn.at(*cp.pin);
-        EXPECT_EQ(cp.net, db.id_of(net));
+        const int net = flat.net_on(static_cast<std::size_t>(c), *cp.pin);
+        ASSERT_GE(net, 0);
+        EXPECT_EQ(cp.net, db.id_of(flat.net_name(net)));
       }
     }
   }
@@ -418,13 +418,10 @@ TEST(Drc, OffGridCellSkipsRowOverlapPass) {
   cell.pins = {{"A", netlist::PortDir::kInput},
                {"Y", netlist::PortDir::kOutput}};
 
-  std::vector<netlist::FlatInstance> flat(2);
-  flat[0].path = "u0";
-  flat[0].cell = &cell;
-  flat[0].power_domain = "PD_VDD";
-  flat[1].path = "u1";
-  flat[1].cell = &cell;
-  flat[1].power_domain = "PD_VDD";
+  netlist::FlatNetlistBuilder builder;
+  builder.add_cell({"u0", &cell, "PD_VDD", ""});
+  builder.add_cell({"u1", &cell, "PD_VDD", ""});
+  const netlist::FlatNetlist flat = std::move(builder).build();
 
   Floorplan fp;
   fp.die = {0, 0, 10e-6, 10e-6};
